@@ -1,11 +1,8 @@
-"""Compare the pure-Python kernels against the compiled twin.
+"""Time each arithmetic kernel of eigencert.kernels on seeded operands.
 
-Both modules run the same algorithms on the same operands; the compiled
-version can only remove interpreter loop overhead, since the scalar
-arithmetic itself happens in CPython bignums, gmpy2, or mpmath either
-way.  Expect modest ratios (~2x on loop-heavy kernels, ~1x where a
-single bignum multiply dominates), and treat anything below 1.0 as a
-reason to ship the pure version only.
+Prints the best of --repeat runs per kernel, in milliseconds.  Operands
+are fixed by --size (matrix order, polynomial degree) and a constant seed,
+so figures from the same host are comparable across changes.
 
     python3 benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
@@ -15,13 +12,8 @@ import random
 import time
 from fractions import Fraction
 
-from eigencert import _kernels_py
+from eigencert import kernels
 from eigencert.numerics import fast_int, float_backend
-
-try:
-    from eigencert import _kernels_cy
-except ImportError:
-    _kernels_cy = None
 
 
 def best_of(fn, repeat):
@@ -46,7 +38,7 @@ def build_cases(size: int):
 
     int_rows = [[fast_int(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
 
-    sums = _kernels_py.power_sums(monic, 2 * n - 2 + 2)
+    sums = kernels.power_sums(monic, 2 * n - 2 + 2)
     hankel = [[sums[i + j] for j in range(n)] for i in range(n)]
     q = [Fraction(3), Fraction(-4), Fraction(1)]
     last_col = [-c for c in monic[:n]]
@@ -62,14 +54,14 @@ def build_cases(size: int):
     fsym = [[(frows[i][j] + frows[j][i]) for j in range(n)] for i in range(n)]
 
     return [
-        ("sign_variations", lambda k: k.sign_variations(signs)),
-        ("horner_eval", lambda k: [k.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
-        ("power_sums", lambda k: k.power_sums(monic, 4 * n)),
-        ("fl_charpoly_int", lambda k: k.fl_charpoly_int(int_rows)),
-        ("hermite_product", lambda k: k.hermite_product(hankel, q, last_col)),
-        ("bareiss_inertia", lambda k: k.bareiss_inertia(sym)),
-        ("ldl_inertia", lambda k: k.ldl_inertia(fsym)),
-        ("mat_mul", lambda k: k.mat_mul(int_rows, int_rows)),
+        ("sign_variations", lambda: kernels.sign_variations(signs)),
+        ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
+        ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
+        ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
+        ("hermite_product", lambda: kernels.hermite_product(hankel, q, last_col)),
+        ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
+        ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
+        ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),
     ]
 
 
@@ -79,18 +71,10 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=20, help="matrix/polynomial size")
     args = parser.parse_args()
 
-    if _kernels_cy is None:
-        print("compiled kernels not available; showing pure-Python timings only")
-    cases = build_cases(args.size)
-    print(f"{'kernel':<18}{'pure-py (ms)':>14}{'compiled (ms)':>15}{'speedup':>9}")
-    for name, runner in cases:
-        t_py = best_of(lambda: runner(_kernels_py), args.repeat)
-        if _kernels_cy is None:
-            print(f"{name:<18}{t_py * 1e3:>14.3f}{'-':>15}{'-':>9}")
-            continue
-        t_cy = best_of(lambda: runner(_kernels_cy), args.repeat)
-        ratio = t_py / t_cy if t_cy > 0 else float("inf")
-        print(f"{name:<18}{t_py * 1e3:>14.3f}{t_cy * 1e3:>15.3f}{ratio:>8.2f}x")
+    print(f"{'kernel':<18}{'time (ms)':>12}")
+    for name, runner in build_cases(args.size):
+        elapsed = best_of(runner, args.repeat)
+        print(f"{name:<18}{elapsed * 1e3:>12.3f}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     eigencert MATRIX [--mode exact|float] [--bits N] [--epsilon E]
-              [--format json|text] [--svg PATH] [--jobs N] [--column-disks]
+              [--format json|text] [--svg PATH] [--column-disks]
 
 MATRIX is a path to either a JSON file {"matrix": [[...], ...]} or a CSV
 file with one row per line.  Entries may be integers or decimal strings;
@@ -108,18 +108,22 @@ def load_matrix(path: str, backend) -> SquareMatrix:
 
 
 def run(path: str, *, mode: str = "exact", bits: int = DEFAULT_BITS,
-        epsilon: str = "1e-7", jobs: int = 1, column_disks: bool = False) -> Report:
+        epsilon: str = "1e-7", column_disks: bool = False) -> Report:
     """Parse, localize, refine; returns the full report."""
-    backend = EXACT if mode == "exact" else float_backend(bits)
+    if mode == "exact":
+        backend = EXACT
+    else:
+        try:
+            backend = float_backend(bits)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     eps_exact = parse_decimal(epsilon)
     if not eps_exact > 0:
         raise ParseError(f"epsilon must be positive, got {epsilon!r}")
     matrix = load_matrix(path, backend)
     started = time.perf_counter()
-    located = locate(matrix, jobs=jobs, column_disks=column_disks)
-    final = refine_all(
-        located.context, located.intervals, backend.convert(epsilon), jobs=jobs
-    )
+    located = locate(matrix, column_disks=column_disks)
+    final = refine_all(located.context, located.intervals, backend.convert(epsilon))
     wall = time.perf_counter() - started
     return build_report(
         located,
@@ -194,7 +198,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--svg", metavar="PATH", help="also write an SVG rendering")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel certifications")
     parser.add_argument(
         "--column-disks", action="store_true",
         help="clip the search region with column disks as well",
@@ -210,7 +213,6 @@ def main(argv=None) -> int:
             mode=args.mode,
             bits=args.bits,
             epsilon=args.epsilon,
-            jobs=max(1, args.jobs),
             column_disks=args.column_disks,
         )
         if args.svg:

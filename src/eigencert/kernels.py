@@ -1,32 +1,434 @@
-"""Kernel selector: compiled extension when available, pure Python otherwise.
+"""Pure-Python arithmetic kernels.
 
-Set EIGENCERT_PURE_PYTHON=1 to force the pure-Python kernels (used by the
-benchmark and by tests that exercise both implementations).
+These are the inner loops of the package: polynomial evaluation/division,
+Newton power sums, characteristic polynomials (Faddeev-Leverrier and
+La Budde), the structured Hermite-matrix product, and symmetric inertia
+(rational LDL and fraction-free Bareiss).
+
+Conventions shared by every kernel:
+
+* polynomials are nonempty lists of coefficients in ascending order
+  ([c0, c1, ..., cn] means c0 + c1*x + ... + cn*x^n);
+* matrices are lists of row lists, square, nonempty;
+* scalars are whatever the caller's backend uses (Fraction, mpmath mpf,
+  int, gmpy2 mpz); kernels only ever add, subtract, multiply, compare with
+  0 and - where documented - divide, so they are backend-agnostic;
+* kernels never mutate their arguments and never import backend modules.
 """
 
-import os
+# certbench/run.py prints this on its environment line; benchmark figures
+# are only comparable between runs that print the same value.
+IMPLEMENTATION = "kernels_py"
 
-if os.environ.get("EIGENCERT_PURE_PYTHON"):
-    from eigencert import _kernels_py as _impl
-else:
-    try:
-        from eigencert import _kernels_cy as _impl
-    except ImportError:
-        from eigencert import _kernels_py as _impl
 
-IMPLEMENTATION = _impl.__name__.rsplit(".", 1)[-1].lstrip("_")
+def horner_eval(coeffs, x):
+    """Evaluate a polynomial at x by Horner's rule."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[k]
+    return acc
 
-horner_eval = _impl.horner_eval
-sign_variations = _impl.sign_variations
-poly_divmod = _impl.poly_divmod
-power_sums = _impl.power_sums
-mat_mul = _impl.mat_mul
-fl_charpoly_int = _impl.fl_charpoly_int
-fl_charpoly = _impl.fl_charpoly
-labudde_charpoly = _impl.labudde_charpoly
-companion_right_multiply = _impl.companion_right_multiply
-hermite_product = _impl.hermite_product
-ldl_inertia = _impl.ldl_inertia
-bareiss_inertia = _impl.bareiss_inertia
-int_content_strip = _impl.int_content_strip
-int_prem_primitive = _impl.int_prem_primitive
+
+def sign_variations(values):
+    """Number of sign changes in a sequence, zeros dropped."""
+    count = 0
+    last = 0
+    for v in values:
+        if v == 0:
+            continue
+        s = -1 if v < 0 else 1
+        if last != 0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of polynomial division over a field.
+
+    Both inputs ascending coefficient lists, den nonzero.  Returns (q, r)
+    with num = q*den + r and deg(r) < deg(den).  The zero polynomial is
+    returned as an empty list.
+    """
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    dlen = len(den)
+    while dlen and den[dlen - 1] == 0:
+        dlen -= 1
+    if dlen == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = den[dlen - 1]
+    if len(num) < dlen:
+        return [], num
+    quot = [num[0] * 0] * (len(num) - dlen + 1)
+    for top in range(len(num) - 1, dlen - 2, -1):
+        c = num[top]
+        if c == 0:
+            continue
+        q = c / lead
+        shift = top - (dlen - 1)
+        quot[shift] = q
+        for k in range(dlen):
+            num[shift + k] = num[shift + k] - q * den[k]
+    rem = num[: dlen - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def power_sums(coeffs, m):
+    """Power sums S[0..m] of the roots of a monic polynomial.
+
+    coeffs is the ascending coefficient list with leading coefficient one
+    (exactly, whichever scalar type).  Uses the Newton-Girard recurrences:
+    for 1 <= k <= n,  S_k = -k*c_{n-k} - sum_{j=1}^{k-1} c_{n-j} S_{k-j};
+    for k > n,        S_k = -sum_{j=1}^{n} c_{n-j} S_{k-j}.
+    S_0 is the degree, as a scalar of the same type.
+    """
+    n = len(coeffs) - 1
+    one = coeffs[n]
+    sums = [one * n]
+    for k in range(1, m + 1):
+        if k <= n:
+            acc = coeffs[n - k] * (-k)
+            for j in range(1, k):
+                acc = acc - coeffs[n - j] * sums[k - j]
+        else:
+            acc = coeffs[n - 1] * sums[k - 1] * (-1)
+            for j in range(2, n + 1):
+                acc = acc - coeffs[n - j] * sums[k - j]
+        sums.append(acc)
+    return sums
+
+
+def mat_mul(a, b):
+    """Dense matrix product of two square row-major matrices."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        arow = a[i]
+        row = []
+        for j in range(n):
+            acc = arow[0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + arow[k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def fl_charpoly_int(rows):
+    """Characteristic polynomial of an integer matrix, ascending and monic.
+
+    Faddeev-Leverrier: M_1 = A, a_{n-1} = -tr(M_1), and for k = 2..n
+    M_k = A (M_{k-1} + a_{n-k+1} I), a_{n-k} = -tr(M_k)/k.  All divisions
+    are exact over the integers, so // keeps the computation in int/mpz.
+    """
+    n = len(rows)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    work = [list(r) for r in rows]
+    tr = work[0][0]
+    for i in range(1, n):
+        tr = tr + work[i][i]
+    coeffs[n - 1] = -tr
+    for k in range(2, n + 1):
+        shift = coeffs[n - k + 1]
+        for i in range(n):
+            work[i][i] = work[i][i] + shift
+        work = mat_mul(rows, work)
+        tr = work[0][0]
+        for i in range(1, n):
+            tr = tr + work[i][i]
+        coeffs[n - k] = -tr // k
+    return coeffs
+
+
+def fl_charpoly(rows):
+    """Faddeev-Leverrier over a field (Fraction or mpf entries)."""
+    n = len(rows)
+    one = rows[0][0] * 0 + 1
+    coeffs = [one * 0] * (n + 1)
+    coeffs[n] = one
+    work = [list(r) for r in rows]
+    tr = work[0][0]
+    for i in range(1, n):
+        tr = tr + work[i][i]
+    coeffs[n - 1] = -tr
+    for k in range(2, n + 1):
+        shift = coeffs[n - k + 1]
+        for i in range(n):
+            work[i][i] = work[i][i] + shift
+        work = mat_mul(rows, work)
+        tr = work[0][0]
+        for i in range(1, n):
+            tr = tr + work[i][i]
+        coeffs[n - k] = -tr / k
+    return coeffs
+
+
+def labudde_charpoly(alphas, betas, hrows):
+    """Characteristic polynomial of an upper Hessenberg matrix, ascending.
+
+    alphas are the diagonal entries, betas the subdiagonal (betas[j] is
+    H[j+1][j]), hrows the full matrix (for the strictly-upper entries).
+    La Budde recurrence on leading principal minors:
+
+        p_0 = 1,  p_1 = x - alpha_1,
+        p_i = (x - alpha_i) p_{i-1}
+              - sum_{m=1}^{i-1} h_{i-m,i} (beta_i ... beta_{i-m+1}) p_{i-m-1}
+    """
+    n = len(alphas)
+    zero = alphas[0] * 0
+    one = zero + 1
+    polys = [[one]]
+    polys.append([zero - alphas[0], one])
+    for i in range(2, n + 1):
+        prev = polys[i - 1]
+        cur = [zero] * (len(prev) + 1)
+        for t in range(len(prev)):
+            cur[t + 1] = prev[t]
+        ai = alphas[i - 1]
+        for t in range(len(prev)):
+            cur[t] = cur[t] - ai * prev[t]
+        prod = one
+        for m in range(1, i):
+            prod = prod * betas[i - m - 1]
+            if prod == 0:
+                break
+            hv = hrows[i - m - 1][i - 1]
+            if hv == 0:
+                continue
+            coef = hv * prod
+            low = polys[i - m - 1]
+            for t in range(len(low)):
+                cur[t] = cur[t] - coef * low[t]
+        polys.append(cur)
+    return polys[n]
+
+
+def companion_right_multiply(rows, last_col):
+    """X -> X*C for C a bottom-companion matrix, in O(n^2).
+
+    C has ones on the subdiagonal and last_col as its final column, so
+    column j of X*C is column j+1 of X for j < n-1, and the last column
+    is X @ last_col.
+    """
+    n = len(rows)
+    out = []
+    for i in range(n):
+        row = rows[i]
+        acc = row[0] * last_col[0]
+        for t in range(1, n):
+            acc = acc + row[t] * last_col[t]
+        out.append(row[1:] + [acc])
+    return out
+
+
+def hermite_product(h1_rows, q_coeffs, last_col):
+    """H_q = sum_k q_k * (H_1 C^k) using the companion column-shift trick."""
+    n = len(h1_rows)
+    q0 = q_coeffs[0]
+    acc = [[q0 * v for v in row] for row in h1_rows]
+    power = h1_rows
+    for k in range(1, len(q_coeffs)):
+        power = companion_right_multiply(power, last_col)
+        qk = q_coeffs[k]
+        if qk == 0:
+            continue
+        for i in range(n):
+            arow = acc[i]
+            prow = power[i]
+            for j in range(n):
+                arow[j] = arow[j] + qk * prow[j]
+    return acc
+
+
+def ldl_inertia(rows):
+    """Inertia (n+, n-, n0) of a symmetric matrix over a field.
+
+    Symmetric elimination with diagonal pivoting (largest |diagonal|); when
+    every remaining diagonal entry is exactly zero, a nonzero off-diagonal
+    b gives a 2x2 block [[0,b],[b,0]] contributing one positive and one
+    negative eigenvalue; if the whole remainder is zero the rest of the
+    inertia is zeros.  Exact over Fraction; over floats the comparisons are
+    exact on representations (callers cross-check the result).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    active = list(range(n))
+    pos = neg = nil = 0
+    while active:
+        p = active[0]
+        best = abs(a[p][p])
+        for r in active[1:]:
+            mag = abs(a[r][r])
+            if mag > best:
+                best = mag
+                p = r
+        d = a[p][p]
+        if d != 0:
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(p)
+            prow = a[p]
+            for j in active:
+                f = a[j][p] / d
+                if f == 0:
+                    continue
+                jrow = a[j]
+                for k in active:
+                    jrow[k] = jrow[k] - f * prow[k]
+            continue
+        # Every remaining diagonal entry is zero.
+        q = -1
+        best = 0
+        for ii in range(len(active)):
+            for jj in range(ii + 1, len(active)):
+                mag = abs(a[active[ii]][active[jj]])
+                if mag > best:
+                    best = mag
+                    p = active[ii]
+                    q = active[jj]
+        if q < 0:
+            nil += len(active)
+            break
+        b = a[p][q]
+        pos += 1
+        neg += 1
+        active.remove(p)
+        active.remove(q)
+        prow = a[p]
+        qrow = a[q]
+        for j in active:
+            u = a[j][p]
+            v = a[j][q]
+            if u == 0 and v == 0:
+                continue
+            jrow = a[j]
+            for k in active:
+                jrow[k] = jrow[k] - (u * qrow[k] + v * prow[k]) / b
+    return pos, neg, nil
+
+
+def bareiss_inertia(rows):
+    """Inertia (n+, n-, n0) of a symmetric integer matrix, fraction-free.
+
+    Symmetric-pivoted Bareiss elimination: entries stay bordered minors of
+    the (symmetrically permuted) input, every division is exact, and the
+    pivot sequence m_1, m_2, ... gives the LDL pivot signs via Jacobi's
+    rule sign(d_k) = sign(m_k m_{k-1}).  The all-zero-diagonal corner uses
+    a fraction-free 2x2 congruence step whose block determinant -b^2 < 0
+    contributes one eigenvalue of each sign.
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    active = list(range(n))
+    pos = neg = nil = 0
+    prev = 1
+    while active:
+        p = active[0]
+        best = abs(a[p][p])
+        for r in active[1:]:
+            mag = abs(a[r][r])
+            if mag > best:
+                best = mag
+                p = r
+        piv = a[p][p]
+        if piv != 0:
+            if (piv > 0) == (prev > 0):
+                pos += 1
+            else:
+                neg += 1
+            active.remove(p)
+            prow = a[p]
+            for j in active:
+                ajp = a[j][p]
+                jrow = a[j]
+                for k in active:
+                    jrow[k] = (piv * jrow[k] - ajp * prow[k]) // prev
+            prev = piv
+            continue
+        q = -1
+        best = 0
+        for ii in range(len(active)):
+            for jj in range(ii + 1, len(active)):
+                mag = abs(a[active[ii]][active[jj]])
+                if mag > best:
+                    best = mag
+                    p = active[ii]
+                    q = active[jj]
+        if q < 0:
+            nil += len(active)
+            break
+        b = a[p][q]
+        pos += 1
+        neg += 1
+        active.remove(p)
+        active.remove(q)
+        prow = a[p]
+        qrow = a[q]
+        det2 = -(b * b)
+        prev2 = prev * prev
+        for j in active:
+            u = a[j][p]
+            v = a[j][q]
+            jrow = a[j]
+            for k in active:
+                jrow[k] = (det2 * jrow[k] + b * (u * qrow[k] + v * prow[k])) // prev2
+        prev = det2 // prev
+    return pos, neg, nil
+
+
+def int_content_strip(coeffs):
+    """Divide an integer coefficient list by its positive content."""
+    g = 0
+    for c in coeffs:
+        if c < 0:
+            c = -c
+        if g == 0:
+            g = c
+        elif c != 0:
+            while c:
+                g, c = c, g % c
+        if g == 1:
+            return list(coeffs)
+    if g == 0 or g == 1:
+        return list(coeffs)
+    return [c // g for c in coeffs]
+
+
+def int_prem_primitive(f, g):
+    """Primitive positively-scaled pseudo-remainder of integer polynomials.
+
+    Repeatedly replaces f by |lc(g)|*f - sign(lc(g))*lc(f)*x^d*g until
+    deg(f) < deg(g), so the result is a positive multiple of the true
+    remainder, then strips content.  Returns [] for a zero remainder.
+    """
+    num = list(f)
+    while num and num[-1] == 0:
+        num.pop()
+    dg = len(g) - 1
+    while dg >= 0 and g[dg] == 0:
+        dg -= 1
+    if dg < 0:
+        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
+    lg = g[dg]
+    neg_lead = lg < 0
+    mag_lg = -lg if neg_lead else lg
+    while len(num) - 1 >= dg:
+        ln = num[-1]
+        shift = len(num) - 1 - dg
+        if neg_lead:
+            ln = -ln
+        num = [mag_lg * c for c in num]
+        for t in range(dg + 1):
+            num[shift + t] = num[shift + t] - ln * g[t]
+        while num and num[-1] == 0:
+            num.pop()
+        if not num:
+            return []
+    return int_content_strip(num)

@@ -17,7 +17,6 @@ an eigenvalue exactly) and bypass the interval machinery.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from eigencert.charpoly import SquareMatrix, charpoly
@@ -193,19 +192,11 @@ class LocateResult:
     intervals: tuple  # the contains-real subset of tested
 
 
-def _map(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def locate(m: SquareMatrix, *, jobs: int = 1, column_disks: bool = False) -> LocateResult:
+def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     """Full initial localization of the real spectrum of m."""
     ctx = CertificationContext.from_matrix(m)
-    ctx.base_signature  # compute before any thread fan-out
     disks = gershgorin_disks(m)
-    certified = _map(lambda d: certify_disk(ctx, d), disks, jobs)
+    certified = [certify_disk(ctx, d) for d in disks]
     points = tuple(sorted({d.center for d in certified if d.verdict == POINT_EIGENVALUE}))
     tested: list = []
     if any(d.verdict == CONTAINS_REAL for d in certified):
@@ -232,6 +223,6 @@ def locate(m: SquareMatrix, *, jobs: int = 1, column_disks: bool = False) -> Loc
             )
             return certify_interval(ctx, lo, hi, sources)
 
-        tested = _map(_certify, pairs, jobs)
+        tested = [_certify(pair) for pair in pairs]
     intervals = tuple(t for t in tested if t.contains_real)
     return LocateResult(ctx, tuple(certified), points, tuple(tested), intervals)

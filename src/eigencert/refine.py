@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
-from eigencert.localize import _map
 from eigencert.numerics import InternalConsistencyError
 
 
@@ -104,16 +103,13 @@ def _coalesce(ctx: CertificationContext, intervals: list) -> list:
     return out
 
 
-def refine_all(
-    ctx: CertificationContext, intervals, eps, *, jobs: int = 1
-) -> tuple:
+def refine_all(ctx: CertificationContext, intervals, eps) -> tuple:
     """Refine every interval; results sorted by position.
 
     Coalescing stays within each original interval - pieces from different
     initial intervals are never merged, their shared endpoints were chosen
     by the disk geometry, not by bisection.
     """
-    chunks = _map(lambda iv: refine_interval(ctx, iv, eps), list(intervals), jobs)
-    merged = [iv for chunk in chunks for iv in chunk]
+    merged = [piece for iv in intervals for piece in refine_interval(ctx, iv, eps)]
     merged.sort(key=lambda v: (v.lo, v.hi))
     return tuple(merged)

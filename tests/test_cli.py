@@ -125,11 +125,11 @@ def test_main_writes_svg(tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg ")
 
 
-def test_main_jobs_deterministic(tmp_path, capsys):
+def test_main_json_deterministic(tmp_path, capsys):
     path = write_worked_csv(tmp_path)
     outputs = []
-    for jobs in ("1", "4"):
-        assert cli.main([path, "--epsilon", "0.01", "--format", "json", "--jobs", jobs]) == 0
+    for _ in range(2):
+        assert cli.main([path, "--epsilon", "0.01", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         data["metrics"].pop("wall_time_seconds")
         outputs.append(data)
@@ -161,6 +161,13 @@ def test_main_missing_file_exit_2(capsys):
 def test_main_epsilon_error_exit_2(tmp_path, capsys):
     assert cli.main([write_worked_csv(tmp_path), "--epsilon", "-1"]) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+def test_main_bits_below_minimum_exit_2(tmp_path, capsys):
+    path = write_worked_csv(tmp_path)
+    assert cli.main([path, "--mode", "float", "--bits", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eigencert: input error:") and "bits" in err
 
 
 def test_main_precision_exhausted_exit_3(tmp_path, capsys, monkeypatch):

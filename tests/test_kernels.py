@@ -1,28 +1,14 @@
-"""Kernel tests, run against every available implementation.
-
-The compiled module must behave exactly like the pure-Python one, so each
-test is parametrized over both and a dedicated test diffs their outputs on
-randomized inputs.
-"""
+"""Kernel tests for eigencert.kernels."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from eigencert import _kernels_py
+from eigencert import kernels
 
-IMPLS = [_kernels_py]
-try:
-    from eigencert import _kernels_cy
-
-    IMPLS.append(_kernels_cy)
-except ImportError:
-    _kernels_cy = None
-
-pytestmark = pytest.mark.parametrize(
-    "K", IMPLS, ids=[m.__name__.rsplit("_", 1)[-1] for m in IMPLS]
-)
+# one module under test; the "py" id keeps the test names stable
+pytestmark = pytest.mark.parametrize("K", [kernels], ids=["py"])
 
 
 def frac_rows(rows):
@@ -236,28 +222,3 @@ def test_int_prem_primitive_matches_field_remainder(K):
         ratio = Fraction(got[-1]) / want[-1]
         assert ratio > 0
         assert [Fraction(c) for c in got] == [ratio * c for c in want]
-
-
-@pytest.mark.skipif(_kernels_cy is None, reason="compiled kernels not built")
-def test_compiled_matches_pure_python(K):
-    # randomized diff of the two implementations on every kernel
-    if K is _kernels_py:
-        pytest.skip("diff runs once, from the compiled side")
-    rng = random.Random(71)
-    for _ in range(15):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
-        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert _kernels_cy.horner_eval(coeffs, x) == _kernels_py.horner_eval(coeffs, x)
-        vals = [rng.randint(-3, 3) for _ in range(8)]
-        assert _kernels_cy.sign_variations(vals) == _kernels_py.sign_variations(vals)
-        n = rng.randint(1, 5)
-        mono = [Fraction(rng.randint(-6, 6)) for _ in range(n)] + [Fraction(1)]
-        assert _kernels_cy.power_sums(mono, 2 * n) == _kernels_py.power_sums(mono, 2 * n)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert _kernels_cy.fl_charpoly_int(rows) == _kernels_py.fl_charpoly_int(rows)
-        sym = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                sym[i][j] = sym[j][i] = rng.randint(-5, 5)
-        assert _kernels_cy.bareiss_inertia(sym) == _kernels_py.bareiss_inertia(sym)
-        assert _kernels_cy.ldl_inertia(frac_rows(sym)) == _kernels_py.ldl_inertia(frac_rows(sym))

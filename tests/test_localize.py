@@ -144,11 +144,3 @@ def test_locate_column_disks_clip():
     spans = [(iv.lo, iv.hi) for iv in clipped.intervals]
     assert spans == [(-1, F(-1, 100)), (3, 4)]
     assert sum(iv.min_root_count for iv in clipped.intervals) == 2
-
-
-def test_locate_parallel_matches_serial(worked_exact):
-    one = locate(worked_exact, jobs=1)
-    four = locate(worked_exact, jobs=4)
-    assert one.tested == four.tested
-    assert one.intervals == four.intervals
-    assert [d.verdict for d in one.disks] == [d.verdict for d in four.disks]

@@ -38,10 +38,8 @@ def build_cases(size: int):
 
     int_rows = [[fast_int(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
 
-    sums = kernels.power_sums(monic, 2 * n - 2 + 2)
-    hankel = [[sums[i + j] for j in range(n)] for i in range(n)]
+    sums = kernels.power_sums(monic, 2 * n)
     q = [Fraction(3), Fraction(-4), Fraction(1)]
-    last_col = [-c for c in monic[:n]]
 
     sym = [[fast_int(0)] * n for _ in range(n)]
     for i in range(n):
@@ -58,7 +56,7 @@ def build_cases(size: int):
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
         ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
         ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
-        ("hermite_product", lambda: kernels.hermite_product(hankel, q, last_col)),
+        ("hermite_product", lambda: kernels.hermite_product(sums, q, n)),
         ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
         ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
         ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),

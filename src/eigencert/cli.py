@@ -60,8 +60,12 @@ def parse_matrix_text(text: str, backend, *, source: str = "input") -> SquareMat
     """Parse JSON or CSV matrix text into a SquareMatrix."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+
+        def non_finite(token):
+            raise ParseError(f"{source}: {token} is not a finite matrix entry")
+
         try:
-            data = json.loads(text, parse_float=_RawNumber)
+            data = json.loads(text, parse_float=_RawNumber, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "matrix" not in data:
@@ -102,7 +106,7 @@ def load_matrix(path: str, backend) -> SquareMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_text(text, backend, source=path)
 

@@ -3,14 +3,18 @@
 For monic p of degree n with roots z_1..z_n (with multiplicity), the
 Hermite matrix of a weight polynomial q is
 
-    H_q[i][j] = sum_k q(z_k) z_k^(i+j-2)     (1-based i, j),
+    H_q[i][j] = sum_k q(z_k) z_k^(i+j)     (0-based i, j).
 
-a symmetric n x n matrix computable from p's coefficients alone: H_1 is
-the Hankel matrix of the Newton power sums, and H_q = H_1 q(C) for C the
-companion matrix of p.  Its signature counts real roots weighted by the
-sign of q, which is what turns sign tests into interval certificates:
-sigma(H_1) is the number of distinct real roots, and sigma(H_q) differs
-from it exactly when q takes negative values on some real root.
+Each entry depends only on i+j, so H_q is the Hankel matrix of the 2n-1
+numbers T_m = sum_k q(z_k) z_k^m = sum_t q_t S_{m+t}, where S_m are the
+Newton power sums of p (Basu-Pollack-Roy, Algorithms in Real Algebraic
+Geometry, ch. 4).  The power sums come from p's coefficients alone, so
+every form is built from one list S_0..S_{2n}, computed once with H_1
+(whose T_m is S_m), and is symmetric by construction.  Its signature
+counts real roots weighted by the sign of q, which is what turns sign
+tests into interval certificates: sigma(H_1) is the number of distinct
+real roots, and sigma(H_q) differs from it exactly when q takes negative
+values on some real root.
 
 Signatures are computed from the characteristic polynomial of the form
 (Descartes' rule is exact for a symmetric matrix's spectrum); exact mode
@@ -25,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from eigencert import kernels
-from eigencert.numerics import (
-    EXACT,
-    InternalConsistencyError,
-    PrecisionExhaustedError,
-    check_same_backend,
-)
+from eigencert.numerics import EXACT, PrecisionExhaustedError, check_same_backend
 from eigencert.charpoly import (
     SquareMatrix,
     charpoly,
@@ -50,6 +49,8 @@ class HermiteForm:
     poly: Poly
     q: Poly
     matrix: SquareMatrix
+    # power sums S_0..S_2n of poly; hermite_base fills them in on H_1
+    sums: list = field(default_factory=list, repr=False, compare=False)
     _signature: int | None = field(default=None, repr=False, compare=False)
 
 
@@ -62,98 +63,33 @@ def power_sums(p: Poly, m: int) -> list:
     return kernels.power_sums(p.coeffs, m)
 
 
-def companion(p: Poly) -> SquareMatrix:
-    """Companion matrix: ones on the subdiagonal, -coefficients last column."""
-    n = p.degree()
-    if n < 1 or not p.is_monic():
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    zero = p.backend.zero
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        if i > 0:
-            row[i - 1] = p.backend.one
-        row[n - 1] = -p.coeffs[i]
-        rows.append(tuple(row))
-    return SquareMatrix(tuple(rows), p.backend)
-
-
-def apply_poly(q: Poly, m: SquareMatrix) -> SquareMatrix:
-    """q(M) by Horner's rule on matrices (cross-check path, O(d n^3))."""
-    check_same_backend(q.backend, m.backend)
-    n = m.n
-    zero = m.backend.zero
-    acc = [[zero] * n for _ in range(n)]
-    top = q.coeffs[-1]
-    for i in range(n):
-        acc[i][i] = top
-    rows = [list(r) for r in m.rows]
-    for k in range(len(q.coeffs) - 2, -1, -1):
-        acc = kernels.mat_mul(acc, rows)
-        ck = q.coeffs[k]
-        for i in range(n):
-            acc[i][i] = acc[i][i] + ck
-    return SquareMatrix(tuple(tuple(r) for r in acc), m.backend)
-
-
 def hermite_base(p: Poly) -> HermiteForm:
-    """H_1: the Hankel matrix of power sums S_0..S_{2n-2}."""
+    """H_1: the Hankel matrix of power sums S_0..S_{2n-2}.
+
+    Keeps S_0..S_2n on the form, enough for every quadratic weight.
+    """
     n = p.degree()
-    sums = power_sums(p, 2 * n - 2)
-    rows = tuple(tuple(sums[i + j] for j in range(n)) for i in range(n))
+    sums = power_sums(p, 2 * n)
+    rows = tuple(tuple(sums[i:i + n]) for i in range(n))
     one_poly = Poly.from_coeffs([p.backend.one], p.backend)
-    return HermiteForm(p, one_poly, SquareMatrix(rows, p.backend))
-
-
-def _last_col(p: Poly) -> list:
-    return [-c for c in p.coeffs[: p.degree()]]
+    return HermiteForm(p, one_poly, SquareMatrix(rows, p.backend), sums)
 
 
 def hermite_weighted(base: HermiteForm, q: Poly) -> HermiteForm:
-    """H_q = H_1 q(C) via companion column shifts, O(deg(q) n^2).
+    """H_q as the Hankel matrix of T_m = sum_t q_t S_{m+t}, m = 0..2n-2.
 
-    Float mode symmetrizes the product and refuses (internal-consistency
-    error) if the asymmetry exceeds 2^(-bits/2) relative to the largest
-    entry - at that point the working precision cannot support the test.
+    Reads the power sums kept on base; a q of degree above 2 needs sums
+    past S_2n, which are computed afresh.  O(n deg q) arithmetic.
     """
     p = base.poly
     check_same_backend(p.backend, q.backend)
-    raw = kernels.hermite_product(
-        [list(r) for r in base.matrix.rows], list(q.coeffs), _last_col(p)
-    )
-    n = len(raw)
-    backend = p.backend
-    if backend == EXACT:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if raw[i][j] != raw[j][i]:
-                    raise InternalConsistencyError("Hermite product is not symmetric")
-    else:
-        ctx = backend.ctx
-        biggest = ctx.zero
-        asym = ctx.zero
-        for i in range(n):
-            for j in range(i, n):
-                mag = abs(raw[i][j])
-                if mag > biggest:
-                    biggest = mag
-                if j > i:
-                    gap = abs(raw[i][j] - raw[j][i])
-                    if gap > asym:
-                        asym = gap
-        if biggest > 0 and asym > ctx.ldexp(biggest, -(backend.bits // 2)):
-            raise InternalConsistencyError(
-                "Hermite product asymmetry exceeds precision budget; "
-                "raise --bits or use exact mode"
-            )
-        half = ctx.convert("0.5")
-        for i in range(n):
-            for j in range(i + 1, n):
-                avg = (raw[i][j] + raw[j][i]) * half
-                raw[i][j] = avg
-                raw[j][i] = avg
-    mat = SquareMatrix(tuple(tuple(r) for r in raw), backend)
-    return HermiteForm(p, q, mat)
+    n = p.degree()
+    last = 2 * n - 3 + len(q.coeffs)  # index of the last power sum read
+    sums = base.sums
+    if len(sums) <= last:
+        sums = power_sums(p, last)
+    rows = kernels.hermite_product(sums, list(q.coeffs), n)
+    return HermiteForm(p, q, SquareMatrix(tuple(tuple(r) for r in rows), p.backend))
 
 
 def descartes_signature(char: Poly) -> int:

@@ -2,7 +2,7 @@
 
 These are the inner loops of the package: polynomial evaluation/division,
 Newton power sums, characteristic polynomials (Faddeev-Leverrier and
-La Budde), the structured Hermite-matrix product, and symmetric inertia
+La Budde), the Hankel build of Hermite forms, and symmetric inertia
 (rational LDL and fraction-free Bareiss).
 
 Conventions shared by every kernel:
@@ -208,41 +208,19 @@ def labudde_charpoly(alphas, betas, hrows):
     return polys[n]
 
 
-def companion_right_multiply(rows, last_col):
-    """X -> X*C for C a bottom-companion matrix, in O(n^2).
+def hermite_product(sums, q_coeffs, n):
+    """Hermite form H_q as the n x n Hankel matrix of T_0..T_{2n-2}.
 
-    C has ones on the subdiagonal and last_col as its final column, so
-    column j of X*C is column j+1 of X for j < n-1, and the last column
-    is X @ last_col.
+    T_m = sum_t q_t S_{m+t}, so sums must hold S_0..S_{2n-2+deg q}.
+    Row i of the result is T_i..T_{i+n-1}: O(n deg q) products.
     """
-    n = len(rows)
-    out = []
-    for i in range(n):
-        row = rows[i]
-        acc = row[0] * last_col[0]
-        for t in range(1, n):
-            acc = acc + row[t] * last_col[t]
-        out.append(row[1:] + [acc])
-    return out
-
-
-def hermite_product(h1_rows, q_coeffs, last_col):
-    """H_q = sum_k q_k * (H_1 C^k) using the companion column-shift trick."""
-    n = len(h1_rows)
-    q0 = q_coeffs[0]
-    acc = [[q0 * v for v in row] for row in h1_rows]
-    power = h1_rows
-    for k in range(1, len(q_coeffs)):
-        power = companion_right_multiply(power, last_col)
-        qk = q_coeffs[k]
-        if qk == 0:
-            continue
-        for i in range(n):
-            arow = acc[i]
-            prow = power[i]
-            for j in range(n):
-                arow[j] = arow[j] + qk * prow[j]
-    return acc
+    hankel = []
+    for m in range(2 * n - 1):
+        acc = q_coeffs[0] * sums[m]
+        for t in range(1, len(q_coeffs)):
+            acc = acc + q_coeffs[t] * sums[m + t]
+        hankel.append(acc)
+    return [hankel[i:i + n] for i in range(n)]
 
 
 def ldl_inertia(rows):

@@ -1,16 +1,19 @@
 """Independent slow paths used to check the fast ones.
 
-Nothing here shares code with the production pipeline: the characteristic
-polynomial comes from cofactor expansion instead of trace recurrences, root
-counting and isolation come from Sturm chains instead of Hermite signatures,
+Nothing here shares an algorithm with the production pipeline: the
+characteristic polynomial comes from cofactor expansion instead of trace
+recurrences, the Hermite forms from dense products with the companion
+matrix instead of Newton power sums laid out as Hankel matrices, root
+counting and isolation from Sturm chains instead of Hermite signatures,
 and the dense eigensolver is mpmath's QR iteration.  Tests hold the two
 sides against each other.
 """
 
 from __future__ import annotations
 
+from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
-from eigencert.numerics import EXACT
+from eigencert.numerics import EXACT, check_same_backend
 from eigencert.poly import (
     Poly,
     cauchy_root_bound,
@@ -64,6 +67,60 @@ def naive_charpoly(m: SquareMatrix) -> Poly:
         return acc
 
     return det(tuple(range(n)))
+
+
+def companion(p: Poly) -> SquareMatrix:
+    """Companion matrix: ones on the subdiagonal, -coefficients last column."""
+    n = p.degree()
+    if n < 1 or not p.is_monic():
+        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
+    zero = p.backend.zero
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        if i > 0:
+            row[i - 1] = p.backend.one
+        row[n - 1] = -p.coeffs[i]
+        rows.append(tuple(row))
+    return SquareMatrix(tuple(rows), p.backend)
+
+
+def apply_poly(q: Poly, m: SquareMatrix) -> SquareMatrix:
+    """q(M) by Horner's rule on matrices (cross-check path, O(d n^3))."""
+    check_same_backend(q.backend, m.backend)
+    n = m.n
+    zero = m.backend.zero
+    acc = [[zero] * n for _ in range(n)]
+    top = q.coeffs[-1]
+    for i in range(n):
+        acc[i][i] = top
+    rows = [list(r) for r in m.rows]
+    for k in range(len(q.coeffs) - 2, -1, -1):
+        acc = kernels.mat_mul(acc, rows)
+        ck = q.coeffs[k]
+        for i in range(n):
+            acc[i][i] = acc[i][i] + ck
+    return SquareMatrix(tuple(tuple(r) for r in acc), m.backend)
+
+
+def dense_hermite(p: Poly, q: Poly) -> SquareMatrix:
+    """H_1 q(C) by dense products, with H_1[i][j] = tr(C^(i+j)).
+
+    C is the companion matrix of monic p.  Power sums come from traces of
+    powers of C, not from the Newton recurrence, and the product ignores
+    the Hankel structure, so this checks both halves of hermite_weighted.
+    """
+    c = companion(p)
+    n = c.n
+    traces = [p.backend.convert(n)]
+    power = c
+    for _ in range(2 * n - 2):
+        traces.append(power.trace())
+        power = power.matmul(c)
+    h1 = SquareMatrix(
+        tuple(tuple(traces[i + j] for j in range(n)) for i in range(n)), p.backend
+    )
+    return h1.matmul(apply_poly(q, c))
 
 
 def sturm_isolate_roots(p: Poly, eps) -> list:

@@ -53,6 +53,10 @@ def test_parse_json_errors():
         cli.parse_matrix_text('{"matrix": [[true]]}', EXACT)
     with pytest.raises(ParseError, match="square"):
         cli.parse_matrix_text('{"matrix": [[1, 2], [3]]}', EXACT)
+    for backend in (EXACT, float_backend(256)):
+        for token in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ParseError, match=f"{token} is not a finite"):
+                cli.parse_matrix_text(f'{{"matrix": [[{token}, 1], [1, 2]]}}', backend)
 
 
 def test_parse_csv_matrix():
@@ -70,6 +74,15 @@ def test_parse_csv_errors():
 def test_load_matrix_missing_file():
     with pytest.raises(ParseError, match="cannot read"):
         cli.load_matrix("/no/such/file.csv", EXACT)
+
+
+def test_load_matrix_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    with pytest.raises(ParseError, match="cannot read"):
+        cli.load_matrix(str(path), EXACT)
+    assert cli.main([str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_run_worked(tmp_path):

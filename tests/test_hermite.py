@@ -6,9 +6,6 @@ import pytest
 from eigencert import hermite
 from eigencert.charpoly import SquareMatrix, charpoly, faddeev_leverrier
 from eigencert.hermite import (
-    HermiteForm,
-    apply_poly,
-    companion,
     descartes_signature,
     hermite_base,
     hermite_weighted,
@@ -17,6 +14,7 @@ from eigencert.hermite import (
     signature,
 )
 from eigencert.numerics import EXACT, PrecisionExhaustedError, float_backend
+from eigencert.oracle import companion, dense_hermite
 from eigencert.poly import Poly
 
 
@@ -90,11 +88,17 @@ def test_hermite_weighted_matches_dense_product():
     for _ in range(6):
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
         p = P(*coeffs, 1)
-        q = interval_weight(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2))
         base = hermite_base(p)
-        fast = hermite_weighted(base, q)
-        dense = base.matrix.matmul(apply_poly(q, companion(p)))
-        assert fast.matrix.rows == dense.rows
+        weights = [
+            interval_weight(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)),
+            P(Fraction(rng.randint(1, 5), rng.randint(1, 3))),  # degree 0
+            P(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(1, 4), 3)),  # degree 1
+            P(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)], 1),
+        ]
+        for q in weights:
+            fast = hermite_weighted(base, q)
+            assert fast.matrix == dense_hermite(p, q)
+    assert [q.degree() for q in weights] == [2, 0, 1, 3]
 
 
 def test_hermite_weighted_entrywise_formula():

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from eigencert import kernels
+from eigencert.numerics import EXACT
+from eigencert.oracle import dense_hermite
+from eigencert.poly import Poly
 
 # one module under test; the "py" id keeps the test names stable
 pytestmark = pytest.mark.parametrize("K", [kernels], ids=["py"])
@@ -112,35 +115,15 @@ def test_labudde_matches_fl_on_hessenberg(K):
         assert got == K.fl_charpoly(rows)
 
 
-def test_companion_right_multiply(K):
-    # p = x^3 - 2x + 5, C has last column (-5, 2, 0)
-    comp = frac_rows([[0, 0, -5], [1, 0, 2], [0, 1, 0]])
-    last = [Fraction(-5), Fraction(2), Fraction(0)]
-    x = frac_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert K.companion_right_multiply(x, last) == K.mat_mul(x, comp)
-
-
 def test_hermite_product_vs_matmul(K):
     rng = random.Random(31)
     for _ in range(8):
         n = rng.randint(2, 5)
-        sym = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        last = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        comp = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            if i:
-                comp[i][i - 1] = Fraction(1)
-            comp[i][n - 1] = last[i]
-        q = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        got = K.hermite_product(sym, q, last)
-        power = [row[:] for row in sym]
-        want = [[q[0] * v for v in row] for row in sym]
-        for k in range(1, len(q)):
-            power = K.mat_mul(power, comp)
-            for i in range(n):
-                for j in range(n):
-                    want[i][j] += q[k] * power[i][j]
-        assert got == want
+        p = Poly.from_coeffs([Fraction(rng.randint(-4, 4)) for _ in range(n)] + [1], EXACT)
+        q = Poly.from_coeffs([Fraction(rng.randint(-3, 3)) for _ in range(3)], EXACT)
+        sums = K.power_sums(list(p.coeffs), 2 * n)
+        got = K.hermite_product(sums, list(q.coeffs), n)
+        assert got == [list(r) for r in dense_hermite(p, q).rows]
 
 
 def test_ldl_inertia_known(K):

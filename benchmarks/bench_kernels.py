@@ -51,9 +51,13 @@ def build_cases(size: int):
     frows = [[fb.convert(str(rng.randint(-50, 50))) for _ in range(n)] for _ in range(n)]
     fsym = [[(frows[i][j] + frows[j][i]) for j in range(n)] for i in range(n)]
 
+    # a midpoint deep in exact bisection: dyadic, with denominator 2^90
+    dyadic_x = Fraction(rng.getrandbits(90) | 1, 2**90)
+
     return [
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
+        ("horner_dyadic", lambda: [kernels.horner_eval(monic, dyadic_x) for _ in range(50)]),
         ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
         ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
         ("hermite_product", lambda: kernels.hermite_product(sums, q, n)),

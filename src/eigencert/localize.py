@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.hermite import HermiteForm, hermite_base, hermite_weighted, signature
-from eigencert.numerics import EXACT
+from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly, square_free_part
 
 CONTAINS_REAL = "contains-real-eigenvalue"
@@ -103,9 +103,10 @@ def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
 def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> CertifiedInterval:
     """Signature test for [lo, hi] with q = (x - lo)(x - hi).
 
-    The verdict covers the closed interval; min_root_count bounds the
-    number of distinct roots strictly inside (endpoint roots, detected by
-    direct evaluation, are subtracted out).
+    The verdict covers the closed interval; min_root_count counts the
+    distinct roots strictly inside (endpoint roots, detected by direct
+    evaluation, are subtracted out).  The count is exact in exact mode,
+    where p is square-free, and a lower bound in float mode.
     """
     lo = ctx.backend.convert(lo)
     hi = ctx.backend.convert(hi)
@@ -116,9 +117,15 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     sigma_1 = ctx.base_signature
     contains = sigma_q != sigma_1
     endpoint_roots = int(ctx.poly.eval(lo) == 0) + int(ctx.poly.eval(hi) == 0)
-    interior = (sigma_1 - sigma_q - endpoint_roots) // 2
-    if interior < 0:
-        interior = 0
+    drop = sigma_1 - sigma_q - endpoint_roots
+    if ctx.backend == EXACT:
+        # p is square-free: each root strictly inside lowers sigma by 2,
+        # each endpoint root by 1, and nothing else moves it
+        if drop < 0 or drop % 2:
+            raise InternalConsistencyError(
+                f"signature drop {drop} on [{lo}, {hi}] is not an even count of roots"
+            )
+    interior = max(drop // 2, 0)
     return CertifiedInterval(lo, hi, contains, sigma_q, interior, tuple(sources))
 
 

@@ -1,12 +1,25 @@
 """Bisection refinement of certified intervals.
 
-Each contains-real interval is split at its midpoint and the halves are
-re-certified; empty halves are dropped, the rest recurse until width <=
-epsilon.  A midpoint that is exactly a root becomes a zero-width point
-interval and the recursion continues on [lo, m - eps/4] and [m + eps/4, hi]
-so neither side inherits the root as an endpoint.  Every emitted interval
-carries a real certificate - nothing is ever emitted on numeric evidence
-alone.
+Each contains-real interval is halved at its midpoint until its width is
+at most epsilon, by one of two steps:
+
+- Sign step.  In exact mode, once an interval holds exactly one root
+  (p is square-free, so that root is simple) and neither endpoint is a
+  root, p(lo) and p(hi) have opposite signs.  One evaluation of p at the
+  midpoint then picks the half that keeps the root, by the intermediate
+  value theorem; a midpoint that is a root becomes the point interval
+  [m, m] and ends the piece.
+- Hermite step.  Every other interval (several roots, a root at an
+  endpoint, and everything in float mode) re-certifies both halves and
+  drops the empty ones.  A midpoint that is exactly a root becomes a
+  zero-width point interval and the recursion continues on
+  [lo, m - eps/4] and [m + eps/4, hi], so neither side inherits the root
+  as an endpoint.
+
+The pieces kept at any time are disjoint and each holds a root, so there
+are never more of them than sigma(H_1); more means the signatures are
+wrong.  Every emitted interval carries a real certificate - nothing is
+ever emitted on numeric evidence alone.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
-from eigencert.numerics import InternalConsistencyError
+from eigencert.numerics import EXACT, InternalConsistencyError, PrecisionExhaustedError
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,21 @@ def _depth_budget(width, eps) -> int:
         scale = scale * 2
         budget += 1
     return budget
+
+
+def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
+    """(p(lo), p(hi)) if iv holds one simple root and no endpoint root, else None.
+
+    Only exact mode qualifies: there p is square-free and min_root_count is
+    the exact number of distinct roots strictly inside.
+    """
+    if ctx.backend != EXACT or iv.min_root_count != 1:
+        return None
+    at_lo = ctx.poly.eval(iv.lo)
+    at_hi = ctx.poly.eval(iv.hi)
+    if at_lo == 0 or at_hi == 0:
+        return None
+    return at_lo, at_hi
 
 
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
@@ -53,19 +81,45 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         if task.depth > budget:
             raise InternalConsistencyError("bisection failed to converge")
         mid = (iv.lo + iv.hi) / 2
-        if ctx.poly.eval(mid) == 0:
+        at_mid = ctx.poly.eval(mid)
+        if at_mid == 0:
             out.append(CertifiedInterval(mid, mid, True, None, 1, iv.sources))
-            halves = ((iv.lo, mid - quarter), (mid + quarter, iv.hi))
+        ends = _isolated_ends(ctx, iv)
+        if ends is not None:
+            at_lo, at_hi = ends
+            if (at_lo > 0) == (at_hi > 0):
+                raise InternalConsistencyError(
+                    f"p has no sign change on [{iv.lo}, {iv.hi}], which holds one simple root"
+                )
+            if at_mid != 0:
+                lo, hi = (iv.lo, mid) if (at_lo > 0) != (at_mid > 0) else (mid, iv.hi)
+                half = CertifiedInterval(lo, hi, True, None, 1, iv.sources)
+                stack.append(RefinementTask(half, task.depth + 1))
         else:
-            halves = ((iv.lo, mid), (mid, iv.hi))
-        for lo, hi in halves:
-            if not lo < hi:
-                continue
-            cert = certify_interval(ctx, lo, hi, iv.sources)
-            if cert.contains_real:
-                stack.append(RefinementTask(cert, task.depth + 1))
+            if at_mid == 0:
+                halves = ((iv.lo, mid - quarter), (mid + quarter, iv.hi))
+            else:
+                halves = ((iv.lo, mid), (mid, iv.hi))
+            for lo, hi in halves:
+                if not lo < hi:
+                    continue
+                cert = certify_interval(ctx, lo, hi, iv.sources)
+                if cert.contains_real:
+                    stack.append(RefinementTask(cert, task.depth + 1))
+        _check_piece_count(ctx, len(stack) + len(out))
     out.sort(key=lambda v: (v.lo, v.hi))
     return _coalesce(ctx, out)
+
+
+def _check_piece_count(ctx: CertificationContext, pieces: int) -> None:
+    """Kept pieces are disjoint and each holds a root: at most sigma(H_1)."""
+    roots = ctx.base_signature
+    if pieces <= roots:
+        return
+    message = f"refinement keeps {pieces} pieces, more than sigma(H_1) = {roots} real roots"
+    if ctx.backend == EXACT:
+        raise InternalConsistencyError(message)
+    raise PrecisionExhaustedError(f"{message}; the working precision cannot separate them")
 
 
 def _coalesce(ctx: CertificationContext, intervals: list) -> list:

@@ -193,6 +193,15 @@ def test_main_precision_exhausted_exit_3(tmp_path, capsys, monkeypatch):
     assert "precision exhausted" in err and "--bits" in err
 
 
+def test_main_float_refinement_overflow_exit_3(tmp_path, capsys):
+    # 256 bits cannot separate the two roots near 1e40 and -1e-3: refinement
+    # used to split spurious pieces without end instead of giving up
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": [["1e40", "1"], ["1", "-1e-3"]]}))
+    assert cli.main([str(path), "--mode", "float", "--bits", "256"]) == 3
+    assert "precision exhausted" in capsys.readouterr().err
+
+
 def test_main_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalConsistencyError("bisection failed to converge")

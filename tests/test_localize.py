@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from eigencert import localize as localize_mod
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import (
     CONTAINS_REAL,
@@ -16,7 +17,7 @@ from eigencert.localize import (
     gershgorin_disks,
     locate,
 )
-from eigencert.numerics import EXACT
+from eigencert.numerics import EXACT, InternalConsistencyError, float_backend
 from eigencert.poly import Poly
 
 
@@ -76,6 +77,19 @@ def test_certify_interval_endpoint_root():
     assert iv.min_root_count == 0
     both = certify_interval(ctx, 1, 5)
     assert both.contains_real and both.min_root_count == 0
+
+
+def test_certify_interval_rejects_impossible_drop(monkeypatch):
+    ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3: sigma(H_1) = 3
+    fctx = CertificationContext.from_poly(Poly.from_coeffs((-6, 11, -6, 1), float_backend(256)))
+    for sigma_q in (2, 5):  # an odd drop, then a negative one
+        monkeypatch.setattr(
+            localize_mod, "signature", lambda form: 3 if form in (ctx.base, fctx.base) else sigma_q
+        )
+        with pytest.raises(InternalConsistencyError, match="drop"):
+            certify_interval(ctx, 0, 4)
+        # float mode keeps the clamp: the drop is only a rounded estimate
+        assert certify_interval(fctx, 0, 4).min_root_count == 0
 
 
 def test_segment_helpers():

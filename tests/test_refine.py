@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -107,3 +108,50 @@ def test_refine_epsilon_sweep(worked_exact):
         assert len(pieces) == 3
         assert all(p.hi - p.lo <= eps for p in pieces)
         assert sum(p.min_root_count for p in pieces) == 3
+
+
+def _no_hermite_test(*args, **kwargs):
+    raise AssertionError("certify_interval called on an isolated interval")
+
+
+def test_refine_isolated_root_by_sign(monkeypatch):
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
+    at_mid = certify_interval(ctx, 0, 2)  # 1 is the first midpoint
+    off_grid = certify_interval(ctx, 0, F(5, 2))  # 1 is no midpoint of it
+    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    eps = F(1, 2**40)
+    assert refine_interval(ctx, at_mid, eps) == [CertifiedInterval(1, 1, True, None, 1, ())]
+    # bisection keeps the dyadic cell [j*w, (j+1)*w] of [0, 5/2] around 1
+    w = F(5, 2**43)
+    j = int(1 / w)
+    assert refine_interval(ctx, off_grid, eps) == [
+        CertifiedInterval(j * w, (j + 1) * w, True, None, 1, ())
+    ]
+
+
+def test_refine_isolated_without_sign_change_raises():
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): p(0) > 0 and p(4) > 0
+    iv = CertifiedInterval(F(0), F(4), True, None, 1, ())
+    with pytest.raises(InternalConsistencyError, match="sign change"):
+        refine_interval(ctx, iv, F(1, 64))
+
+
+def test_refine_isolated_budget_exhaustion(monkeypatch):
+    ctx = ctx_for(3, -4, 1)
+    iv = certify_interval(ctx, 0, F(5, 2))
+    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    monkeypatch.setattr(refine_mod, "_depth_budget", lambda w, e: 0)
+    with pytest.raises(InternalConsistencyError, match="converge"):
+        refine_interval(ctx, iv, F(1, 64))
+
+
+def test_refine_more_pieces_than_roots_raises(monkeypatch):
+    ctx = ctx_for(3, -4, 1)  # two real roots, both in [0, 4]
+    iv = certify_interval(ctx, 0, 8)
+
+    def certify_every_half(ctx, lo, hi, sources=()):
+        return replace(certify_interval(ctx, lo, hi, sources), contains_real=True)
+
+    monkeypatch.setattr(refine_mod, "certify_interval", certify_every_half)
+    with pytest.raises(InternalConsistencyError, match="pieces"):
+        refine_interval(ctx, iv, F(1, 64))

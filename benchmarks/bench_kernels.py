@@ -13,7 +13,9 @@ import time
 from fractions import Fraction
 
 from eigencert import kernels
-from eigencert.numerics import fast_int, float_backend
+from eigencert.localize import int_sturm_chain
+from eigencert.numerics import EXACT, fast_int, float_backend
+from eigencert.poly import Poly
 
 
 def best_of(fn, repeat):
@@ -53,11 +55,20 @@ def build_cases(size: int):
 
     # a midpoint deep in exact bisection: dyadic, with denominator 2^90
     dyadic_x = Fraction(rng.getrandbits(90) | 1, 2**90)
+    int_monic = [int(c) for c in monic]
+
+    # a random integer polynomial of degree n, square-free like almost all
+    chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1], EXACT)
 
     return [
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
         ("horner_dyadic", lambda: [kernels.horner_eval(monic, dyadic_x) for _ in range(50)]),
+        ("horner_homogeneous", lambda: [
+            kernels.horner_homogeneous(int_monic, dyadic_x.numerator, dyadic_x.denominator)
+            for _ in range(50)
+        ]),
+        ("sturm_chain", lambda: int_sturm_chain(chain_poly)),
         ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
         ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
         ("hermite_product", lambda: kernels.hermite_product(sums, q, n)),

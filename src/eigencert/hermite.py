@@ -22,6 +22,13 @@ switches to fraction-free symmetric inertia above a degree threshold where
 big-integer Faddeev-Leverrier stops being economical, and float mode runs
 an independent LDL inertia as a cross-check, refusing to answer when the
 two disagree.
+
+The certificate stays sigma(H_q), but this module is no longer how the
+exact pipeline computes it: for q = (x-a)(x-b) and square-free p,
+sigma(H_q) = TaQ(q, p), which localize.py reads off one integer Sturm
+chain of p.  The forms here are the paper's route.  Float mode certifies
+with them, and the tests use the exact branch as the independent oracle
+for the chain.
 """
 
 from __future__ import annotations

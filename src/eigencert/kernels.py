@@ -1,6 +1,7 @@
 """Pure-Python arithmetic kernels.
 
-These are the inner loops of the package: polynomial evaluation/division,
+These are the inner loops of the package: polynomial evaluation (over a
+field, and homogeneous integer Horner at rational points) and division,
 Newton power sums, characteristic polynomials (Faddeev-Leverrier and
 La Budde), the Hankel build of Hermite forms, and symmetric inertia
 (rational LDL and fraction-free Bareiss).
@@ -26,6 +27,20 @@ def horner_eval(coeffs, x):
     acc = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * x + coeffs[k]
+    return acc
+
+
+def horner_homogeneous(coeffs, num, den):
+    """den^deg * f(num/den) for integer coefficients, exactly.
+
+    deg is len(coeffs) - 1.  Integer arithmetic only; with den > 0 the
+    result has the sign of f at num/den.
+    """
+    acc = coeffs[-1]
+    scale = 1
+    for k in range(len(coeffs) - 2, -1, -1):
+        scale = scale * den
+        acc = acc * num + coeffs[k] * scale
     return acc
 
 

@@ -11,14 +11,25 @@ are, with proof at every step:
    q = (x-a)(x-b), giving certified contains/empty verdicts plus a lower
    bound on the number of roots strictly inside.
 
+Every test has q = (x-a)(x-b).  For square-free p, Hermite-Sylvester
+gives sigma(H_q) = TaQ(q, p) = sigma(H_1) - 2 #{roots in (a, b)} -
+#{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Exact mode reads
+those counts from one primitive integer Sturm chain of p, built with the
+context, whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b);
+V is memoised by point, so a breakpoint shared by two tests is evaluated
+once.  Float mode builds H_q and takes its signature.
+
 Radius-zero disks are point eigenvalues (the row is a_ii e_i, so a_ii is
 an eigenvalue exactly) and bypass the interval machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import lcm
 
+from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.hermite import HermiteForm, hermite_base, hermite_weighted, signature
 from eigencert.numerics import EXACT, InternalConsistencyError
@@ -47,32 +58,104 @@ class CertifiedInterval:
     sources: tuple = ()
 
 
+def int_sturm_chain(p: Poly) -> tuple:
+    """Primitive integer Sturm chain of square-free exact p.
+
+    f_0 is p with denominators cleared, f_1 is p' without its content and
+    f_{k+1} = -prem(f_{k-1}, f_k) made primitive.  Each member is a
+    positive multiple of the textbook chain's, so every sign agrees.
+    """
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    chain = [[int(c * scale) for c in p.coeffs]]
+    if len(chain[0]) > 1:
+        chain.append(kernels.int_content_strip([k * c for k, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        rem = kernels.int_prem_primitive(chain[-2], chain[-1])
+        if not rem:
+            raise InternalConsistencyError(
+                "Sturm chain ends in a zero remainder: p is not square-free"
+            )
+        chain.append([-c for c in rem])
+    return tuple(chain)
+
+
 @dataclass
 class CertificationContext:
     poly: Poly  # monic; square-free in exact mode
     original: Poly  # characteristic polynomial before deflation
-    base: HermiteForm  # H_1 of poly
+    base: HermiteForm | None  # H_1 of poly, float mode only
     backend: object
+    chain: tuple = ()  # exact mode: primitive integer Sturm chain of poly
+    # exact mode, by point: sign variations of the chain, and sign of poly
+    _variations: dict = field(default_factory=dict, repr=False, compare=False)
+    _signs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CertificationContext":
         original = p.monic()
-        if p.backend == EXACT:
-            deflated = square_free_part(original)
-        else:
+        if p.backend != EXACT:
             # gcd is exact-only; float mode certifies p as given.  Repeated
             # real roots only lower rank(H_1), they do not break verdicts.
-            deflated = original
-        base = hermite_base(deflated)
-        return cls(deflated, original, base, p.backend)
+            return cls(original, original, hermite_base(original), p.backend)
+        deflated = square_free_part(original)
+        return cls(deflated, original, None, p.backend, int_sturm_chain(deflated))
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":
         return cls.from_poly(charpoly(m))
 
-    @property
+    @cached_property
     def base_signature(self) -> int:
-        return signature(self.base)
+        """sigma(H_1), the number of distinct real roots of poly."""
+        if self.backend != EXACT:
+            return signature(self.base)
+        # V(-inf) - V(+inf), from the leading coefficients
+        at_pos = [f[-1] for f in self.chain]
+        at_neg = [f[-1] if len(f) % 2 else -f[-1] for f in self.chain]
+        return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
+
+    def sign_at(self, x) -> int:
+        """Sign of poly at x: -1, 0 or 1.
+
+        Exact mode evaluates the chain's first member by integer Horner and
+        memoises by point; float mode evaluates poly on every call.
+        """
+        if self.backend != EXACT:
+            value = self.poly.eval(x)
+            return (value > 0) - (value < 0)
+        sign = self._signs.get(x)
+        if sign is None:
+            value = kernels.horner_homogeneous(self.chain[0], x.numerator, x.denominator)
+            sign = self._signs[x] = (value > 0) - (value < 0)
+        return sign
+
+    def variations(self, x) -> int:
+        """Sign variations V(x) of the Sturm chain at x, memoised by point."""
+        count = self._variations.get(x)
+        if count is None:
+            num, den = x.numerator, x.denominator
+            values = [kernels.horner_homogeneous(f, num, den) for f in self.chain]
+            count = self._variations[x] = kernels.sign_variations(values)
+            self._signs[x] = (values[0] > 0) - (values[0] < 0)
+        return count
+
+    def sigma_q(self, lo, hi, q: Poly | None = None) -> int:
+        """sigma(H_q) for q = (x - lo)(x - hi), lo < hi.
+
+        Exact mode uses TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} -
+        #{roots in {lo, hi}}, with V(lo) - V(hi) = #{roots in (lo, hi]}.
+        Float mode builds H_q from q, which a caller may pass already
+        rounded as it wrote it; by default q's coefficients are lo*hi and
+        -(lo + hi).
+        """
+        if self.backend != EXACT:
+            if q is None:
+                q = Poly.from_coeffs([lo * hi, -(lo + hi), self.backend.one], self.backend)
+            return signature(hermite_weighted(self.base, q))
+        half_open = self.variations(lo) - self.variations(hi)
+        at_lo = self.sign_at(lo) == 0
+        at_hi = self.sign_at(hi) == 0
+        return self.base_signature - 2 * (half_open - at_hi) - at_lo - at_hi
 
 
 def gershgorin_disks(m: SquareMatrix) -> list:
@@ -93,9 +176,9 @@ def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
     if disk.radius == 0:
         return replace(disk, verdict=POINT_EIGENVALUE)
     c, r = disk.center, disk.radius
+    # (x-c)^2 - r^2 as written, so that float mode rounds it that way
     q = Poly.from_coeffs([c * c - r * r, -2 * c, ctx.backend.one], ctx.backend)
-    sigma_q = signature(hermite_weighted(ctx.base, q))
-    if sigma_q != ctx.base_signature:
+    if ctx.sigma_q(c - r, c + r, q) != ctx.base_signature:
         return replace(disk, verdict=CONTAINS_REAL)
     return replace(disk, verdict=EMPTY_REAL)
 
@@ -112,11 +195,10 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     hi = ctx.backend.convert(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    q = Poly.from_coeffs([lo * hi, -(lo + hi), ctx.backend.one], ctx.backend)
-    sigma_q = signature(hermite_weighted(ctx.base, q))
+    sigma_q = ctx.sigma_q(lo, hi)
     sigma_1 = ctx.base_signature
     contains = sigma_q != sigma_1
-    endpoint_roots = int(ctx.poly.eval(lo) == 0) + int(ctx.poly.eval(hi) == 0)
+    endpoint_roots = int(ctx.sign_at(lo) == 0) + int(ctx.sign_at(hi) == 0)
     drop = sigma_1 - sigma_q - endpoint_roots
     if ctx.backend == EXACT:
         # p is square-free: each root strictly inside lowers sigma by 2,

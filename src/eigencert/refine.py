@@ -11,10 +11,16 @@ at most epsilon, by one of two steps:
   [m, m] and ends the piece.
 - Hermite step.  Every other interval (several roots, a root at an
   endpoint, and everything in float mode) re-certifies both halves and
-  drops the empty ones.  A midpoint that is exactly a root becomes a
-  zero-width point interval and the recursion continues on
-  [lo, m - eps/4] and [m + eps/4, hi], so neither side inherits the root
-  as an endpoint.
+  drops the empty ones.  In exact mode that test reads two counts off the
+  context's Sturm chain, and the midpoint the halves share is evaluated
+  once.  A midpoint that is exactly a root becomes a zero-width point
+  interval and the recursion continues on [lo, m - eps/4] and
+  [m + eps/4, hi], so neither side inherits the root as an endpoint.
+
+Every test of p's sign goes through the context: in exact mode it is
+integer Horner on p with denominators cleared, memoised by point, so the
+endpoints of a half, which were the ends or the midpoint of its parent,
+are not evaluated again.
 
 The pieces kept at any time are disjoint and each holds a root, so there
 are never more of them than sigma(H_1); more means the signatures are
@@ -24,7 +30,7 @@ ever emitted on numeric evidence alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
 from eigencert.numerics import EXACT, InternalConsistencyError, PrecisionExhaustedError
@@ -47,15 +53,15 @@ def _depth_budget(width, eps) -> int:
 
 
 def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
-    """(p(lo), p(hi)) if iv holds one simple root and no endpoint root, else None.
+    """Signs of p at (lo, hi) if iv holds one simple root and no endpoint root, else None.
 
     Only exact mode qualifies: there p is square-free and min_root_count is
     the exact number of distinct roots strictly inside.
     """
     if ctx.backend != EXACT or iv.min_root_count != 1:
         return None
-    at_lo = ctx.poly.eval(iv.lo)
-    at_hi = ctx.poly.eval(iv.hi)
+    at_lo = ctx.sign_at(iv.lo)
+    at_hi = ctx.sign_at(iv.hi)
     if at_lo == 0 or at_hi == 0:
         return None
     return at_lo, at_hi
@@ -68,6 +74,9 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         raise ValueError("epsilon must be positive")
     if not interval.contains_real:
         return []
+    interval = replace(
+        interval, lo=ctx.backend.convert(interval.lo), hi=ctx.backend.convert(interval.hi)
+    )
     out = []
     budget = _depth_budget(interval.hi - interval.lo, eps)
     stack = [RefinementTask(interval, 0)]
@@ -81,7 +90,7 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         if task.depth > budget:
             raise InternalConsistencyError("bisection failed to converge")
         mid = (iv.lo + iv.hi) / 2
-        at_mid = ctx.poly.eval(mid)
+        at_mid = ctx.sign_at(mid)
         if at_mid == 0:
             out.append(CertifiedInterval(mid, mid, True, None, 1, iv.sources))
         ends = _isolated_ends(ctx, iv)
@@ -139,7 +148,7 @@ def _coalesce(ctx: CertificationContext, intervals: list) -> list:
             and out[-1].hi == iv.lo
             and iv.lo < iv.hi
             and out[-1].lo < out[-1].hi
-            and ctx.poly.eval(iv.lo) != 0
+            and ctx.sign_at(iv.lo) != 0
         ):
             prev = out.pop()
             out.append(

@@ -39,6 +39,13 @@ def worked_float():
     return SquareMatrix.from_rows(WORKED_ROWS, float_backend(256))
 
 
+@pytest.fixture(scope="session")
+def corpus():
+    """The 200 seeded random rational matrices of the acceptance suite, n = 2-8."""
+    rng = random.Random(20240817)
+    return [random_rational_matrix(rng, 2 + (i % 7)) for i in range(200)]
+
+
 def random_rational_matrix(rng: random.Random, n: int, bound: int = 5, max_den: int = 16):
     """n x n exact matrix, entries in [-bound, bound], denominators <= max_den."""
     rows = []

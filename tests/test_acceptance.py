@@ -12,8 +12,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-import pytest
-
 from eigencert.charpoly import SquareMatrix, charpoly, faddeev_leverrier
 from eigencert.hermite import hermite_base, hermite_weighted, power_sums, signature
 from eigencert.localize import (
@@ -75,12 +73,6 @@ def criterion(num: int, desc: str):
         print(f"FAIL criterion {num}: {desc}")
         raise
     print(f"PASS criterion {num}: {desc}")
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    rng = random.Random(20240817)
-    return [random_rational_matrix(rng, 2 + (i % 7)) for i in range(200)]
 
 
 def write_worked(tmp_path):

@@ -1,0 +1,135 @@
+"""Exact signatures from the Sturm chain against the paper's own route.
+
+Exact mode reads sigma(H_q) off one integer Sturm chain of p by the TaQ
+identity.  The Hankel-built H_q with its exact signature (hermite.py) is
+the independent oracle: every disk and candidate test must agree with it,
+on the acceptance corpus and on adversarial spectra.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eigencert.charpoly import SquareMatrix
+from eigencert.hermite import hermite_base, hermite_weighted, signature
+from eigencert.localize import gershgorin_disks, int_sturm_chain, locate
+from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.poly import Poly
+
+TINY = F(1, 10**9)
+
+
+def hermite_sigma(base, a, b):
+    q = Poly.from_coeffs([a * b, -(a + b), EXACT.one], EXACT)
+    return signature(hermite_weighted(base, q))
+
+
+def check_pipeline_tests(m, roots=(), offsets=()):
+    """Every disk and candidate test of locate(m) equals the Hermite oracle.
+
+    Also checks intervals with a root at both ends (every pair of roots),
+    and with a root at one end or just inside (each point of the roots
+    moved by the offsets, against its next three neighbours).
+    """
+    res = locate(m)
+    ctx = res.context
+    base = hermite_base(ctx.poly)
+    for d in gershgorin_disks(m):
+        if d.radius:
+            c, r = d.center, d.radius
+            q = Poly.from_coeffs([c * c - r * r, -2 * c, EXACT.one], EXACT)
+            assert ctx.sigma_q(c - r, c + r, q) == signature(hermite_weighted(base, q)), d
+    for iv in res.tested:
+        assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
+    roots = sorted(set(roots))
+    pairs = [(a, b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+    points = sorted(set(roots) | {r + s for r in roots for s in offsets})
+    pairs += [(a, b) for i, a in enumerate(points) for b in points[i + 1:i + 4]]
+    for a, b in pairs:
+        assert ctx.sigma_q(a, b) == hermite_sigma(base, a, b), (a, b)
+    assert ctx.base_signature == signature(base)
+
+
+def test_chain_matches_hermite_on_corpus(corpus):
+    for m in corpus:
+        check_pipeline_tests(m)
+
+
+# Adversarial matrices, each with its eigenvalues: a disk edge on a root,
+# roots 1e-9 apart (the lost-root matrix: eigenvalues 0, 1e-9 and 3), a
+# Jordan block beside a repeated eigenvalue, and n = 12.
+ADVERSARIAL = [
+    ([[0, 3], [0, 3]], (0, 3)),
+    ([[1, 2, 0], [0, 3, 0], [0, 0, -1]], (1, 3, -1)),
+    (
+        [["-3", "-12", "-6"], ["3", "11.999999999", "5.999999999"],
+         ["-3", "-11.999999998", "-5.999999998"]],
+        (0, TINY, 3),
+    ),
+    ([[2, 1, 0, 1], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 5]], (2, 5)),
+    ([[k if j == k else int(j == k + 1) for j in range(12)] for k in range(12)],
+     tuple(range(12))),
+]
+
+
+@pytest.mark.parametrize("rows, eigenvalues", ADVERSARIAL)
+def test_chain_matches_hermite_adversarial(rows, eigenvalues):
+    m = SquareMatrix.from_rows(rows, EXACT)
+    check_pipeline_tests(m, [F(e) for e in eigenvalues], (-TINY, TINY, F(1, 2)))
+
+
+# Diagonal values: repeats are likely, and two sit 1e-9 from another.
+DIAGONAL = st.sampled_from([F(0), F(1), F(3), F(-2), F(1, 2), TINY, 3 + TINY])
+
+
+@st.composite
+def triangular_similar(draw):
+    """(matrix, eigenvalues): a triangular matrix, conjugated by unimodular moves.
+
+    The triangle fixes the spectrum (its diagonal) and its rows put disk
+    edges on eigenvalues often; the moves row_i += k row_j, col_j -= k col_i
+    keep the spectrum and spread the entries.
+    """
+    n = draw(st.integers(2, 12))
+    diag = draw(st.lists(DIAGONAL, min_size=n, max_size=n))
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = diag[i]
+        for j in range(i + 1, n):
+            a[i][j] = F(draw(st.integers(-3, 3)))
+    moves = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+        max_size=3,
+    ))
+    for i, j, k in moves:
+        if i == j or k == 0:
+            continue
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= k * row[i]
+    return SquareMatrix.from_rows(a, EXACT), tuple(diag)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(triangular_similar())
+def test_chain_matches_hermite_similar_triangles(case):
+    m, eigenvalues = case
+    check_pipeline_tests(m, eigenvalues, (-TINY, TINY))
+
+
+def test_int_sturm_chain_rejects_repeated_roots():
+    p = Poly.from_coeffs([1, -2, 1], EXACT)  # (x-1)^2
+    with pytest.raises(InternalConsistencyError, match="square-free"):
+        int_sturm_chain(p)
+
+
+def test_int_sturm_chain_is_primitive_and_integer():
+    p = Poly.from_coeffs([F(-6, 4), F(11, 4), F(-6, 4), F(1, 4)], EXACT)  # (x-1)(x-2)(x-3)/4
+    chain = int_sturm_chain(p)
+    assert chain[0] == [-6, 11, -6, 1]
+    assert chain[1] == [11, -12, 3]
+    assert [len(f) for f in chain] == [4, 3, 2, 1]
+    assert all(isinstance(c, int) for f in chain for c in f)

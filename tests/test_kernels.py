@@ -25,6 +25,20 @@ def test_horner_eval(K):
     assert K.horner_eval([0, 0, 1], Fraction(1, 3)) == Fraction(1, 9)
 
 
+def test_horner_homogeneous(K):
+    rng = random.Random(90)
+    den = 2**90
+    for _ in range(20):
+        coeffs = [rng.randint(-10**12, 10**12) for _ in range(rng.randint(1, 25))]
+        num = rng.randint(-(2**95), 2**95) | 1  # odd, so num/den is in lowest terms
+        want = K.horner_eval([Fraction(c) for c in coeffs], Fraction(num, den))
+        got = K.horner_homogeneous(coeffs, num, den)
+        assert isinstance(got, int)
+        assert got == want * den ** (len(coeffs) - 1)
+    assert K.horner_homogeneous([5], 3, 7) == 5
+    assert K.horner_homogeneous([-6, 11, -6, 1], 2, 1) == 0  # root 2 of (x-1)(x-2)(x-3)
+
+
 def test_sign_variations(K):
     assert K.sign_variations([1, 2, 3]) == 0
     assert K.sign_variations([1, -1, 1, -1]) == 3

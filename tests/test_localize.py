@@ -19,6 +19,7 @@ from eigencert.localize import (
 )
 from eigencert.numerics import EXACT, InternalConsistencyError, float_backend
 from eigencert.poly import Poly
+from eigencert.refine import refine_all
 
 
 def ctx_for(*coeffs):
@@ -81,13 +82,16 @@ def test_certify_interval_endpoint_root():
 
 def test_certify_interval_rejects_impossible_drop(monkeypatch):
     ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3: sigma(H_1) = 3
+    # V(0) - V(4) = -1 gives sigma_q = 5, a negative drop.  The chain's
+    # counts come in pairs, so an odd drop cannot be forced in exact mode.
+    monkeypatch.setattr(ctx, "variations", lambda x: int(x == 4))
+    with pytest.raises(InternalConsistencyError, match="drop"):
+        certify_interval(ctx, 0, 4)
     fctx = CertificationContext.from_poly(Poly.from_coeffs((-6, 11, -6, 1), float_backend(256)))
     for sigma_q in (2, 5):  # an odd drop, then a negative one
         monkeypatch.setattr(
-            localize_mod, "signature", lambda form: 3 if form in (ctx.base, fctx.base) else sigma_q
+            localize_mod, "signature", lambda form: 3 if form is fctx.base else sigma_q
         )
-        with pytest.raises(InternalConsistencyError, match="drop"):
-            certify_interval(ctx, 0, 4)
         # float mode keeps the clamp: the drop is only a rounded estimate
         assert certify_interval(fctx, 0, 4).min_root_count == 0
 
@@ -158,3 +162,16 @@ def test_locate_column_disks_clip():
     spans = [(iv.lo, iv.hi) for iv in clipped.intervals]
     assert spans == [(-1, F(-1, 100)), (3, 4)]
     assert sum(iv.min_root_count for iv in clipped.intervals) == 2
+
+
+def test_exact_pipeline_builds_no_hermite_form(worked_exact, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact mode built a Hermite form")
+
+    for name in ("hermite_base", "hermite_weighted", "signature"):
+        monkeypatch.setattr(localize_mod, name, refuse)
+    res = locate(worked_exact)
+    assert res.context.base is None and res.context.base_signature == 3
+    assert [(iv.lo, iv.hi) for iv in res.intervals] == [(F(5, 4), 2), (2, 3), (F(9, 2), 5)]
+    pieces = refine_all(res.context, res.intervals, F(1, 10**7))
+    assert [p.min_root_count for p in pieces] == [1, 1, 1]

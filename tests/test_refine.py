@@ -136,6 +136,18 @@ def test_refine_isolated_without_sign_change_raises():
         refine_interval(ctx, iv, F(1, 64))
 
 
+def test_refine_converts_int_endpoints():
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
+    ints = CertifiedInterval(0, 2, True, None, 1, ())
+    fractions = CertifiedInterval(F(0), F(2), True, None, 1, ())
+    for eps in (F(1, 2), F(1, 1024)):
+        assert refine_interval(ctx, ints, eps) == refine_interval(ctx, fractions, eps)
+    off_grid = CertifiedInterval(0, F(5, 2), True, None, 1, ())
+    pieces = refine_interval(ctx, off_grid, F(1, 64))
+    assert pieces == refine_interval(ctx, replace(off_grid, lo=F(0)), F(1, 64))
+    assert all(isinstance(v, F) for piece in pieces for v in (piece.lo, piece.hi))
+
+
 def test_refine_isolated_budget_exhaustion(monkeypatch):
     ctx = ctx_for(3, -4, 1)
     iv = certify_interval(ctx, 0, F(5, 2))

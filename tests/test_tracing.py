@@ -18,6 +18,10 @@ def load_tracing():
     return module
 
 
+HERMITE_SPANS = ("hermite.base", "hermite.weighted", "hermite.signature",
+                 "kernels.power_sums", "kernels.hermite_product")
+
+
 def test_tracer_patches_resolve_and_restore(tmp_path):
     path = tmp_path / "worked.csv"
     path.write_text("\n".join(",".join(row) for row in WORKED_ROWS) + "\n")
@@ -29,11 +33,22 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
         for owner, attr, original in saved:
             assert getattr(owner, attr) is not original
         assert cli.main([str(path), "--format", "json", "--epsilon", "0.01"]) == 0
+        exact_calls = tracer.summary()["calls"]
+        exact_evals = tracer.counts["poly.eval.calls"]
+        assert cli.main([str(path), "--format", "json", "--epsilon", "0.01",
+                         "--mode", "float", "--bits", "256"]) == 0
     finally:
         tracer.remove()
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
+    for span in ("cli.parse", "charpoly", "poly.square_free", "localize.disk",
+                 "localize.candidate"):
+        assert exact_calls[span] > 0, f"no call reached the traced name of {span}"
+    # exact mode reads its signatures off the Sturm chain and its signs by
+    # integer Horner; only float mode builds Hermite forms
+    assert exact_evals == 0
+    for span in HERMITE_SPANS:
+        assert exact_calls[span] == 0, f"exact mode reached {span}"
     calls = tracer.summary()["calls"]
-    for span in ("cli.parse", "charpoly", "hermite.base", "hermite.weighted",
-                 "hermite.signature", "kernels.power_sums", "kernels.hermite_product"):
-        assert calls[span] > 0, f"no call reached the traced name of {span}"
+    for span in HERMITE_SPANS:
+        assert calls[span] > 0, f"no float-mode call reached the traced name of {span}"

@@ -3,8 +3,9 @@
 Computes intervals that provably contain every real eigenvalue of a real
 square matrix: Gershgorin disks bound the spectrum, Hermite-form signature
 tests certify which regions actually touch the real spectrum, and certified
-bisection narrows them to any requested width.  Works in exact rational
-arithmetic or at a chosen binary float precision.
+bisection narrows them to any requested width.  Every step runs in exact
+rational arithmetic; float-mode input is rounded to a chosen binary
+precision and that rounded matrix is certified exactly.
 """
 
 from eigencert.charpoly import SquareMatrix, charpoly

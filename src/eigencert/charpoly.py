@@ -6,6 +6,10 @@ result is exact.  Float: Householder reduction to upper Hessenberg form
 followed by the La Budde recurrence, which is the numerically trustworthy
 way to get coefficients at fixed precision.  Both return monic ascending
 polynomials equal to det(xI - A).
+
+The pipeline runs only the exact route: locate replaces a float matrix
+by the exact values of its entries.  The float route is the tests'
+fixed-precision reference.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ MATRIX is a path to either a JSON file {"matrix": [[...], ...]} or a CSV
 file with one row per line.  Entries may be integers or decimal strings;
 bare non-integer JSON numbers are accepted in float mode only (in exact
 mode they would have been rounded by whoever wrote the file - send
-decimal strings instead).
+decimal strings instead).  Float mode rounds each entry to --bits bits
+and then certifies that rounded matrix exactly, as exact mode certifies
+the input.
 
-Exit codes: 0 success, 2 bad input, 3 precision exhausted (retry with more
---bits or --mode exact), 4 internal consistency failure.
+Exit codes: 0 success, 2 bad input, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from eigencert.numerics import (
     EXACT,
     InternalConsistencyError,
     ParseError,
-    PrecisionExhaustedError,
     float_backend,
     parse_decimal,
 )
@@ -127,7 +127,7 @@ def run(path: str, *, mode: str = "exact", bits: int = DEFAULT_BITS,
     matrix = load_matrix(path, backend)
     started = time.perf_counter()
     located = locate(matrix, column_disks=column_disks)
-    final = refine_all(located.context, located.intervals, backend.convert(epsilon))
+    final = refine_all(located.context, located.intervals, eps_exact)
     wall = time.perf_counter() - started
     return build_report(
         located,
@@ -194,7 +194,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("exact", "float"), default="exact")
     parser.add_argument(
         "--bits", type=int, default=DEFAULT_BITS,
-        help="float-mode working precision in bits (default 256)",
+        help="float-mode input precision in bits (default 256)",
     )
     parser.add_argument(
         "--epsilon", default="1e-7",
@@ -225,13 +225,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"eigencert: input error: {exc}", file=sys.stderr)
         return 2
-    except PrecisionExhaustedError as exc:
-        print(
-            f"eigencert: precision exhausted: {exc}\n"
-            "  (retry with a larger --bits value, or with --mode exact)",
-            file=sys.stderr,
-        )
-        return 3
     except InternalConsistencyError as exc:
         print(f"eigencert: internal consistency failure: {exc}", file=sys.stderr)
         return 4

@@ -19,16 +19,16 @@ values on some real root.
 Signatures are computed from the characteristic polynomial of the form
 (Descartes' rule is exact for a symmetric matrix's spectrum); exact mode
 switches to fraction-free symmetric inertia above a degree threshold where
-big-integer Faddeev-Leverrier stops being economical, and float mode runs
-an independent LDL inertia as a cross-check, refusing to answer when the
-two disagree.
+big-integer Faddeev-Leverrier stops being economical, and a float form
+also gets an independent LDL inertia as a cross-check, refusing to answer
+when the two disagree.
 
 The certificate stays sigma(H_q), but this module is no longer how the
-exact pipeline computes it: for q = (x-a)(x-b) and square-free p,
-sigma(H_q) = TaQ(q, p), which localize.py reads off one integer Sturm
-chain of p.  The forms here are the paper's route.  Float mode certifies
-with them, and the tests use the exact branch as the independent oracle
-for the chain.
+pipeline computes it: for q = (x-a)(x-b) and square-free p, sigma(H_q) =
+TaQ(q, p), which localize.py reads off one integer Sturm chain of p in
+both modes.  The forms here are the paper's route, and the tests use the
+exact branch as the independent oracle for the chain.  The float branch
+has no caller in the pipeline.
 """
 
 from __future__ import annotations

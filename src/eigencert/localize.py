@@ -13,11 +13,15 @@ are, with proof at every step:
 
 Every test has q = (x-a)(x-b).  For square-free p, Hermite-Sylvester
 gives sigma(H_q) = TaQ(q, p) = sigma(H_1) - 2 #{roots in (a, b)} -
-#{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Exact mode reads
-those counts from one primitive integer Sturm chain of p, built with the
-context, whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b);
-V is memoised by point, so a breakpoint shared by two tests is evaluated
-once.  Float mode builds H_q and takes its signature.
+#{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Those counts come
+from one primitive integer Sturm chain of p, built with the context,
+whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b); V is
+memoised by point, so a breakpoint shared by two tests is evaluated once.
+
+The whole pipeline is exact.  A float-mode matrix holds binary floats,
+each an exact dyadic rational, so locate certifies the matrix of their
+exact values: the verdicts are theorems about the matrix as rounded on
+input, and nothing after that is rounded.
 
 Radius-zero disks are point eigenvalues (the row is a_ii e_i, so a_ii is
 an eigenvalue exactly) and bypass the interval machinery.
@@ -31,8 +35,9 @@ from math import lcm
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
-from eigencert.hermite import HermiteForm, hermite_base, hermite_weighted, signature
-from eigencert.numerics import EXACT, InternalConsistencyError
+# unused here; certbench/tracing.py patches these names on this module
+from eigencert.hermite import hermite_base, hermite_weighted, signature
+from eigencert.numerics import EXACT, InternalConsistencyError, exact_value
 from eigencert.poly import Poly, square_free_part
 
 CONTAINS_REAL = "contains-real-eigenvalue"
@@ -81,24 +86,20 @@ def int_sturm_chain(p: Poly) -> tuple:
 
 @dataclass
 class CertificationContext:
-    poly: Poly  # monic; square-free in exact mode
+    poly: Poly  # monic and square-free
     original: Poly  # characteristic polynomial before deflation
-    base: HermiteForm | None  # H_1 of poly, float mode only
-    backend: object
-    chain: tuple = ()  # exact mode: primitive integer Sturm chain of poly
-    # exact mode, by point: sign variations of the chain, and sign of poly
+    chain: tuple  # primitive integer Sturm chain of poly
+    # by point: sign variations of the chain, and sign of poly
     _variations: dict = field(default_factory=dict, repr=False, compare=False)
     _signs: dict = field(default_factory=dict, repr=False, compare=False)
+    backend = EXACT  # not a field: every context is exact
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CertificationContext":
+        """Context of exact p; square_free_part refuses any other backend."""
         original = p.monic()
-        if p.backend != EXACT:
-            # gcd is exact-only; float mode certifies p as given.  Repeated
-            # real roots only lower rank(H_1), they do not break verdicts.
-            return cls(original, original, hermite_base(original), p.backend)
         deflated = square_free_part(original)
-        return cls(deflated, original, None, p.backend, int_sturm_chain(deflated))
+        return cls(deflated, original, int_sturm_chain(deflated))
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":
@@ -107,8 +108,6 @@ class CertificationContext:
     @cached_property
     def base_signature(self) -> int:
         """sigma(H_1), the number of distinct real roots of poly."""
-        if self.backend != EXACT:
-            return signature(self.base)
         # V(-inf) - V(+inf), from the leading coefficients
         at_pos = [f[-1] for f in self.chain]
         at_neg = [f[-1] if len(f) % 2 else -f[-1] for f in self.chain]
@@ -117,12 +116,9 @@ class CertificationContext:
     def sign_at(self, x) -> int:
         """Sign of poly at x: -1, 0 or 1.
 
-        Exact mode evaluates the chain's first member by integer Horner and
-        memoises by point; float mode evaluates poly on every call.
+        Evaluates the chain's first member by integer Horner, memoised by
+        point.
         """
-        if self.backend != EXACT:
-            value = self.poly.eval(x)
-            return (value > 0) - (value < 0)
         sign = self._signs.get(x)
         if sign is None:
             value = kernels.horner_homogeneous(self.chain[0], x.numerator, x.denominator)
@@ -139,19 +135,12 @@ class CertificationContext:
             self._signs[x] = (values[0] > 0) - (values[0] < 0)
         return count
 
-    def sigma_q(self, lo, hi, q: Poly | None = None) -> int:
+    def sigma_q(self, lo, hi) -> int:
         """sigma(H_q) for q = (x - lo)(x - hi), lo < hi.
 
-        Exact mode uses TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} -
-        #{roots in {lo, hi}}, with V(lo) - V(hi) = #{roots in (lo, hi]}.
-        Float mode builds H_q from q, which a caller may pass already
-        rounded as it wrote it; by default q's coefficients are lo*hi and
-        -(lo + hi).
+        By TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}},
+        with V(lo) - V(hi) = #{roots in (lo, hi]}.
         """
-        if self.backend != EXACT:
-            if q is None:
-                q = Poly.from_coeffs([lo * hi, -(lo + hi), self.backend.one], self.backend)
-            return signature(hermite_weighted(self.base, q))
         half_open = self.variations(lo) - self.variations(hi)
         at_lo = self.sign_at(lo) == 0
         at_hi = self.sign_at(hi) == 0
@@ -176,9 +165,8 @@ def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
     if disk.radius == 0:
         return replace(disk, verdict=POINT_EIGENVALUE)
     c, r = disk.center, disk.radius
-    # (x-c)^2 - r^2 as written, so that float mode rounds it that way
-    q = Poly.from_coeffs([c * c - r * r, -2 * c, ctx.backend.one], ctx.backend)
-    if ctx.sigma_q(c - r, c + r, q) != ctx.base_signature:
+    # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r))
+    if ctx.sigma_q(c - r, c + r) != ctx.base_signature:
         return replace(disk, verdict=CONTAINS_REAL)
     return replace(disk, verdict=EMPTY_REAL)
 
@@ -188,8 +176,8 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside (endpoint roots, detected by direct
-    evaluation, are subtracted out).  The count is exact in exact mode,
-    where p is square-free, and a lower bound in float mode.
+    evaluation, are subtracted out).  p is square-free, so the count is
+    exact.
     """
     lo = ctx.backend.convert(lo)
     hi = ctx.backend.convert(hi)
@@ -200,15 +188,13 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     contains = sigma_q != sigma_1
     endpoint_roots = int(ctx.sign_at(lo) == 0) + int(ctx.sign_at(hi) == 0)
     drop = sigma_1 - sigma_q - endpoint_roots
-    if ctx.backend == EXACT:
-        # p is square-free: each root strictly inside lowers sigma by 2,
-        # each endpoint root by 1, and nothing else moves it
-        if drop < 0 or drop % 2:
-            raise InternalConsistencyError(
-                f"signature drop {drop} on [{lo}, {hi}] is not an even count of roots"
-            )
-    interior = max(drop // 2, 0)
-    return CertifiedInterval(lo, hi, contains, sigma_q, interior, tuple(sources))
+    # p is square-free: each root strictly inside lowers sigma by 2, each
+    # endpoint root by 1, and nothing else moves it
+    if drop < 0 or drop % 2:
+        raise InternalConsistencyError(
+            f"signature drop {drop} on [{lo}, {hi}] is not an even count of roots"
+        )
+    return CertifiedInterval(lo, hi, contains, sigma_q, drop // 2, tuple(sources))
 
 
 def _merge_segments(segments):
@@ -282,7 +268,13 @@ class LocateResult:
 
 
 def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
-    """Full initial localization of the real spectrum of m."""
+    """Full initial localization of the real spectrum of m.
+
+    A float-mode m is replaced by the exact matrix of its entries' values,
+    so the context, the disks and every verdict are exact.
+    """
+    if m.backend != EXACT:
+        m = SquareMatrix.from_rows([[exact_value(v) for v in row] for row in m.rows], EXACT)
     ctx = CertificationContext.from_matrix(m)
     disks = gershgorin_disks(m)
     certified = [certify_disk(ctx, d) for d in disks]

@@ -204,7 +204,7 @@ def exact_value(value) -> Fraction:
     """Exact rational value of a scalar from either backend.
 
     Binary floats (mpf) are exact dyadic rationals, so this never rounds.
-    Useful for cross-backend comparisons in tests and the SVG projector.
+    locate uses it to certify a float-mode matrix exactly.
     """
     if isinstance(value, Fraction):
         return value

@@ -3,24 +3,24 @@
 Each contains-real interval is halved at its midpoint until its width is
 at most epsilon, by one of two steps:
 
-- Sign step.  In exact mode, once an interval holds exactly one root
-  (p is square-free, so that root is simple) and neither endpoint is a
-  root, p(lo) and p(hi) have opposite signs.  One evaluation of p at the
-  midpoint then picks the half that keeps the root, by the intermediate
-  value theorem; a midpoint that is a root becomes the point interval
-  [m, m] and ends the piece.
-- Hermite step.  Every other interval (several roots, a root at an
-  endpoint, and everything in float mode) re-certifies both halves and
-  drops the empty ones.  In exact mode that test reads two counts off the
-  context's Sturm chain, and the midpoint the halves share is evaluated
-  once.  A midpoint that is exactly a root becomes a zero-width point
-  interval and the recursion continues on [lo, m - eps/4] and
-  [m + eps/4, hi], so neither side inherits the root as an endpoint.
+- Sign step.  Once an interval holds exactly one root (p is square-free,
+  so that root is simple) and neither endpoint is a root, p(lo) and p(hi)
+  have opposite signs.  One evaluation of p at the midpoint then picks
+  the half that keeps the root, by the intermediate value theorem; a
+  midpoint that is a root becomes the point interval [m, m] and ends the
+  piece.
+- Hermite step.  Every other interval (several roots, or a root at an
+  endpoint) re-certifies both halves and drops the empty ones.  That test
+  reads two counts off the context's Sturm chain, and the midpoint the
+  halves share is evaluated once.  A midpoint that is exactly a root
+  becomes a zero-width point interval and the recursion continues on
+  [lo, m - eps/4] and [m + eps/4, hi], so neither side inherits the root
+  as an endpoint.
 
-Every test of p's sign goes through the context: in exact mode it is
-integer Horner on p with denominators cleared, memoised by point, so the
-endpoints of a half, which were the ends or the midpoint of its parent,
-are not evaluated again.
+Every test of p's sign goes through the context: it is integer Horner on
+p with denominators cleared, memoised by point, so the endpoints of a
+half, which were the ends or the midpoint of its parent, are not
+evaluated again.
 
 The pieces kept at any time are disjoint and each holds a root, so there
 are never more of them than sigma(H_1); more means the signatures are
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
-from eigencert.numerics import EXACT, InternalConsistencyError, PrecisionExhaustedError
+from eigencert.numerics import InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ def _depth_budget(width, eps) -> int:
 def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
     """Signs of p at (lo, hi) if iv holds one simple root and no endpoint root, else None.
 
-    Only exact mode qualifies: there p is square-free and min_root_count is
-    the exact number of distinct roots strictly inside.
+    p is square-free and min_root_count is the exact number of distinct
+    roots strictly inside.
     """
-    if ctx.backend != EXACT or iv.min_root_count != 1:
+    if iv.min_root_count != 1:
         return None
     at_lo = ctx.sign_at(iv.lo)
     at_hi = ctx.sign_at(iv.hi)
@@ -117,62 +117,25 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
                     stack.append(RefinementTask(cert, task.depth + 1))
         _check_piece_count(ctx, len(stack) + len(out))
     out.sort(key=lambda v: (v.lo, v.hi))
-    return _coalesce(ctx, out)
+    return out
 
 
 def _check_piece_count(ctx: CertificationContext, pieces: int) -> None:
     """Kept pieces are disjoint and each holds a root: at most sigma(H_1)."""
     roots = ctx.base_signature
-    if pieces <= roots:
-        return
-    message = f"refinement keeps {pieces} pieces, more than sigma(H_1) = {roots} real roots"
-    if ctx.backend == EXACT:
-        raise InternalConsistencyError(message)
-    raise PrecisionExhaustedError(f"{message}; the working precision cannot separate them")
-
-
-def _coalesce(ctx: CertificationContext, intervals: list) -> list:
-    """Merge adjacent pieces sharing a non-root endpoint.
-
-    Two certified pieces [a,b], [b,c] with p(b) != 0 describe one root
-    region that bisection happened to split; the merged interval keeps the
-    summed interior count.  Root endpoints are left alone - there adjacency
-    carries information (the shared endpoint is itself the eigenvalue).
-    """
-    out: list = []
-    for iv in intervals:
-        if (
-            out
-            and iv.contains_real
-            and out[-1].contains_real
-            and out[-1].hi == iv.lo
-            and iv.lo < iv.hi
-            and out[-1].lo < out[-1].hi
-            and ctx.sign_at(iv.lo) != 0
-        ):
-            prev = out.pop()
-            out.append(
-                CertifiedInterval(
-                    prev.lo,
-                    iv.hi,
-                    True,
-                    None,
-                    prev.min_root_count + iv.min_root_count,
-                    tuple(dict.fromkeys(prev.sources + iv.sources)),
-                )
-            )
-        else:
-            out.append(iv)
-    return out
+    if pieces > roots:
+        raise InternalConsistencyError(
+            f"refinement keeps {pieces} pieces, more than sigma(H_1) = {roots} real roots"
+        )
 
 
 def refine_all(ctx: CertificationContext, intervals, eps) -> tuple:
     """Refine every interval; results sorted by position.
 
-    Coalescing stays within each original interval - pieces from different
-    initial intervals are never merged, their shared endpoints were chosen
-    by the disk geometry, not by bisection.
+    Pieces are never merged: each carries its own exact root count, and
+    two pieces that meet at a bisection point would in general span more
+    than epsilon.
     """
-    merged = [piece for iv in intervals for piece in refine_interval(ctx, iv, eps)]
-    merged.sort(key=lambda v: (v.lo, v.hi))
-    return tuple(merged)
+    pieces = [piece for iv in intervals for piece in refine_interval(ctx, iv, eps)]
+    pieces.sort(key=lambda v: (v.lo, v.hi))
+    return tuple(pieces)

@@ -1,8 +1,9 @@
 """Structured results: dataclasses plus lossless JSON round-tripping.
 
-Every scalar is serialized as text - "p/q" or decimal in exact mode, a
-decimal with enough digits to survive re-parsing in float mode - so a
-report can be reloaded without losing the certificates' meaning.
+Every scalar is an exact rational serialized as text ("p/q" or an
+integer) in both modes - float mode certifies the exact values of its
+rounded entries - so a report can be reloaded without losing the
+certificates' meaning.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from eigencert.numerics import EXACT, ParseError, float_backend
+from eigencert.numerics import EXACT, ParseError
 
 
 @dataclass
@@ -68,22 +69,14 @@ def text_scalar(text: str) -> Fraction:
         raise ParseError(f"bad scalar in report: {text!r}") from exc
 
 
-def _backend_for(mode: str, bits):
-    return EXACT if mode == "exact" else float_backend(bits)
-
-
 def compute_metrics(final_records, mode: str, bits, wall_time: float | None) -> dict:
     """Width statistics recomputed from serialized final intervals.
 
-    Deterministic given the records: the same backend arithmetic and the
-    same formatting produce the same strings, which is what the round-trip
-    tests rely on.
+    Exact arithmetic in both modes, so mode and bits do not change them;
+    the same records always give the same strings, which is what the
+    round-trip tests rely on.
     """
-    backend = _backend_for(mode, bits)
-    widths = [
-        backend.convert(text_scalar(rec.hi)) - backend.convert(text_scalar(rec.lo))
-        for rec in final_records
-    ]
+    widths = [text_scalar(rec.hi) - text_scalar(rec.lo) for rec in final_records]
     metrics = {
         "candidate_interval_count": None,  # caller fills
         "final_interval_count": len(final_records),
@@ -92,14 +85,8 @@ def compute_metrics(final_records, mode: str, bits, wall_time: float | None) -> 
         "wall_time_seconds": wall_time,
     }
     if widths:
-        total = widths[0]
-        biggest = widths[0]
-        for w in widths[1:]:
-            total = total + w
-            if w > biggest:
-                biggest = w
-        metrics["max_width"] = scalar_text(biggest, backend)
-        metrics["average_width"] = scalar_text(total / len(widths), backend)
+        metrics["max_width"] = scalar_text(max(widths), EXACT)
+        metrics["average_width"] = scalar_text(sum(widths) / len(widths), EXACT)
     return metrics
 
 

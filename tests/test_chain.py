@@ -40,7 +40,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
         if d.radius:
             c, r = d.center, d.radius
             q = Poly.from_coeffs([c * c - r * r, -2 * c, EXACT.one], EXACT)
-            assert ctx.sigma_q(c - r, c + r, q) == signature(hermite_weighted(base, q)), d
+            assert ctx.sigma_q(c - r, c + r) == signature(hermite_weighted(base, q)), d
     for iv in res.tested:
         assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
     roots = sorted(set(roots))
@@ -85,7 +85,7 @@ DIAGONAL = st.sampled_from([F(0), F(1), F(3), F(-2), F(1, 2), TINY, 3 + TINY])
 
 
 @st.composite
-def triangular_similar(draw):
+def triangular_similar(draw, diagonal=DIAGONAL):
     """(matrix, eigenvalues): a triangular matrix, conjugated by unimodular moves.
 
     The triangle fixes the spectrum (its diagonal) and its rows put disk
@@ -93,7 +93,7 @@ def triangular_similar(draw):
     keep the spectrum and spread the entries.
     """
     n = draw(st.integers(2, 12))
-    diag = draw(st.lists(DIAGONAL, min_size=n, max_size=n))
+    diag = draw(st.lists(diagonal, min_size=n, max_size=n))
     a = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         a[i][i] = diag[i]

@@ -4,13 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from eigencert import cli
+from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.numerics import (
     EXACT,
     InternalConsistencyError,
     ParseError,
-    PrecisionExhaustedError,
+    exact_value,
     float_backend,
 )
+from eigencert.oracle import sturm_count_closed, sturm_isolate_roots
+from eigencert.poly import square_free_part
 from tests.conftest import WORKED_ROWS
 
 
@@ -183,23 +186,42 @@ def test_main_bits_below_minimum_exit_2(tmp_path, capsys):
     assert err.startswith("eigencert: input error:") and "bits" in err
 
 
-def test_main_precision_exhausted_exit_3(tmp_path, capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise PrecisionExhaustedError("signature methods disagree")
-
-    monkeypatch.setattr(cli, "run", boom)
-    assert cli.main([write_worked_csv(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "precision exhausted" in err and "--bits" in err
+def exact_charpoly_as_rounded(rows, bits):
+    """Exact charpoly of the matrix whose entries are rows rounded to bits."""
+    rounded = SquareMatrix.from_rows(rows, float_backend(bits))
+    values = [[exact_value(v) for v in row] for row in rounded.rows]
+    return charpoly(SquareMatrix.from_rows(values, EXACT))
 
 
-def test_main_float_refinement_overflow_exit_3(tmp_path, capsys):
-    # 256 bits cannot separate the two roots near 1e40 and -1e-3: refinement
-    # used to split spurious pieces without end instead of giving up
+def test_main_float_wide_range_certified(tmp_path, capsys):
+    # roots near 1e40 and -1e-3: 256-bit float signatures could not separate
+    # them; the exact values of the rounded entries can
+    rows = [["1e40", "1"], ["1", "-1e-3"]]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"matrix": [["1e40", "1"], ["1", "-1e-3"]]}))
-    assert cli.main([str(path), "--mode", "float", "--bits", "256"]) == 3
-    assert "precision exhausted" in capsys.readouterr().err
+    path.write_text(json.dumps({"matrix": rows}))
+    assert cli.main([str(path), "--mode", "float", "--bits", "256", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["sigma_h1"] == 2 and len(data["final_intervals"]) == 2
+    p = exact_charpoly_as_rounded(rows, 256)
+    for rec in data["final_intervals"]:
+        assert sturm_count_closed(p, F(rec["lo"]), F(rec["hi"])) == 1
+
+
+def test_main_float_repeated_eigenvalue(tmp_path, capsys):
+    # eigenvalues 2, 2, 3: float signatures of the singular H_1 disagreed
+    path = tmp_path / "repeated.csv"
+    path.write_text("2,0,1\n0,2,0\n0,0,3\n")
+    assert cli.main([str(path), "--mode", "float", "--bits", "256", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["sigma_h1"] == 2
+    assert data["point_eigenvalues"] == ["2", "3"]
+    p = square_free_part(exact_charpoly_as_rounded([[2, 0, 1], [0, 2, 0], [0, 0, 3]], 256))
+    roots = sturm_isolate_roots(p, F(1, 10**12))
+    assert roots == [(2, 2), (3, 3)]
+    assert data["final_intervals"]
+    for rec in data["final_intervals"]:
+        lo, hi = F(rec["lo"]), F(rec["hi"])
+        assert any(lo <= a and b <= hi for a, b in roots), (lo, hi)
 
 
 def test_main_internal_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from eigencert.localize import (
     gershgorin_disks,
     locate,
 )
-from eigencert.numerics import EXACT, InternalConsistencyError, float_backend
+from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import refine_all
 
@@ -87,13 +87,6 @@ def test_certify_interval_rejects_impossible_drop(monkeypatch):
     monkeypatch.setattr(ctx, "variations", lambda x: int(x == 4))
     with pytest.raises(InternalConsistencyError, match="drop"):
         certify_interval(ctx, 0, 4)
-    fctx = CertificationContext.from_poly(Poly.from_coeffs((-6, 11, -6, 1), float_backend(256)))
-    for sigma_q in (2, 5):  # an odd drop, then a negative one
-        monkeypatch.setattr(
-            localize_mod, "signature", lambda form: 3 if form is fctx.base else sigma_q
-        )
-        # float mode keeps the clamp: the drop is only a rounded estimate
-        assert certify_interval(fctx, 0, 4).min_root_count == 0
 
 
 def test_segment_helpers():
@@ -164,14 +157,17 @@ def test_locate_column_disks_clip():
     assert sum(iv.min_root_count for iv in clipped.intervals) == 2
 
 
-def test_exact_pipeline_builds_no_hermite_form(worked_exact, monkeypatch):
+def test_exact_pipeline_builds_no_hermite_form(worked_exact, worked_float, monkeypatch):
     def refuse(*args):
-        raise AssertionError("exact mode built a Hermite form")
+        raise AssertionError("the pipeline built a Hermite form")
 
     for name in ("hermite_base", "hermite_weighted", "signature"):
         monkeypatch.setattr(localize_mod, name, refuse)
-    res = locate(worked_exact)
-    assert res.context.base is None and res.context.base_signature == 3
-    assert [(iv.lo, iv.hi) for iv in res.intervals] == [(F(5, 4), 2), (2, 3), (F(9, 2), 5)]
-    pieces = refine_all(res.context, res.intervals, F(1, 10**7))
-    assert [p.min_root_count for p in pieces] == [1, 1, 1]
+    # the worked example's decimals are dyadic, so 256 bits hold them exactly
+    for m in (worked_exact, worked_float):
+        res = locate(m)
+        assert res.context.base_signature == 3
+        spans = [(iv.lo, iv.hi) for iv in res.intervals]
+        assert spans == [(F(5, 4), 2), (2, 3), (F(9, 2), 5)]
+        pieces = refine_all(res.context, res.intervals, F(1, 10**7))
+        assert [p.min_root_count for p in pieces] == [1, 1, 1]

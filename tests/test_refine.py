@@ -7,7 +7,7 @@ from eigencert import refine as refine_mod
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval, locate
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
-from eigencert.refine import _coalesce, _depth_budget, refine_all, refine_interval
+from eigencert.refine import _depth_budget, refine_all, refine_interval
 
 
 def ctx_for(*coeffs):
@@ -70,19 +70,14 @@ def test_refine_midpoint_root_with_flanking_roots():
     assert len(ones) == 1 and len(threes) == 1
 
 
-def test_coalesce_merges_across_non_root_endpoint():
-    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
-    a = CertifiedInterval(F(1, 2), 2, True, -1, 1, (0,))
-    b = CertifiedInterval(2, F(7, 2), True, -1, 1, (1,))
-    merged = _coalesce(ctx, [a, b])
-    assert merged == [CertifiedInterval(F(1, 2), F(7, 2), True, None, 2, (0, 1))]
-
-
-def test_coalesce_keeps_root_endpoint_split():
-    ctx = ctx_for(12, -8, 1)  # (x-2)(x-6)
-    a = CertifiedInterval(1, 2, True, None, 0, ())
-    b = CertifiedInterval(2, 3, True, None, 1, ())
-    assert _coalesce(ctx, [a, b]) == [a, b]
+def test_refine_keeps_split_roots_apart():
+    ctx = ctx_for(F(15, 64), -1, 1)  # (x - 3/8)(x - 5/8); p(1/2) != 0
+    iv = certify_interval(ctx, 0, 1)
+    eps = F(1, 2)
+    pieces = refine_interval(ctx, iv, eps)
+    # the halves meet at a non-root midpoint; merged they would span 2 eps
+    assert [(p.lo, p.hi, p.min_root_count) for p in pieces] == [(0, F(1, 2), 1), (F(1, 2), 1, 1)]
+    assert all(p.hi - p.lo <= eps for p in pieces)
 
 
 def test_refine_budget_exhaustion(monkeypatch):

@@ -18,6 +18,8 @@ def load_tracing():
     return module
 
 
+PIPELINE_SPANS = ("cli.parse", "charpoly", "poly.square_free", "localize.disk",
+                  "localize.candidate")
 HERMITE_SPANS = ("hermite.base", "hermite.weighted", "hermite.signature",
                  "kernels.power_sums", "kernels.hermite_product")
 
@@ -41,14 +43,16 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
         tracer.remove()
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
-    for span in ("cli.parse", "charpoly", "poly.square_free", "localize.disk",
-                 "localize.candidate"):
+    for span in PIPELINE_SPANS:
         assert exact_calls[span] > 0, f"no call reached the traced name of {span}"
-    # exact mode reads its signatures off the Sturm chain and its signs by
-    # integer Horner; only float mode builds Hermite forms
+    # both modes read their signatures off the Sturm chain and their signs
+    # by integer Horner; neither builds a Hermite form
     assert exact_evals == 0
     for span in HERMITE_SPANS:
         assert exact_calls[span] == 0, f"exact mode reached {span}"
     calls = tracer.summary()["calls"]
+    for span in PIPELINE_SPANS:
+        assert calls[span] > exact_calls[span], f"float mode did not reach {span}"
+    assert tracer.counts["poly.eval.calls"] == 0
     for span in HERMITE_SPANS:
-        assert calls[span] > 0, f"no float-mode call reached the traced name of {span}"
+        assert calls[span] == 0, f"float mode reached {span}"

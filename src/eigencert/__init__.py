@@ -4,8 +4,8 @@ Computes intervals that provably contain every real eigenvalue of a real
 square matrix: Gershgorin disks bound the spectrum, Hermite-form signature
 tests certify which regions actually touch the real spectrum, and certified
 bisection narrows them to any requested width.  Every step runs in exact
-rational arithmetic; float-mode input is rounded to a chosen binary
-precision and that rounded matrix is certified exactly.
+rational arithmetic on the exact values of the input entries; a matrix
+on a float backend is certified as the exact values of its binary floats.
 """
 
 from eigencert.charpoly import SquareMatrix, charpoly

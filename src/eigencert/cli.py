@@ -1,15 +1,15 @@
 """Command-line interface.
 
-    eigencert MATRIX [--mode exact|float] [--bits N] [--epsilon E]
+    eigencert MATRIX [--mode exact|float] [--epsilon E]
               [--format json|text] [--svg PATH] [--column-disks]
 
 MATRIX is a path to either a JSON file {"matrix": [[...], ...]} or a CSV
-file with one row per line.  Entries may be integers or decimal strings;
-bare non-integer JSON numbers are accepted in float mode only (in exact
-mode they would have been rounded by whoever wrote the file - send
-decimal strings instead).  Float mode rounds each entry to --bits bits
-and then certifies that rounded matrix exactly, as exact mode certifies
-the input.
+file with one row per line.  Both modes read integers and decimal text
+(CSV cells, JSON strings) exactly, and certify the matrix in the file.
+They differ only on bare non-integer JSON numbers: exact mode refuses
+them (a literal like 0.1 has no exact binary double - send decimal
+strings instead), float mode takes the exact value of the double the
+literal denotes.
 
 Exit codes: 0 success, 2 bad input, 4 internal consistency failure.
 """
@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from fractions import Fraction
 
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import locate
 from eigencert.numerics import (
-    DEFAULT_BITS,
     EXACT,
     InternalConsistencyError,
     ParseError,
-    float_backend,
     parse_decimal,
 )
 from eigencert.refine import refine_all
@@ -36,36 +36,33 @@ from eigencert.report import Report, build_report, to_json
 from eigencert.svg import render_svg
 
 
-class _RawNumber(str):
-    """Literal text of a non-integer JSON number, kept unrounded."""
-
-
-def _convert_entry(value, backend, where: str):
-    if isinstance(value, _RawNumber):
-        if backend == EXACT:
-            raise ParseError(
-                f"bare JSON number {value} at {where} would be rounded; "
-                "use a decimal string in exact mode"
-            )
-        value = str(value)
-    elif isinstance(value, bool):
+def _convert_entry(value, mode: str, where: str):
+    if isinstance(value, bool):
         raise ParseError(f"boolean at {where} is not a matrix entry")
+    if isinstance(value, float) and mode == "float":
+        if not math.isfinite(value):
+            raise ParseError(f"bare JSON number at {where} overflows a double")
+        value = Fraction(value)
     try:
-        return backend.convert(value)
+        return EXACT.convert(value)
     except ParseError as exc:
         raise ParseError(f"{exc} (at {where})") from exc
 
 
-def parse_matrix_text(text: str, backend, *, source: str = "input") -> SquareMatrix:
-    """Parse JSON or CSV matrix text into a SquareMatrix."""
+def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareMatrix:
+    """Parse JSON or CSV matrix text into an exact SquareMatrix.
+
+    mode is "exact" or "float"; only float mode accepts bare non-integer
+    JSON numbers, as the exact values of their doubles.
+    """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
 
         def non_finite(token):
             raise ParseError(f"{source}: {token} is not a finite matrix entry")
 
         try:
-            data = json.loads(text, parse_float=_RawNumber, parse_constant=non_finite)
+            data = json.loads(text, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "matrix" not in data:
@@ -79,7 +76,7 @@ def parse_matrix_text(text: str, backend, *, source: str = "input") -> SquareMat
                 raise ParseError(f"{source}: row {i + 1} is not a list")
             converted.append(
                 [
-                    _convert_entry(v, backend, f"row {i + 1}, column {j + 1}")
+                    _convert_entry(v, mode, f"row {i + 1}, column {j + 1}")
                     for j, v in enumerate(row)
                 ]
             )
@@ -92,39 +89,32 @@ def parse_matrix_text(text: str, backend, *, source: str = "input") -> SquareMat
             cells = line.split(",")
             converted.append(
                 [
-                    _convert_entry(c.strip(), backend, f"row {i + 1}, column {j + 1}")
+                    _convert_entry(c.strip(), mode, f"row {i + 1}, column {j + 1}")
                     for j, c in enumerate(cells)
                 ]
             )
     try:
-        return SquareMatrix.from_rows(converted, backend)
+        return SquareMatrix.from_rows(converted, EXACT)
     except ValueError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def load_matrix(path: str, backend) -> SquareMatrix:
+def load_matrix(path: str, mode: str) -> SquareMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_text(text, backend, source=path)
+    return parse_matrix_text(text, mode, source=path)
 
 
-def run(path: str, *, mode: str = "exact", bits: int = DEFAULT_BITS,
-        epsilon: str = "1e-7", column_disks: bool = False) -> Report:
+def run(path: str, *, mode: str = "exact", epsilon: str = "1e-7",
+        column_disks: bool = False) -> Report:
     """Parse, localize, refine; returns the full report."""
-    if mode == "exact":
-        backend = EXACT
-    else:
-        try:
-            backend = float_backend(bits)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
     eps_exact = parse_decimal(epsilon)
     if not eps_exact > 0:
         raise ParseError(f"epsilon must be positive, got {epsilon!r}")
-    matrix = load_matrix(path, backend)
+    matrix = load_matrix(path, mode)
     started = time.perf_counter()
     located = locate(matrix, column_disks=column_disks)
     final = refine_all(located.context, located.intervals, eps_exact)
@@ -134,17 +124,13 @@ def run(path: str, *, mode: str = "exact", bits: int = DEFAULT_BITS,
         final,
         epsilon_text=epsilon,
         mode=mode,
-        bits=None if mode == "exact" else bits,
         wall_time=round(wall, 6),
     )
 
 
 def render_text(report: Report) -> str:
     lines = []
-    header = f"{report.n} x {report.n} matrix, {report.mode} mode"
-    if report.bits:
-        header += f" ({report.bits} bits)"
-    lines.append(header)
+    lines.append(f"{report.n} x {report.n} matrix, {report.mode} mode")
     desc = ", ".join(
         f"{c}*x^{k}" if k else str(c)
         for k, c in reversed(list(enumerate(report.characteristic_polynomial)))
@@ -193,10 +179,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("matrix", help="path to a JSON or CSV matrix file")
     parser.add_argument("--mode", choices=("exact", "float"), default="exact")
     parser.add_argument(
-        "--bits", type=int, default=DEFAULT_BITS,
-        help="float-mode input precision in bits (default 256)",
-    )
-    parser.add_argument(
         "--epsilon", default="1e-7",
         help="target interval width, a decimal literal (default 1e-7)",
     )
@@ -215,13 +197,16 @@ def main(argv=None) -> int:
         report = run(
             args.matrix,
             mode=args.mode,
-            bits=args.bits,
             epsilon=args.epsilon,
             column_disks=args.column_disks,
         )
         if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as handle:
-                handle.write(render_svg(report))
+            svg = render_svg(report)
+            try:
+                with open(args.svg, "w", encoding="utf-8") as handle:
+                    handle.write(svg)
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.svg}: {exc}") from exc
     except ParseError as exc:
         print(f"eigencert: input error: {exc}", file=sys.stderr)
         return 2

@@ -134,6 +134,6 @@ def _signature_of(m: SquareMatrix) -> int:
     if by_charpoly != pos - neg:
         raise PrecisionExhaustedError(
             f"signature methods disagree ({by_charpoly} vs {pos - neg}); "
-            "raise --bits or use exact mode"
+            "raise the precision or use exact mode"
         )
     return by_charpoly

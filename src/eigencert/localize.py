@@ -18,10 +18,10 @@ from one primitive integer Sturm chain of p, built with the context,
 whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b); V is
 memoised by point, so a breakpoint shared by two tests is evaluated once.
 
-The whole pipeline is exact.  A float-mode matrix holds binary floats,
-each an exact dyadic rational, so locate certifies the matrix of their
-exact values: the verdicts are theorems about the matrix as rounded on
-input, and nothing after that is rounded.
+The whole pipeline is exact.  A matrix on a float backend holds binary
+floats, each an exact dyadic rational, so locate certifies the matrix of
+their exact values: the verdicts are theorems about the entries as that
+backend holds them, and nothing after that is rounded.
 
 Radius-zero disks are point eigenvalues (the row is a_ii e_i, so a_ii is
 an eigenvalue exactly) and bypass the interval machinery.

@@ -25,7 +25,7 @@ from mpmath.ctx_mp import MPContext
 
 try:
     from gmpy2 import mpz as _fast_int
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "fast" extra)
     _fast_int = int
 
 MIN_BITS = 64

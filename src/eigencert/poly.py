@@ -131,11 +131,6 @@ def divmod_poly(num: Poly, den: Poly):
     return _strip(quot, num.backend), _strip(rem, num.backend)
 
 
-def sign_variations(values) -> int:
-    """Sign changes in a coefficient/value sequence, zeros dropped."""
-    return kernels.sign_variations(list(values))
-
-
 def cauchy_root_bound(p: Poly):
     """B with every (complex) root of p inside |z| <= B."""
     if p.degree() < 1:

@@ -1,9 +1,10 @@
 """Structured results: dataclasses plus lossless JSON round-tripping.
 
 Every scalar is an exact rational serialized as text ("p/q" or an
-integer) in both modes - float mode certifies the exact values of its
-rounded entries - so a report can be reloaded without losing the
-certificates' meaning.
+integer) in both modes, so a report can be reloaded without losing the
+certificates' meaning.  `bits` is always None: both modes read their
+input exactly.  The field stays because readers of the JSON report, such
+as certbench's checker, look it up.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from eigencert.numerics import EXACT, ParseError
+from eigencert.numerics import ParseError
 
 
 @dataclass
@@ -57,8 +58,8 @@ class Report:
     metrics: dict
 
 
-def scalar_text(value, backend) -> str:
-    return backend.to_text(value)
+def scalar_text(value) -> str:
+    return str(value)
 
 
 def text_scalar(text: str) -> Fraction:
@@ -69,12 +70,11 @@ def text_scalar(text: str) -> Fraction:
         raise ParseError(f"bad scalar in report: {text!r}") from exc
 
 
-def compute_metrics(final_records, mode: str, bits, wall_time: float | None) -> dict:
+def compute_metrics(final_records, wall_time: float | None) -> dict:
     """Width statistics recomputed from serialized final intervals.
 
-    Exact arithmetic in both modes, so mode and bits do not change them;
-    the same records always give the same strings, which is what the
-    round-trip tests rely on.
+    Exact arithmetic, so the same records always give the same strings,
+    which is what the round-trip tests rely on.
     """
     widths = [text_scalar(rec.hi) - text_scalar(rec.lo) for rec in final_records]
     metrics = {
@@ -85,47 +85,45 @@ def compute_metrics(final_records, mode: str, bits, wall_time: float | None) -> 
         "wall_time_seconds": wall_time,
     }
     if widths:
-        metrics["max_width"] = scalar_text(max(widths), EXACT)
-        metrics["average_width"] = scalar_text(sum(widths) / len(widths), EXACT)
+        metrics["max_width"] = scalar_text(max(widths))
+        metrics["average_width"] = scalar_text(sum(widths) / len(widths))
     return metrics
 
 
 def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
-                 bits, wall_time: float) -> Report:
+                 wall_time: float) -> Report:
     """Assemble the full report from a LocateResult and refined intervals."""
-    backend = result.context.backend
-    txt = lambda v: scalar_text(v, backend)
     disks = [
-        DiskRecord(d.row, txt(d.center), txt(d.radius), d.verdict)
+        DiskRecord(d.row, scalar_text(d.center), scalar_text(d.radius), d.verdict)
         for d in result.disks
     ]
     initial = [
         IntervalRecord(
-            txt(t.lo), txt(t.hi), t.contains_real, t.sigma, t.min_root_count,
-            list(t.sources),
+            scalar_text(t.lo), scalar_text(t.hi), t.contains_real, t.sigma,
+            t.min_root_count, list(t.sources),
         )
         for t in result.tested
     ]
     final = [
         FinalIntervalRecord(
-            txt(iv.lo), txt(iv.hi), txt(iv.hi - iv.lo), iv.min_root_count,
-            list(iv.sources),
+            scalar_text(iv.lo), scalar_text(iv.hi), scalar_text(iv.hi - iv.lo),
+            iv.min_root_count, list(iv.sources),
         )
         for iv in final_intervals
     ]
-    metrics = compute_metrics(final, mode, bits, wall_time)
+    metrics = compute_metrics(final, wall_time)
     metrics["candidate_interval_count"] = len(initial)
     return Report(
         n=result.context.original.degree(),
         mode=mode,
-        bits=bits,
+        bits=None,
         epsilon=epsilon_text,
-        characteristic_polynomial=[txt(c) for c in result.context.original.coeffs],
+        characteristic_polynomial=[scalar_text(c) for c in result.context.original.coeffs],
         sigma_h1=result.context.base_signature,
         disks=disks,
         initial_intervals=initial,
         final_intervals=final,
-        point_eigenvalues=[txt(p) for p in result.points],
+        point_eigenvalues=[scalar_text(p) for p in result.points],
         metrics=metrics,
     )
 

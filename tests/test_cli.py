@@ -1,17 +1,12 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from eigencert import cli
 from eigencert.charpoly import SquareMatrix, charpoly
-from eigencert.numerics import (
-    EXACT,
-    InternalConsistencyError,
-    ParseError,
-    exact_value,
-    float_backend,
-)
+from eigencert.numerics import EXACT, InternalConsistencyError, ParseError
 from eigencert.oracle import sturm_count_closed, sturm_isolate_roots
 from eigencert.poly import square_free_part
 from tests.conftest import WORKED_ROWS
@@ -30,60 +25,62 @@ def write_worked_json(tmp_path):
 
 
 def test_parse_json_matrix():
-    m = cli.parse_matrix_text('{"matrix": [["1.5", 2], [3, "-4"]]}', EXACT)
+    m = cli.parse_matrix_text('{"matrix": [["1.5", 2], [3, "-4"]]}', "exact")
     assert m.rows == ((F(3, 2), 2), (3, -4))
 
 
 def test_parse_json_bare_float_exact_mode():
     with pytest.raises(ParseError, match="row 1, column 2"):
-        cli.parse_matrix_text('{"matrix": [[1, 2.5], [3, 4]]}', EXACT)
+        cli.parse_matrix_text('{"matrix": [[1, 2.5], [3, 4]]}', "exact")
 
 
 def test_parse_json_bare_float_float_mode():
-    fb = float_backend(64)
-    m = cli.parse_matrix_text('{"matrix": [[1, 2.5], [3, 4]]}', fb)
-    assert m.rows[0][1] == fb.convert("2.5")
+    # a bare number is its binary double, exactly; decimal strings stay decimal
+    m = cli.parse_matrix_text('{"matrix": [[1, 2.5], [0.1, "0.1"]]}', "float")
+    assert m.backend == EXACT
+    assert m.rows == ((1, F(5, 2)), (F(0.1), F(1, 10)))
+    assert F(0.1) != F(1, 10)
 
 
 def test_parse_json_errors():
     with pytest.raises(ParseError, match="invalid JSON"):
-        cli.parse_matrix_text("{not json", EXACT)
+        cli.parse_matrix_text("{not json", "exact")
     with pytest.raises(ParseError, match='"matrix" key'):
-        cli.parse_matrix_text('{"rows": []}', EXACT)
+        cli.parse_matrix_text('{"rows": []}', "exact")
     with pytest.raises(ParseError, match="row 2 is not a list"):
-        cli.parse_matrix_text('{"matrix": [[1], 2]}', EXACT)
+        cli.parse_matrix_text('{"matrix": [[1], 2]}', "exact")
     with pytest.raises(ParseError, match="boolean"):
-        cli.parse_matrix_text('{"matrix": [[true]]}', EXACT)
+        cli.parse_matrix_text('{"matrix": [[true]]}', "exact")
     with pytest.raises(ParseError, match="square"):
-        cli.parse_matrix_text('{"matrix": [[1, 2], [3]]}', EXACT)
-    for backend in (EXACT, float_backend(256)):
+        cli.parse_matrix_text('{"matrix": [[1, 2], [3]]}', "exact")
+    for mode in ("exact", "float"):
         for token in ("NaN", "Infinity", "-Infinity"):
             with pytest.raises(ParseError, match=f"{token} is not a finite"):
-                cli.parse_matrix_text(f'{{"matrix": [[{token}, 1], [1, 2]]}}', backend)
+                cli.parse_matrix_text(f'{{"matrix": [[{token}, 1], [1, 2]]}}', mode)
 
 
 def test_parse_csv_matrix():
-    m = cli.parse_matrix_text("1, 2\n-3.5, 4\n", EXACT)
+    m = cli.parse_matrix_text("1, 2\n-3.5, 4\n", "exact")
     assert m.rows == ((1, 2), (F(-7, 2), 4))
 
 
 def test_parse_csv_errors():
     with pytest.raises(ParseError, match="no rows"):
-        cli.parse_matrix_text("   \n  ", EXACT)
+        cli.parse_matrix_text("   \n  ", "exact")
     with pytest.raises(ParseError, match="row 2, column 1"):
-        cli.parse_matrix_text("1, 2\nbogus, 4\n", EXACT)
+        cli.parse_matrix_text("1, 2\nbogus, 4\n", "exact")
 
 
 def test_load_matrix_missing_file():
     with pytest.raises(ParseError, match="cannot read"):
-        cli.load_matrix("/no/such/file.csv", EXACT)
+        cli.load_matrix("/no/such/file.csv", "exact")
 
 
 def test_load_matrix_not_utf8(tmp_path, capsys):
     path = tmp_path / "utf16.csv"
     path.write_bytes(b"\xff\xfe1,2\n3,4\n")
     with pytest.raises(ParseError, match="cannot read"):
-        cli.load_matrix(str(path), EXACT)
+        cli.load_matrix(str(path), "exact")
     assert cli.main([str(path)]) == 2
     assert "input error" in capsys.readouterr().err
 
@@ -122,13 +119,48 @@ def test_main_json_output(tmp_path, capsys):
 
 def test_main_float_mode(tmp_path, capsys):
     code = cli.main(
-        [write_worked_json(tmp_path), "--mode", "float", "--bits", "128",
-         "--epsilon", "0.01", "--format", "json"]
+        [write_worked_json(tmp_path), "--mode", "float", "--epsilon", "0.01",
+         "--format", "json"]
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["mode"] == "float" and data["bits"] == 128
+    assert data["mode"] == "float" and data["bits"] is None
     assert len(data["final_intervals"]) == 3
+
+
+def one_place_rows(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 6
+    return [["%.1f" % (rng.randint(-99, 99) / 10) for _ in range(n)] for _ in range(n)]
+
+
+def test_main_float_equals_exact_on_decimal_text(tmp_path, capsys):
+    # both modes read decimal text exactly, so they certify the same matrix
+    for k, rows in enumerate([WORKED_ROWS] + [one_place_rows(seed) for seed in range(20)]):
+        csv_path = tmp_path / f"m{k}.csv"
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        json_path = tmp_path / f"m{k}.json"
+        json_path.write_text(json.dumps({"matrix": rows}))
+        for path in (csv_path, json_path):
+            reports = {}
+            for mode in ("exact", "float"):
+                assert cli.main([str(path), "--mode", mode, "--format", "json"]) == 0
+                data = json.loads(capsys.readouterr().out)
+                assert data.pop("mode") == mode
+                data["metrics"].pop("wall_time_seconds")
+                reports[mode] = data
+            assert reports["float"] == reports["exact"], path.name
+
+
+def test_main_float_bare_json_number_is_its_double(tmp_path, capsys):
+    path = tmp_path / "floaty.json"
+    path.write_text('{"matrix": [[0.1, 1], [1, 0.3]]}')
+    assert cli.main([str(path), "--mode", "float", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    p = charpoly(SquareMatrix.from_rows([[F(0.1), 1], [1, F(0.3)]], EXACT))
+    assert data["characteristic_polynomial"] == [str(c) for c in p.coeffs]
+    decimal = charpoly(SquareMatrix.from_rows([["0.1", 1], [1, "0.3"]], EXACT))
+    assert p.coeffs != decimal.coeffs
 
 
 def test_main_writes_svg(tmp_path, capsys):
@@ -152,21 +184,40 @@ def test_main_json_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_main_input_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1, 2\n3\n")
-    assert cli.main([str(bad)]) == 2
-    assert "input error" in capsys.readouterr().err
+MALFORMED = [
+    # id, file name, text, extra arguments, part of the message
+    ("empty-cell", "m.csv", "1,,2\n3,4,5\n6,7,8\n", [], "row 1, column 2"),
+    ("fraction-syntax", "m.csv", "1/2,1\n1,1\n", [], "not a decimal literal: '1/2'"),
+    ("json-null", "m.json", '{"matrix": [[1, null], [1, 2]]}', [], "row 1, column 2"),
+    ("object-entry", "m.json", '{"matrix": [[1, 2], [{"v": 3}, 4]]}', [], "row 2, column 1"),
+    ("flat-matrix", "m.json", '{"matrix": [1, 2, 3, 4]}', [], "row 1 is not a list"),
+    ("top-level-array", "m.json", "[[1, 2], [3, 4]]", [], 'an object with a "matrix" key'),
+    ("semicolon-rows", "m.csv", "1;2\n3;4\n", [], "not a decimal literal: '1;2'"),
+    ("non-square", "m.csv", "1, 2\n3\n", [], "square"),
+    ("bare-float-exact", "m.json", '{"matrix": [[0.1, 1], [1, 0.3]]}', [],
+     "pass a decimal string instead (at row 1, column 1)"),
+    ("bare-overflow-float", "m.json", '{"matrix": [[1, 2], [3, 1e400]]}',
+     ["--mode", "float"], "row 2, column 2 overflows a double"),
+]
 
 
-def test_main_bare_float_exact_exit_2(tmp_path, capsys):
-    path = tmp_path / "floaty.json"
-    path.write_text('{"matrix": [[0.1, 1], [1, 0.3]]}')
-    assert cli.main([str(path)]) == 2
-    assert "decimal string" in capsys.readouterr().err
-    # the same file is fine in float mode
-    assert cli.main([str(path), "--mode", "float", "--epsilon", "0.1"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("name, text, argv, fragment",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_main_malformed_input_exit_2(tmp_path, capsys, name, text, argv, fragment):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main([str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eigencert: input error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("target", ["missing/out.svg", "."], ids=["missing-dir", "directory"])
+def test_main_svg_unwritable_exit_2(tmp_path, capsys, target):
+    svg = tmp_path / target
+    assert cli.main([write_worked_csv(tmp_path), "--epsilon", "0.05", "--svg", str(svg)]) == 2
+    assert capsys.readouterr().err.startswith(f"eigencert: input error: cannot write {svg}: ")
 
 
 def test_main_missing_file_exit_2(capsys):
@@ -180,29 +231,25 @@ def test_main_epsilon_error_exit_2(tmp_path, capsys):
 
 
 def test_main_bits_below_minimum_exit_2(tmp_path, capsys):
+    # --bits is gone: float mode reads its input exactly, at any value
     path = write_worked_csv(tmp_path)
-    assert cli.main([path, "--mode", "float", "--bits", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("eigencert: input error:") and "bits" in err
-
-
-def exact_charpoly_as_rounded(rows, bits):
-    """Exact charpoly of the matrix whose entries are rows rounded to bits."""
-    rounded = SquareMatrix.from_rows(rows, float_backend(bits))
-    values = [[exact_value(v) for v in row] for row in rounded.rows]
-    return charpoly(SquareMatrix.from_rows(values, EXACT))
+    for bits in ("10", "256"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([path, "--mode", "float", "--bits", bits])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bits" in capsys.readouterr().err
 
 
 def test_main_float_wide_range_certified(tmp_path, capsys):
     # roots near 1e40 and -1e-3: 256-bit float signatures could not separate
-    # them; the exact values of the rounded entries can
+    # them; the exact entries can
     rows = [["1e40", "1"], ["1", "-1e-3"]]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"matrix": rows}))
-    assert cli.main([str(path), "--mode", "float", "--bits", "256", "--format", "json"]) == 0
+    assert cli.main([str(path), "--mode", "float", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["sigma_h1"] == 2 and len(data["final_intervals"]) == 2
-    p = exact_charpoly_as_rounded(rows, 256)
+    p = charpoly(SquareMatrix.from_rows(rows, EXACT))
     for rec in data["final_intervals"]:
         assert sturm_count_closed(p, F(rec["lo"]), F(rec["hi"])) == 1
 
@@ -211,11 +258,12 @@ def test_main_float_repeated_eigenvalue(tmp_path, capsys):
     # eigenvalues 2, 2, 3: float signatures of the singular H_1 disagreed
     path = tmp_path / "repeated.csv"
     path.write_text("2,0,1\n0,2,0\n0,0,3\n")
-    assert cli.main([str(path), "--mode", "float", "--bits", "256", "--format", "json"]) == 0
+    assert cli.main([str(path), "--mode", "float", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["sigma_h1"] == 2
     assert data["point_eigenvalues"] == ["2", "3"]
-    p = square_free_part(exact_charpoly_as_rounded([[2, 0, 1], [0, 2, 0], [0, 0, 3]], 256))
+    rows = [[2, 0, 1], [0, 2, 0], [0, 0, 3]]
+    p = square_free_part(charpoly(SquareMatrix.from_rows(rows, EXACT)))
     roots = sturm_isolate_roots(p, F(1, 10**12))
     assert roots == [(2, 2), (3, 3)]
     assert data["final_intervals"]

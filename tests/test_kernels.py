@@ -48,6 +48,13 @@ def test_sign_variations(K):
     assert K.sign_variations([-2, 0, 3, 5, 0, -1]) == 2
 
 
+def test_sign_variations_order_invariant(K):
+    rng = random.Random(3)
+    for _ in range(20):
+        vals = [rng.randint(-5, 5) for _ in range(rng.randint(0, 9))]
+        assert K.sign_variations(vals) == K.sign_variations(list(reversed(vals)))
+
+
 def test_poly_divmod_reconstructs(K):
     rng = random.Random(5)
     for _ in range(25):

@@ -16,7 +16,6 @@ from eigencert.poly import (
     cauchy_root_bound,
     divmod_poly,
     gcd,
-    sign_variations,
     square_free_part,
     sturm_chain,
     sturm_count,
@@ -116,13 +115,6 @@ def test_square_free_part():
     assert square_free_part(p).coeffs == (-2, -1, 1)
     # already square-free stays put (monic)
     assert square_free_part(P(-2, 1)).coeffs == (-2, 1)
-
-
-def test_sign_variations_order_invariant():
-    rng = random.Random(3)
-    for _ in range(20):
-        vals = [rng.randint(-5, 5) for _ in range(rng.randint(0, 9))]
-        assert sign_variations(vals) == sign_variations(list(reversed(vals)))
 
 
 def test_cauchy_root_bound():

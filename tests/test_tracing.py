@@ -38,7 +38,7 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
         exact_calls = tracer.summary()["calls"]
         exact_evals = tracer.counts["poly.eval.calls"]
         assert cli.main([str(path), "--format", "json", "--epsilon", "0.01",
-                         "--mode", "float", "--bits", "256"]) == 0
+                         "--mode", "float"]) == 0
     finally:
         tracer.remove()
     for owner, attr, original in saved:

@@ -9,7 +9,6 @@ on a float backend is certified as the exact values of its binary floats.
 """
 
 from eigencert.charpoly import SquareMatrix, charpoly
-from eigencert.cli import run
 from eigencert.localize import CertificationContext, certify_interval, locate
 from eigencert.numerics import (
     DEFAULT_BITS,
@@ -27,6 +26,17 @@ from eigencert.poly import Poly
 from eigencert.refine import refine_all, refine_interval
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run lives in eigencert.cli; importing it here, eagerly, would make
+    # `python -m eigencert.cli` find the module already imported
+    if name == "run":
+        from eigencert.cli import run
+
+        return run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BackendMismatchError",

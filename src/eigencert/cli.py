@@ -65,6 +65,10 @@ def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareM
             data = json.loads(text, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+        except ParseError:
+            raise
+        except ValueError:  # an integer with more digits than int() converts
+            raise ParseError(f"{source}: a JSON number has too many digits") from None
         if not isinstance(data, dict) or "matrix" not in data:
             raise ParseError(f'{source}: expected an object with a "matrix" key')
         rows = data["matrix"]

@@ -293,17 +293,17 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
             for k in range(len(breakpoints) - 1)
             if breakpoints[k] < breakpoints[k + 1]
         ]
-        yes_disks = [d for d in certified if d.verdict == CONTAINS_REAL]
-
-        def _certify(pair):
-            lo, hi = pair
-            sources = tuple(
-                d.row
-                for d in yes_disks
-                if d.center - d.radius < hi and lo < d.center + d.radius
+        # a candidate's sources are the contains-real disks its interior meets
+        yes_ends = [
+            (d.center - d.radius, d.center + d.radius, d.row)
+            for d in certified
+            if d.verdict == CONTAINS_REAL
+        ]
+        tested = [
+            certify_interval(
+                ctx, lo, hi, tuple(row for a, b, row in yes_ends if a < hi and lo < b)
             )
-            return certify_interval(ctx, lo, hi, sources)
-
-        tested = [_certify(pair) for pair in pairs]
+            for lo, hi in pairs
+        ]
     intervals = tuple(t for t in tested if t.contains_real)
     return LocateResult(ctx, tuple(certified), points, tuple(tested), intervals)

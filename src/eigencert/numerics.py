@@ -70,7 +70,12 @@ def parse_decimal(text: str) -> Fraction:
     token = text.strip()
     if not _DECIMAL_RE.fullmatch(token):
         raise ParseError(f"not a decimal literal: {text!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            f"decimal literal of {len(token)} characters has too many digits"
+        ) from None
 
 
 class ExactBackend:

@@ -1,7 +1,7 @@
 """Bisection refinement of certified intervals.
 
 Each contains-real interval is halved at its midpoint until its width is
-at most epsilon, by one of two steps:
+at most epsilon, by one of three steps:
 
 - Sign step.  Once an interval holds exactly one root (p is square-free,
   so that root is simple) and neither endpoint is a root, p(lo) and p(hi)
@@ -9,13 +9,18 @@ at most epsilon, by one of two steps:
   the half that keeps the root, by the intermediate value theorem; a
   midpoint that is a root becomes the point interval [m, m] and ends the
   piece.
-- Hermite step.  Every other interval (several roots, or a root at an
-  endpoint) re-certifies both halves and drops the empty ones.  That test
-  reads two counts off the context's Sturm chain, and the midpoint the
-  halves share is evaluated once.  A midpoint that is exactly a root
-  becomes a zero-width point interval and the recursion continues on
-  [lo, m - eps/4] and [m + eps/4, hi], so neither side inherits the root
-  as an endpoint.
+- Endpoint step.  An interval with no root inside (min_root_count is
+  exact) holds roots only at the ends where p is 0.  Bisection would keep
+  the half at each such end until the width is at most epsilon, so the
+  final cells [lo, lo + w] and [hi - w, hi], with w the width halved that
+  many times, are emitted at once, with no test.
+- Hermite step.  Every other interval (several roots inside, or one root
+  inside and a root at an end) re-certifies both halves and drops the
+  empty ones.  That test reads two counts off the context's Sturm chain,
+  and the midpoint the halves share is evaluated once.  A midpoint that
+  is exactly a root becomes a zero-width point interval and the
+  recursion continues on [lo, m - eps/4] and [m + eps/4, hi], so neither
+  side inherits the root as an endpoint.
 
 Every test of p's sign goes through the context: it is integer Horner on
 p with denominators cleared, memoised by point, so the endpoints of a
@@ -67,6 +72,29 @@ def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
     return at_lo, at_hi
 
 
+def _endpoint_cells(ctx: CertificationContext, iv: CertifiedInterval, eps) -> list:
+    """Final cells of a contains-real piece with no root inside.
+
+    Its roots are the ends where p is 0.  Each is the end of the cell that
+    bisection keeps beside it, and sigma(H_q) of that cell is
+    sigma(H_1) - 1 by TaQ: one endpoint root, none inside.
+    """
+    cell = iv.hi - iv.lo
+    while cell > eps:
+        cell = cell / 2
+    sigma = ctx.base_signature - 1
+    cells = []
+    if ctx.sign_at(iv.lo) == 0:
+        cells.append(CertifiedInterval(iv.lo, iv.lo + cell, True, sigma, 0, iv.sources))
+    if ctx.sign_at(iv.hi) == 0:
+        cells.append(CertifiedInterval(iv.hi - cell, iv.hi, True, sigma, 0, iv.sources))
+    if not cells:
+        raise InternalConsistencyError(
+            f"[{iv.lo}, {iv.hi}] contains a root but has none inside or at an end"
+        )
+    return cells
+
+
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
     """Refine one certified interval to pieces of width <= eps."""
     eps = ctx.backend.convert(eps)
@@ -89,6 +117,10 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
             continue
         if task.depth > budget:
             raise InternalConsistencyError("bisection failed to converge")
+        if iv.min_root_count == 0:
+            out.extend(_endpoint_cells(ctx, iv, eps))
+            _check_piece_count(ctx, len(stack) + len(out))
+            continue
         mid = (iv.lo + iv.hi) / 2
         at_mid = ctx.sign_at(mid)
         if at_mid == 0:

@@ -10,7 +10,7 @@ as certbench's checker, look it up.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from eigencert.numerics import ParseError
@@ -129,7 +129,24 @@ def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
 
 
 def to_dict(report: Report) -> dict:
-    return asdict(report)
+    """The dict dataclasses.asdict gives, with fresh lists but no deep copy."""
+    return {
+        "n": report.n,
+        "mode": report.mode,
+        "bits": report.bits,
+        "epsilon": report.epsilon,
+        "characteristic_polynomial": list(report.characteristic_polynomial),
+        "sigma_h1": report.sigma_h1,
+        "disks": [dict(vars(d)) for d in report.disks],
+        "initial_intervals": [
+            {**vars(t), "sources": list(t.sources)} for t in report.initial_intervals
+        ],
+        "final_intervals": [
+            {**vars(t), "sources": list(t.sources)} for t in report.final_intervals
+        ],
+        "point_eigenvalues": list(report.point_eigenvalues),
+        "metrics": dict(report.metrics),
+    }
 
 
 def to_json(report: Report) -> str:

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import eigencert
 from eigencert import cli
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.numerics import EXACT, InternalConsistencyError, ParseError
@@ -198,6 +203,12 @@ MALFORMED = [
      "pass a decimal string instead (at row 1, column 1)"),
     ("bare-overflow-float", "m.json", '{"matrix": [[1, 2], [3, 1e400]]}',
      ["--mode", "float"], "row 2, column 2 overflows a double"),
+    # more digits than int() converts
+    ("long-csv-entry", "m.csv", "1," + "1" * 5000 + "\n1,1\n", [], "has too many digits"),
+    ("long-json-integer", "m.json", '{"matrix": [[1, ' + "1" * 5000 + '], [1, 1]]}', [],
+     "has too many digits"),
+    ("long-epsilon", "m.csv", "1,2\n3,4\n", ["--epsilon", "0." + "1" * 5000],
+     "has too many digits"),
 ]
 
 
@@ -285,3 +296,24 @@ def test_main_rejects_unknown_mode(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main([write_worked_csv(tmp_path), "--mode", "interval"])
     capsys.readouterr()
+
+
+def test_run_is_a_lazy_package_attribute():
+    from eigencert import run
+
+    assert run is cli.run and eigencert.run is cli.run
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eigencert.no_such_name
+
+
+def test_module_entry_point_warns_nothing(tmp_path):
+    # importing the package must not import eigencert.cli ahead of `-m`
+    src = str(Path(eigencert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eigencert.cli",
+         write_worked_csv(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("5 x 5 matrix, exact mode")

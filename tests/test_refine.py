@@ -157,8 +157,44 @@ def test_refine_more_pieces_than_roots_raises(monkeypatch):
     iv = certify_interval(ctx, 0, 8)
 
     def certify_every_half(ctx, lo, hi, sources=()):
-        return replace(certify_interval(ctx, lo, hi, sources), contains_real=True)
+        # a count of 0 would send the half to the endpoint step, which
+        # refuses a piece with no root at an end before the count check
+        cert = certify_interval(ctx, lo, hi, sources)
+        return replace(cert, contains_real=True, min_root_count=2)
 
     monkeypatch.setattr(refine_mod, "certify_interval", certify_every_half)
     with pytest.raises(InternalConsistencyError, match="pieces"):
         refine_interval(ctx, iv, F(1, 64))
+
+
+def _bisection_cell(lo, hi, root, eps):
+    """The cell around root that halving [lo, hi] down to width eps keeps."""
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if root <= mid else (mid, hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("lo, hi, roots", [
+    (F(1), F(2), [1]),  # root at lo
+    (F(0), F(1), [1]),  # root at hi
+    (F(1), F(3), [1, 3]),  # roots at both ends
+], ids=["root-at-lo", "root-at-hi", "roots-at-both-ends"])
+def test_refine_endpoint_only_piece_without_test(monkeypatch, lo, hi, roots):
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
+    iv = certify_interval(ctx, lo, hi, (0, 2))
+    assert iv.contains_real and iv.min_root_count == 0
+    for eps in (F(1, 2), F(1, 1000), F(1, 2**40)):
+        expected = [
+            certify_interval(ctx, *_bisection_cell(lo, hi, root, eps), (0, 2)) for root in roots
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+            assert refine_interval(ctx, iv, eps) == expected
+
+
+def test_refine_endpoint_only_piece_without_end_root_raises():
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): no root in [4, 5]
+    forged = CertifiedInterval(F(4), F(5), True, None, 0, ())
+    with pytest.raises(InternalConsistencyError, match="at an end"):
+        refine_interval(ctx, forged, F(1, 64))

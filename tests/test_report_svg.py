@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +20,7 @@ from eigencert.report import (
     to_json,
 )
 from eigencert.svg import render_svg
+from tests.conftest import random_rational_matrix
 
 
 def make_report(matrix, *, mode, eps_text="0.01"):
@@ -110,3 +114,36 @@ def test_svg_point_eigenvalues():
     assert svg.count('class="disk point"') == 2
     assert svg.count('class="eigenpoint"') == 2
     assert svg.count('class="interval"') == 0
+
+
+LOST_ROOT = [
+    ["-3", "-12", "-6"],
+    ["3", "11.999999999", "5.999999999"],
+    ["-3", "-11.999999998", "-5.999999998"],
+]
+
+
+def _guard_matrices(worked_exact):
+    yield "worked", worked_exact
+    yield "lost-root", SquareMatrix.from_rows(LOST_ROOT, EXACT)
+    # row 2 is zero off the diagonal: the point eigenvalue 3
+    yield "zero-row", SquareMatrix.from_rows([[1, 2, 0], [0, 3, 0], [4, -1, 2]], EXACT)
+    rng = random.Random(9)
+    for n in (2, 4, 6):
+        yield f"seeded-{n}", random_rational_matrix(rng, n)
+
+
+def test_to_dict_equals_asdict(worked_exact):
+    # to_dict is written out field by field; a new field must reach it too
+    for name, matrix in _guard_matrices(worked_exact):
+        for eps in ("1e-7", "1e-30"):
+            rep = make_report(matrix, mode="exact", eps_text=eps)
+            expected = dataclasses.asdict(rep)
+            data = to_dict(rep)
+            assert data == expected and list(data) == list(expected), name
+            assert to_json(rep) == json.dumps(expected, indent=2), name
+            for key in ("disks", "initial_intervals", "final_intervals"):
+                for record, plain in zip(getattr(rep, key), data[key]):
+                    assert list(plain) == list(vars(record)), name
+                    if "sources" in plain:
+                        assert plain["sources"] is not record.sources, name

@@ -60,6 +60,10 @@ def build_cases(size: int):
     # a random integer polynomial of degree n, square-free like almost all
     chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1], EXACT)
 
+    # the two charpoly kernels are timed on one matrix; they must agree on it
+    if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
+        raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
+
     return [
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
@@ -71,6 +75,7 @@ def build_cases(size: int):
         ("sturm_chain", lambda: int_sturm_chain(chain_poly)),
         ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
         ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
+        ("berkowitz_charpoly_int", lambda: kernels.berkowitz_charpoly_int(int_rows)),
         ("hermite_product", lambda: kernels.hermite_product(sums, q, n)),
         ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
         ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
@@ -84,10 +89,10 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=20, help="matrix/polynomial size")
     args = parser.parse_args()
 
-    print(f"{'kernel':<18}{'time (ms)':>12}")
+    print(f"{'kernel':<24}{'time (ms)':>12}")
     for name, runner in build_cases(args.size):
         elapsed = best_of(runner, args.repeat)
-        print(f"{name:<18}{elapsed * 1e3:>12.3f}")
+        print(f"{name:<24}{elapsed * 1e3:>12.3f}")
     return 0
 
 

@@ -1,15 +1,16 @@
 """Square matrices and their characteristic polynomials.
 
-Two routes, one per backend.  Exact: Faddeev-Leverrier after clearing
-denominators, so the whole computation runs in (big) integers and the
-result is exact.  Float: Householder reduction to upper Hessenberg form
-followed by the La Budde recurrence, which is the numerically trustworthy
-way to get coefficients at fixed precision.  Both return monic ascending
-polynomials equal to det(xI - A).
+Two routes, one per backend.  Exact: Berkowitz's division-free algorithm
+after clearing denominators, so the whole computation runs in (big)
+integers and the result is exact.  Float: Householder reduction to upper
+Hessenberg form followed by the La Budde recurrence, which is the
+numerically trustworthy way to get coefficients at fixed precision.  Both
+return monic ascending polynomials equal to det(xI - A).
 
 The pipeline runs only the exact route: locate replaces a float matrix
-by the exact values of its entries.  The float route is the tests'
-fixed-precision reference.
+by the exact values of its entries.  Faddeev-Leverrier, on the same
+cleared integer matrix, is the tests' independent cross-check of the exact
+route, and the float route is their fixed-precision reference.
 """
 
 from __future__ import annotations
@@ -97,20 +98,29 @@ def cleared_int_rows(m: SquareMatrix):
     return rows, denom
 
 
+def _cleared_charpoly(m: SquareMatrix, kernel) -> Poly:
+    """Exact charpoly of m from an integer charpoly kernel run on D*A.
+
+    The roots of D*A are D times those of A, so coefficient k of its
+    charpoly is D^(n-k) times that of A's.
+    """
+    rows, denom = cleared_int_rows(m)
+    raw = kernel(rows)
+    n = m.n
+    coeffs = [Fraction(int(raw[k]), denom ** (n - k)) for k in range(n + 1)]
+    return Poly.from_coeffs(coeffs, EXACT)
+
+
 def faddeev_leverrier(m: SquareMatrix) -> Poly:
     """Characteristic polynomial by trace recursion; exact for exact input.
 
-    On the exact backend the matrix is scaled to integers first (roots
-    scale by D, coefficient k by D^(n-k)), keeping every step in integer
-    arithmetic.  On the float backend this runs directly and is only a
+    On the exact backend the matrix is scaled to integers first, keeping
+    every step in integer arithmetic; this is the tests' cross-check of
+    charpoly().  On the float backend this runs directly and is only a
     diagnostic - use charpoly() for the stable route.
     """
     if m.backend == EXACT:
-        rows, denom = cleared_int_rows(m)
-        raw = kernels.fl_charpoly_int(rows)
-        n = m.n
-        coeffs = [Fraction(int(raw[k]), denom ** (n - k)) for k in range(n + 1)]
-        return Poly.from_coeffs(coeffs, EXACT)
+        return _cleared_charpoly(m, kernels.fl_charpoly_int)
     raw = kernels.fl_charpoly([list(r) for r in m.rows])
     return Poly.from_coeffs(raw, m.backend)
 
@@ -181,5 +191,5 @@ def labudde(hf: HessenbergForm) -> Poly:
 def charpoly(m: SquareMatrix) -> Poly:
     """det(xI - A), monic ascending, by the backend-appropriate route."""
     if m.backend == EXACT:
-        return faddeev_leverrier(m)
+        return _cleared_charpoly(m, kernels.berkowitz_charpoly_int)
     return labudde(hessenberg_reduce(m))

@@ -2,9 +2,11 @@
 
 These are the inner loops of the package: polynomial evaluation (over a
 field, and homogeneous integer Horner at rational points) and division,
-Newton power sums, characteristic polynomials (Faddeev-Leverrier and
-La Budde), the Hankel build of Hermite forms, and symmetric inertia
-(rational LDL and fraction-free Bareiss).
+Newton power sums, characteristic polynomials (division-free Berkowitz
+on integers, the pipeline's; Faddeev-Leverrier on integers and over a
+field, its cross-check; and La Budde on Hessenberg forms), the Hankel
+build of Hermite forms, symmetric inertia (rational LDL and fraction-free
+Bareiss), and primitive integer pseudo-remainders.
 
 Conventions shared by every kernel:
 
@@ -16,6 +18,8 @@ Conventions shared by every kernel:
   0 and - where documented - divide, so they are backend-agnostic;
 * kernels never mutate their arguments and never import backend modules.
 """
+
+from operator import mul
 
 # certbench/run.py prints this on its environment line; benchmark figures
 # are only comparable between runs that print the same value.
@@ -158,6 +162,33 @@ def fl_charpoly_int(rows):
             tr = tr + work[i][i]
         coeffs[n - k] = -tr // k
     return coeffs
+
+
+def berkowitz_charpoly_int(rows):
+    """Characteristic polynomial of an integer matrix, ascending and monic.
+
+    Berkowitz's division-free algorithm.  With A_r the leading r x r block,
+    A_{r+1} = [[A_r, c], [s, d]], the charpoly of A_{r+1} (descending) is the
+    lower-triangular Toeplitz matrix with first column
+    1, -d, -s c, -s A_r c, ..., -s A_r^(r-1) c times that of A_r.  The work
+    is r - 1 matrix-vector products on A_r per step, about n^4/4 in all,
+    with integer additions and multiplications only.
+    """
+    n = len(rows)
+    desc = [1]  # charpoly of the empty leading block
+    for r in range(n):
+        # map() stops at len(v) == r, so the full rows read as those of A_r
+        # and rows[r] as s
+        lead = rows[:r]
+        s = rows[r]
+        v = [row[r] for row in lead]
+        first = [1, -s[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, row, v)) for row in lead]
+            first.append(-sum(map(mul, s, v)))
+        desc = [sum(map(mul, first[i::-1], desc)) for i in range(r + 2)]
+    return desc[::-1]
 
 
 def fl_charpoly(rows):

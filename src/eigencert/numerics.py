@@ -57,7 +57,13 @@ class InternalConsistencyError(ArithmeticError):
 
 
 # Optional sign, digits with optional fractional part, optional exponent.
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_DECIMAL_RE = re.compile(r"[+-]?(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?")
+
+# Most digits a decimal literal's exact value may need: its mantissa digits
+# plus the size of its exponent.  The same as the interpreter's default
+# limit on int() conversion, which bounds the mantissa but not the 10**|e|
+# that Fraction builds for the exponent.
+MAX_DECIMAL_DIGITS = 4300
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -65,17 +71,26 @@ def parse_decimal(text: str) -> Fraction:
 
     Accepts integer and finite decimal literals with optional sign and
     optional exponent ("3", "-0.625", "1e-7").  Anything else (including
-    inf/nan and fraction syntax) raises ParseError naming the token.
+    inf/nan and fraction syntax) raises ParseError naming the token, and so
+    does a literal whose exact value needs more than MAX_DECIMAL_DIGITS
+    digits ("1e-100000").
     """
     token = text.strip()
-    if not _DECIMAL_RE.fullmatch(token):
+    match = _DECIMAL_RE.fullmatch(token)
+    if not match:
         raise ParseError(f"not a decimal literal: {text!r}")
-    try:
-        return Fraction(token)
-    except ValueError:  # more digits than int() converts
+    mantissa, exponent = match.groups()
+    size = len(mantissa) - ("." in mantissa)
+    if exponent:
+        digits = exponent.lstrip("+-").lstrip("0")
+        # five or more significant digits are past the limit already
+        size += int(digits or 0) if len(digits) < 5 else MAX_DECIMAL_DIGITS + 1
+    if size > MAX_DECIMAL_DIGITS:
         raise ParseError(
-            f"decimal literal of {len(token)} characters has too many digits"
-        ) from None
+            f"decimal literal of {len(token)} characters has too many digits "
+            f"(its exact value needs more than {MAX_DECIMAL_DIGITS})"
+        )
+    return Fraction(token)
 
 
 class ExactBackend:

@@ -63,6 +63,14 @@ def test_faddeev_leverrier_vs_cofactor_expansion():
             assert faddeev_leverrier(m) == naive_charpoly(m)
 
 
+def test_charpoly_matches_faddeev_leverrier_and_cofactors():
+    rng = random.Random(101)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            m = random_rational_matrix(rng, n)
+            assert charpoly(m) == faddeev_leverrier(m) == naive_charpoly(m)
+
+
 def test_hessenberg_rejects_exact(worked_exact):
     with pytest.raises(UnsupportedOperationError):
         hessenberg_reduce(worked_exact)

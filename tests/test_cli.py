@@ -209,6 +209,10 @@ MALFORMED = [
      "has too many digits"),
     ("long-epsilon", "m.csv", "1,2\n3,4\n", ["--epsilon", "0." + "1" * 5000],
      "has too many digits"),
+    # an exponent asks for 10**|e|: the value, not the text, is too long
+    ("huge-exponent-epsilon", "m.csv", "1,2\n3,4\n", ["--epsilon", "1e-100000"],
+     "has too many digits"),
+    ("huge-exponent-csv-entry", "m.csv", "1,1e10000000\n1,1\n", [], "has too many digits"),
 ]
 
 

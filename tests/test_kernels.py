@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigencert import kernels
 from eigencert.numerics import EXACT
@@ -108,6 +110,39 @@ def test_fl_charpoly_int(K):
     # companion of x^3 - 2x + 5
     comp = [[0, 0, -5], [1, 0, 2], [0, 1, 0]]
     assert K.fl_charpoly_int(comp) == [5, -2, 0, 1]
+
+
+CHARPOLY_CASES = [
+    ([[7]], [-7, 1]),
+    ([[1, 2], [3, 4]], [-2, -5, 1]),
+    ([[0, 0, -5], [1, 0, 2], [0, 1, 0]], [5, -2, 0, 1]),  # companion of x^3 - 2x + 5
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 0, 1]),
+    ([[0, 1], [1, 0]], [-1, 0, 1]),  # zero leading 1 x 1 minor
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 0, 0, 1]),  # nilpotent
+]
+
+
+@pytest.mark.parametrize("rows, want", CHARPOLY_CASES)
+def test_berkowitz_charpoly_int_known(K, rows, want):
+    copy = [list(r) for r in rows]
+    got = K.berkowitz_charpoly_int(rows)
+    assert got == want and all(type(c) is int for c in got)
+    assert rows == copy  # arguments are not mutated
+
+
+def test_berkowitz_matches_fl_charpoly_int(K):
+    rng = random.Random(71)
+    for n in range(1, 21):
+        bound = 10 ** rng.choice((1, 5, 20))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        assert K.berkowitz_charpoly_int(rows) == K.fl_charpoly_int(rows), (n, bound)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_berkowitz_matches_fl_charpoly_int_property(K, rows):
+    assert K.berkowitz_charpoly_int(rows) == K.fl_charpoly_int(rows)
 
 
 def test_fl_charpoly_field_matches_int(K):

@@ -32,6 +32,16 @@ def test_parse_decimal_is_exact_not_binary():
     assert parse_decimal("0.1") == Fraction(1, 10)
 
 
+def test_parse_decimal_bounds_digits_with_exponent():
+    # mantissa digits plus |exponent| may reach the limit, not pass it
+    assert parse_decimal("1e-4299") == Fraction(1, 10**4299)
+    assert parse_decimal("1e+0004299") == 10**4299
+    assert parse_decimal("0." + "1" * 4299) == Fraction(int("1" * 4299), 10**4299)
+    for bad in ("1e-4300", "10e4299", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_decimal(bad)
+
+
 @pytest.mark.parametrize("bad", ["", "nan", "inf", "1/3", "1.2.3", "0x10", "1e", "--1"])
 def test_parse_decimal_rejects(bad):
     with pytest.raises(ParseError):

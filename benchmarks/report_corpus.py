@@ -1,0 +1,125 @@
+"""Write the CLI's output on a fixed, seeded corpus of matrices.
+
+    python3 benchmarks/report_corpus.py OUTDIR [--seed N]
+
+The corpus is the worked 5x5 example, the lost-root 3x3 matrix and 42
+seeded matrices with n = 2-8: integer; integer with one row zero off the
+diagonal; and diagonal with repeated entries plus one corner entry.  The
+matrices are written alternately as CSV and JSON under OUTDIR/inputs.
+Each one runs through `eigencert.cli.main` in both modes, at epsilon
+1e-7 and 1e-30, once with --format json --svg and once with --format
+text: 352 runs.  For each run, OUTDIR gets NAME.out (stdout, with the
+wall time masked), NAME.err (stderr), NAME.code (the exit code) and, for
+the JSON runs, NAME.svg.  An exception that escapes `main` is recorded
+as exit 1 with its type and message.
+
+Run it on two source trees and compare with `diff -r` to check that a
+change leaves every report byte-identical:
+
+    PYTHONPATH=old/src python3 benchmarks/report_corpus.py out-old
+    PYTHONPATH=new/src python3 benchmarks/report_corpus.py out-new
+    diff -r out-old out-new
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import re
+import traceback
+
+from eigencert import cli
+
+WORKED = [
+    ["1.25", "1", "0.75", "0.5", "0.25"],
+    ["1", "0", "0", "0", "0"],
+    ["-1", "1", "0", "0", "0"],
+    ["0", "0", "1", "3", "0"],
+    ["0", "0", "0", "0.5", "5"],
+]
+
+LOST_ROOT = [
+    ["-3", "-12", "-6"],
+    ["3", "11.999999999", "5.999999999"],
+    ["-3", "-11.999999998", "-5.999999998"],
+]
+
+WALL_TIME = [
+    (re.compile(r'("wall_time_seconds": )[^,\n}]+'), r"\1MASKED"),
+    (re.compile(r"(wall time )\S+s$", re.M), r"\1MASKEDs"),
+]
+
+
+def seeded_matrices(seed: int):
+    """Yield (name, rows) for the 42 seeded matrices, 2 of each kind and n."""
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        for copy in range(2):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            yield f"int-{n}-{copy}", rows
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            zero = rng.randrange(n)
+            rows[zero] = [v if j == zero else 0 for j, v in enumerate(rows[zero])]
+            yield f"zero-row-{n}-{copy}", rows
+            values = [rng.randint(-3, 3) for _ in range(n)]
+            rows = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            rows[0][n - 1] = rng.choice((-2, -1, 1, 2))
+            yield f"diagonal-{n}-{copy}", rows
+
+
+def write_input(rows, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        if path.endswith(".csv"):
+            handle.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
+        else:
+            json.dump({"matrix": rows}, handle)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # recorded, not raised: the corpus must finish
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+            code = 1
+    text = out.getvalue()
+    for pattern, repl in WALL_TIME:
+        text = pattern.sub(repl, text)
+    return text, err.getvalue(), code
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    os.makedirs(os.path.join(args.outdir, "inputs"), exist_ok=True)
+    os.chdir(args.outdir)  # relative paths, so messages do not name OUTDIR
+    matrices = [("worked", WORKED), ("lost-root", LOST_ROOT)]
+    matrices += list(seeded_matrices(args.seed))
+    runs = 0
+    for index, (name, rows) in enumerate(matrices):
+        path = os.path.join("inputs", f"{index:02d}-{name}.{('csv', 'json')[index % 2]}")
+        write_input(rows, path)
+        for mode in ("exact", "float"):
+            for eps in ("1e-7", "1e-30"):
+                for fmt in ("json", "text"):
+                    stem = f"{index:02d}-{name}-{mode}-{eps}-{fmt}"
+                    argv = [path, "--mode", mode, "--epsilon", eps, "--format", fmt]
+                    if fmt == "json":
+                        argv += ["--svg", f"{stem}.svg"]
+                    out, err, code = run_main(argv)
+                    for suffix, text in (("out", out), ("err", err), ("code", f"{code}\n")):
+                        with open(f"{stem}.{suffix}", "w", encoding="utf-8") as handle:
+                            handle.write(text)
+                    runs += 1
+    print(f"{runs} runs written to {os.getcwd()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

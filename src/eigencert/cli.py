@@ -32,7 +32,7 @@ from eigencert.numerics import (
     parse_decimal,
 )
 from eigencert.refine import refine_all
-from eigencert.report import Report, build_report, to_json
+from eigencert.report import build_report, to_json
 from eigencert.svg import render_svg
 
 
@@ -113,8 +113,8 @@ def load_matrix(path: str, mode: str) -> SquareMatrix:
 
 
 def run(path: str, *, mode: str = "exact", epsilon: str = "1e-7",
-        column_disks: bool = False) -> Report:
-    """Parse, localize, refine; returns the full report."""
+        column_disks: bool = False) -> dict:
+    """Parse, localize, refine; returns the report as its JSON object."""
     eps_exact = parse_decimal(epsilon)
     if not eps_exact > 0:
         raise ParseError(f"epsilon must be positive, got {epsilon!r}")
@@ -132,39 +132,42 @@ def run(path: str, *, mode: str = "exact", epsilon: str = "1e-7",
     )
 
 
-def render_text(report: Report) -> str:
+def render_text(report: dict) -> str:
+    n = report["n"]
     lines = []
-    lines.append(f"{report.n} x {report.n} matrix, {report.mode} mode")
+    lines.append(f"{n} x {n} matrix, {report['mode']} mode")
     desc = ", ".join(
         f"{c}*x^{k}" if k else str(c)
-        for k, c in reversed(list(enumerate(report.characteristic_polynomial)))
+        for k, c in reversed(list(enumerate(report["characteristic_polynomial"])))
     )
     lines.append(f"characteristic polynomial: {desc}")
-    lines.append(f"distinct real eigenvalues (sigma of H1): {report.sigma_h1}")
+    lines.append(f"distinct real eigenvalues (sigma of H1): {report['sigma_h1']}")
     lines.append("")
     lines.append("Gershgorin disks:")
-    for d in report.disks:
-        lines.append(f"  row {d.row + 1}: center {d.center}, radius {d.radius} -> {d.verdict}")
-    lines.append("")
-    lines.append("candidate intervals:")
-    if not report.initial_intervals:
-        lines.append("  (none)")
-    for t in report.initial_intervals:
-        verdict = "contains real" if t.contains_real else "empty"
+    for d in report["disks"]:
         lines.append(
-            f"  [{t.lo}, {t.hi}] sigma={t.sigma_hq} -> {verdict}"
-            + (f" (>= {t.min_root_count} inside)" if t.contains_real else "")
+            f"  row {d['row'] + 1}: center {d['center']}, radius {d['radius']} -> {d['verdict']}"
         )
     lines.append("")
-    lines.append(f"refined intervals (epsilon = {report.epsilon}):")
-    if not report.final_intervals:
+    lines.append("candidate intervals:")
+    if not report["initial_intervals"]:
         lines.append("  (none)")
-    for t in report.final_intervals:
-        lines.append(f"  [{t.lo}, {t.hi}] width {t.width}")
-    if report.point_eigenvalues:
+    for t in report["initial_intervals"]:
+        verdict = "contains real" if t["contains_real"] else "empty"
+        lines.append(
+            f"  [{t['lo']}, {t['hi']}] sigma={t['sigma_hq']} -> {verdict}"
+            + (f" (>= {t['min_root_count']} inside)" if t["contains_real"] else "")
+        )
+    lines.append("")
+    lines.append(f"refined intervals (epsilon = {report['epsilon']}):")
+    if not report["final_intervals"]:
+        lines.append("  (none)")
+    for t in report["final_intervals"]:
+        lines.append(f"  [{t['lo']}, {t['hi']}] width {t['width']}")
+    if report["point_eigenvalues"]:
         lines.append("")
-        lines.append("point eigenvalues: " + ", ".join(report.point_eigenvalues))
-    m = report.metrics
+        lines.append("point eigenvalues: " + ", ".join(report["point_eigenvalues"]))
+    m = report["metrics"]
     lines.append("")
     lines.append(
         f"{m['candidate_interval_count']} candidates, "

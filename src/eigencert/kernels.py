@@ -19,6 +19,7 @@ Conventions shared by every kernel:
 * kernels never mutate their arguments and never import backend modules.
 """
 
+import math
 from operator import mul
 
 # certbench/run.py prints this on its environment line; benchmark figures
@@ -409,18 +410,8 @@ def bareiss_inertia(rows):
 
 def int_content_strip(coeffs):
     """Divide an integer coefficient list by its positive content."""
-    g = 0
-    for c in coeffs:
-        if c < 0:
-            c = -c
-        if g == 0:
-            g = c
-        elif c != 0:
-            while c:
-                g, c = c, g % c
-        if g == 1:
-            return list(coeffs)
-    if g == 0 or g == 1:
+    g = math.gcd(*coeffs)
+    if g <= 1:
         return list(coeffs)
     return [c // g for c in coeffs]
 

@@ -233,12 +233,12 @@ def _covered(point, segments) -> bool:
 def candidate_points(disks, column_segments=None) -> list:
     """Sorted breakpoints cutting the certified region into candidates.
 
-    Takes center and both boundaries of every contains-real disk, plus the
-    boundaries of any disk (whatever its verdict) that meets the certified
-    union - an empty disk overlapping a certified one still shapes where
-    roots can hide.  Points outside the certified union are dropped.  With
-    column_segments given, the union is first clipped to it (column disks
-    also bound the spectrum) and the clip edges join the breakpoints.
+    Takes the center of every contains-real disk and both boundaries of
+    every disk, whatever its verdict - an empty disk overlapping a
+    certified one still shapes where roots can hide.  Points outside the
+    certified union are dropped.  With column_segments given, the union is
+    first clipped to it (column disks also bound the spectrum) and the
+    clip edges join the breakpoints.
     """
     yes = [d for d in disks if d.verdict == CONTAINS_REAL]
     if not yes:
@@ -246,13 +246,9 @@ def candidate_points(disks, column_segments=None) -> list:
     segments = _merge_segments([(d.center - d.radius, d.center + d.radius) for d in yes])
     if column_segments is not None:
         segments = _intersect_segments(segments, _merge_segments(column_segments))
-    points = set()
-    for d in yes:
-        points.update((d.center - d.radius, d.center, d.center + d.radius))
+    points = {d.center for d in yes}
     for d in disks:
-        lo, hi = d.center - d.radius, d.center + d.radius
-        if any(lo <= b and a <= hi for a, b in segments):
-            points.update((lo, hi))
+        points.update((d.center - d.radius, d.center + d.radius))
     for seg in segments:
         points.update(seg)
     return sorted(p for p in points if _covered(p, segments))

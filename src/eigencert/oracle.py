@@ -1,12 +1,13 @@
 """Independent slow paths used to check the fast ones.
 
 Nothing here shares an algorithm with the production pipeline: the
-characteristic polynomial comes from cofactor expansion instead of trace
-recurrences, the Hermite forms from dense products with the companion
-matrix instead of Newton power sums laid out as Hankel matrices, root
-counting and isolation from Sturm chains instead of Hermite signatures,
-and the dense eigensolver is mpmath's QR iteration.  Tests hold the two
-sides against each other.
+characteristic polynomial comes from cofactor expansion instead of
+division-free Berkowitz, the Hermite forms from dense products with the
+companion matrix instead of Newton power sums laid out as Hankel
+matrices, root counting and isolation from the textbook Sturm chain over
+Fraction (field remainders) instead of the primitive integer chain that
+every signature is read from, and the dense eigensolver is mpmath's QR
+iteration.  Tests hold the two sides against each other.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def naive_charpoly(m: SquareMatrix) -> Poly:
 
     Exponential-with-memo (about n 2^n polynomial terms); fine for the
     n <= 8 matrices it is used on, and entirely independent of the
-    Faddeev-Leverrier / La Budde routes.
+    Berkowitz route of charpoly().
     """
     n = m.n
     backend = m.backend
@@ -127,8 +128,10 @@ def sturm_isolate_roots(p: Poly, eps) -> list:
     """Disjoint intervals of width <= eps, one per real root of p.
 
     Exact backend, square-free p.  Plain Sturm bisection inside the Cauchy
-    bound; a midpoint that is a root becomes the zero-width interval
-    [m, m] and the remaining roots are isolated on the deflated quotient.
+    bound, on the textbook Fraction chain of poly.sturm_chain rather than
+    the pipeline's primitive integer chain; a midpoint that is a root
+    becomes the zero-width interval [m, m] and the remaining roots are
+    isolated on the deflated quotient.
     """
     if p.backend != EXACT:
         raise ValueError("root isolation is exact-only")

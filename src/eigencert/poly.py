@@ -66,10 +66,6 @@ class Poly:
         vals = [(-c if k % 2 else c) for k, c in enumerate(self.coeffs)]
         return _strip(vals, self.backend)
 
-    def scaled(self, factor) -> "Poly":
-        factor = self.backend.convert(factor)
-        return _strip([c * factor for c in self.coeffs], self.backend)
-
     def deflated(self, root) -> "Poly":
         """Exact synthetic division by (x - root); root must be a root."""
         root = self.backend.convert(root)

@@ -1,65 +1,31 @@
-"""Structured results: dataclasses plus lossless JSON round-tripping.
+"""The report: the JSON object of one run, built as a plain dict.
 
-Every scalar is an exact rational serialized as text ("p/q" or an
-integer) in both modes, so a report can be reloaded without losing the
-certificates' meaning.  `bits` is always None: both modes read their
-input exactly.  The field stays because readers of the JSON report, such
-as certbench's checker, look it up.
+Every scalar is an exact rational written as text ("p/q" or an integer)
+in both modes, so a report can be reloaded without losing the
+certificates' meaning.  The key tuples below fix each object's keys and
+their order; `build_report` fills them and `from_json` checks a payload
+against them.  `bits` is always None: both modes read their input
+exactly.  The key stays because readers of the JSON report, such as
+certbench's checker, look it up.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 
 from eigencert.numerics import ParseError
 
-
-@dataclass
-class DiskRecord:
-    row: int
-    center: str
-    radius: str
-    verdict: str
-
-
-@dataclass
-class IntervalRecord:
-    lo: str
-    hi: str
-    contains_real: bool
-    sigma_hq: int | None
-    min_root_count: int
-    sources: list = field(default_factory=list)
-
-
-@dataclass
-class FinalIntervalRecord:
-    lo: str
-    hi: str
-    width: str
-    min_root_count: int
-    sources: list = field(default_factory=list)
-
-
-@dataclass
-class Report:
-    n: int
-    mode: str
-    bits: int | None
-    epsilon: str
-    characteristic_polynomial: list  # ascending coefficient strings
-    sigma_h1: int
-    disks: list
-    initial_intervals: list
-    final_intervals: list
-    point_eigenvalues: list
-    metrics: dict
-
-
-def scalar_text(value) -> str:
-    return str(value)
+REPORT_KEYS = (
+    "n", "mode", "bits", "epsilon", "characteristic_polynomial", "sigma_h1",
+    "disks", "initial_intervals", "final_intervals", "point_eigenvalues", "metrics",
+)
+DISK_KEYS = ("row", "center", "radius", "verdict")
+INTERVAL_KEYS = ("lo", "hi", "contains_real", "sigma_hq", "min_root_count", "sources")
+FINAL_KEYS = ("lo", "hi", "width", "min_root_count", "sources")
+RECORD_KEYS = {"disks": DISK_KEYS, "initial_intervals": INTERVAL_KEYS,
+               "final_intervals": FINAL_KEYS}
 
 
 def text_scalar(text: str) -> Fraction:
@@ -70,111 +36,68 @@ def text_scalar(text: str) -> Fraction:
         raise ParseError(f"bad scalar in report: {text!r}") from exc
 
 
-def compute_metrics(final_records, wall_time: float | None) -> dict:
-    """Width statistics recomputed from serialized final intervals.
-
-    Exact arithmetic, so the same records always give the same strings,
-    which is what the round-trip tests rely on.
-    """
-    widths = [text_scalar(rec.hi) - text_scalar(rec.lo) for rec in final_records]
-    metrics = {
-        "candidate_interval_count": None,  # caller fills
-        "final_interval_count": len(final_records),
-        "max_width": None,
-        "average_width": None,
-        "wall_time_seconds": wall_time,
-    }
-    if widths:
-        metrics["max_width"] = scalar_text(max(widths))
-        metrics["average_width"] = scalar_text(sum(widths) / len(widths))
-    return metrics
-
-
 def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
-                 wall_time: float) -> Report:
-    """Assemble the full report from a LocateResult and refined intervals."""
+                 wall_time: float) -> dict:
+    """The report of a LocateResult and its refined intervals."""
+
+    def final_text(value: Fraction) -> str:
+        try:
+            return str(value)
+        except ValueError:  # the interpreter's limit on int -> str digits
+            raise ParseError(
+                f"--epsilon {epsilon_text} is too small: a final interval needs "
+                f"more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+
     disks = [
-        DiskRecord(d.row, scalar_text(d.center), scalar_text(d.radius), d.verdict)
+        dict(zip(DISK_KEYS, (d.row, str(d.center), str(d.radius), d.verdict)))
         for d in result.disks
     ]
     initial = [
-        IntervalRecord(
-            scalar_text(t.lo), scalar_text(t.hi), t.contains_real, t.sigma,
-            t.min_root_count, list(t.sources),
-        )
+        dict(zip(INTERVAL_KEYS, (str(t.lo), str(t.hi), t.contains_real, t.sigma,
+                                 t.min_root_count, list(t.sources))))
         for t in result.tested
     ]
+    widths = [iv.hi - iv.lo for iv in final_intervals]
     final = [
-        FinalIntervalRecord(
-            scalar_text(iv.lo), scalar_text(iv.hi), scalar_text(iv.hi - iv.lo),
-            iv.min_root_count, list(iv.sources),
-        )
-        for iv in final_intervals
+        dict(zip(FINAL_KEYS, (final_text(iv.lo), final_text(iv.hi), final_text(w),
+                              iv.min_root_count, list(iv.sources))))
+        for iv, w in zip(final_intervals, widths)
     ]
-    metrics = compute_metrics(final, wall_time)
-    metrics["candidate_interval_count"] = len(initial)
-    return Report(
-        n=result.context.original.degree(),
-        mode=mode,
-        bits=None,
-        epsilon=epsilon_text,
-        characteristic_polynomial=[scalar_text(c) for c in result.context.original.coeffs],
-        sigma_h1=result.context.base_signature,
-        disks=disks,
-        initial_intervals=initial,
-        final_intervals=final,
-        point_eigenvalues=[scalar_text(p) for p in result.points],
-        metrics=metrics,
-    )
-
-
-def to_dict(report: Report) -> dict:
-    """The dict dataclasses.asdict gives, with fresh lists but no deep copy."""
-    return {
-        "n": report.n,
-        "mode": report.mode,
-        "bits": report.bits,
-        "epsilon": report.epsilon,
-        "characteristic_polynomial": list(report.characteristic_polynomial),
-        "sigma_h1": report.sigma_h1,
-        "disks": [dict(vars(d)) for d in report.disks],
-        "initial_intervals": [
-            {**vars(t), "sources": list(t.sources)} for t in report.initial_intervals
-        ],
-        "final_intervals": [
-            {**vars(t), "sources": list(t.sources)} for t in report.final_intervals
-        ],
-        "point_eigenvalues": list(report.point_eigenvalues),
-        "metrics": dict(report.metrics),
+    metrics = {
+        "candidate_interval_count": len(initial),
+        "final_interval_count": len(final),
+        "max_width": final_text(max(widths)) if widths else None,
+        "average_width": final_text(sum(widths) / len(widths)) if widths else None,
+        "wall_time_seconds": wall_time,
     }
+    poly = result.context.original
+    return dict(zip(REPORT_KEYS, (
+        poly.degree(), mode, None, epsilon_text, [str(c) for c in poly.coeffs],
+        result.context.base_signature, disks, initial, final,
+        [str(p) for p in result.points], metrics,
+    )))
 
 
-def to_json(report: Report) -> str:
-    return json.dumps(to_dict(report), indent=2)
+def to_json(report: dict) -> str:
+    return json.dumps(report, indent=2)
 
 
-def from_dict(data: dict) -> Report:
-    try:
-        return Report(
-            n=data["n"],
-            mode=data["mode"],
-            bits=data["bits"],
-            epsilon=data["epsilon"],
-            characteristic_polynomial=list(data["characteristic_polynomial"]),
-            sigma_h1=data["sigma_h1"],
-            disks=[DiskRecord(**d) for d in data["disks"]],
-            initial_intervals=[IntervalRecord(**d) for d in data["initial_intervals"]],
-            final_intervals=[FinalIntervalRecord(**d) for d in data["final_intervals"]],
-            point_eigenvalues=list(data["point_eigenvalues"]),
-            metrics=dict(data["metrics"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed report payload: {exc}") from exc
-
-
-def from_json(text: str) -> Report:
+def from_json(text: str) -> dict:
+    """The report in text, with every key of it and of its records checked."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"report is not valid JSON: {exc}") from exc
-    return from_dict(data)
+    if not isinstance(data, dict) or not set(REPORT_KEYS) <= set(data):
+        raise ParseError(f"malformed report payload: need the keys {', '.join(REPORT_KEYS)}")
+    for name, keys in RECORD_KEYS.items():
+        records = data[name]
+        if not isinstance(records, list) or not all(
+            isinstance(r, dict) and r.keys() == set(keys) for r in records
+        ):
+            raise ParseError(
+                f"malformed report payload: each of {name} needs exactly the keys "
+                + ", ".join(keys)
+            )
+    return data

@@ -6,7 +6,7 @@ the same report always renders byte-identical output.
 
 from __future__ import annotations
 
-from eigencert.report import Report, text_scalar
+from eigencert.report import text_scalar
 
 _WIDTH = 900
 _MARGIN = 40
@@ -22,20 +22,20 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_svg(report: Report) -> str:
+def render_svg(report: dict) -> str:
     disks = [
-        (float(text_scalar(d.center)), float(text_scalar(d.radius)), d.verdict)
-        for d in report.disks
+        (float(text_scalar(d["center"])), float(text_scalar(d["radius"])), d["verdict"])
+        for d in report["disks"]
     ]
-    points = [float(text_scalar(p)) for p in report.point_eigenvalues]
+    points = [float(text_scalar(p)) for p in report["point_eigenvalues"]]
     segments = [
-        (float(text_scalar(t.lo)), float(text_scalar(t.hi)))
-        for t in report.initial_intervals
-        if t.contains_real
+        (float(text_scalar(t["lo"])), float(text_scalar(t["hi"])))
+        for t in report["initial_intervals"]
+        if t["contains_real"]
     ]
     refined = [
-        (float(text_scalar(t.lo)), float(text_scalar(t.hi)))
-        for t in report.final_intervals
+        (float(text_scalar(t["lo"])), float(text_scalar(t["hi"])))
+        for t in report["final_intervals"]
     ]
     xs = [c - r for c, r, _ in disks] + [c + r for c, r, _ in disks] + points
     if not xs:

@@ -131,11 +131,11 @@ def test_criterion_5_refined_pipeline(tmp_path):
         started = time.perf_counter()
         report = run(write_worked(tmp_path), epsilon="1e-7")
         elapsed = time.perf_counter() - started
-        assert len(report.final_intervals) == 3
+        assert len(report["final_intervals"]) == 3
         for rec, eig, (ref_lo, ref_hi) in zip(
-            report.final_intervals, REAL_EIGENVALUES, REFERENCE_ENCLOSURES
+            report["final_intervals"], REAL_EIGENVALUES, REFERENCE_ENCLOSURES
         ):
-            lo, hi = text_scalar(rec.lo), text_scalar(rec.hi)
+            lo, hi = text_scalar(rec["lo"]), text_scalar(rec["hi"])
             assert hi - lo <= F(1, 10**7)
             assert lo <= eig <= hi
             assert max(lo, ref_lo) <= min(hi, ref_hi)  # nonempty intersection

@@ -92,10 +92,10 @@ def test_load_matrix_not_utf8(tmp_path, capsys):
 
 def test_run_worked(tmp_path):
     report = cli.run(write_worked_csv(tmp_path), epsilon="0.01")
-    assert report.mode == "exact" and report.bits is None
-    assert len(report.final_intervals) == 3
-    for rec in report.final_intervals:
-        assert F(rec.width) <= F(1, 100)
+    assert report["mode"] == "exact" and report["bits"] is None
+    assert len(report["final_intervals"]) == 3
+    for rec in report["final_intervals"]:
+        assert F(rec["width"]) <= F(1, 100)
 
 
 def test_run_rejects_bad_epsilon(tmp_path):
@@ -238,6 +238,24 @@ def test_main_svg_unwritable_exit_2(tmp_path, capsys, target):
 def test_main_missing_file_exit_2(capsys):
     assert cli.main(["/no/such/file.csv"]) == 2
     capsys.readouterr()
+
+
+def test_main_epsilon_past_digit_limit_exit_2(tmp_path, capsys):
+    # the final cells of 1e-700 need more digits than the lowered limit
+    # converts to text, so the report cannot be written
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main([str(path), "--epsilon", "1e-700", "--format", "json"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eigencert: input error: --epsilon 1e-700 is too small")
+    assert captured.err.count("\n") == 1
 
 
 def test_main_epsilon_error_exit_2(tmp_path, capsys):

@@ -11,16 +11,13 @@ on a float backend is certified as the exact values of its binary floats.
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.localize import CertificationContext, certify_interval, locate
 from eigencert.numerics import (
-    DEFAULT_BITS,
     EXACT,
     BackendMismatchError,
     InternalConsistencyError,
     ParseError,
-    PrecisionExhaustedError,
     UnsupportedOperationError,
     float_backend,
     parse_decimal,
-    to_float,
 )
 from eigencert.poly import Poly
 from eigencert.refine import refine_all, refine_interval
@@ -41,12 +38,10 @@ def __getattr__(name):
 __all__ = [
     "BackendMismatchError",
     "CertificationContext",
-    "DEFAULT_BITS",
     "EXACT",
     "InternalConsistencyError",
     "ParseError",
     "Poly",
-    "PrecisionExhaustedError",
     "SquareMatrix",
     "UnsupportedOperationError",
     "__version__",
@@ -58,5 +53,4 @@ __all__ = [
     "refine_all",
     "refine_interval",
     "run",
-    "to_float",
 ]

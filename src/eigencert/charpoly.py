@@ -9,8 +9,9 @@ return monic ascending polynomials equal to det(xI - A).
 
 The pipeline runs only the exact route: locate replaces a float matrix
 by the exact values of its entries.  Faddeev-Leverrier, on the same
-cleared integer matrix, is the tests' independent cross-check of the exact
-route, and the float route is their fixed-precision reference.
+cleared integer matrix and on exact matrices only, is the tests'
+independent cross-check of the exact route, and the float route is their
+fixed-precision reference.
 """
 
 from __future__ import annotations
@@ -112,17 +113,14 @@ def _cleared_charpoly(m: SquareMatrix, kernel) -> Poly:
 
 
 def faddeev_leverrier(m: SquareMatrix) -> Poly:
-    """Characteristic polynomial by trace recursion; exact for exact input.
+    """Characteristic polynomial of exact m by trace recursion.
 
-    On the exact backend the matrix is scaled to integers first, keeping
-    every step in integer arithmetic; this is the tests' cross-check of
-    charpoly().  On the float backend this runs directly and is only a
-    diagnostic - use charpoly() for the stable route.
+    The matrix is scaled to integers first, keeping every step in integer
+    arithmetic; this is the tests' cross-check of charpoly().
     """
-    if m.backend == EXACT:
-        return _cleared_charpoly(m, kernels.fl_charpoly_int)
-    raw = kernels.fl_charpoly([list(r) for r in m.rows])
-    return Poly.from_coeffs(raw, m.backend)
+    if m.backend != EXACT:
+        raise UnsupportedOperationError("Faddeev-Leverrier runs on exact matrices only")
+    return _cleared_charpoly(m, kernels.fl_charpoly_int)
 
 
 def hessenberg_reduce(m: SquareMatrix) -> HessenbergForm:

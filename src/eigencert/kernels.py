@@ -3,9 +3,9 @@
 These are the inner loops of the package: polynomial evaluation (over a
 field, and homogeneous integer Horner at rational points) and division,
 Newton power sums, characteristic polynomials (division-free Berkowitz
-on integers, the pipeline's; Faddeev-Leverrier on integers and over a
-field, its cross-check; and La Budde on Hessenberg forms), the Hankel
-build of Hermite forms, symmetric inertia (rational LDL and fraction-free
+on integers, the pipeline's; Faddeev-Leverrier on integers, its
+cross-check; and La Budde on Hessenberg forms), the Hankel build of
+Hermite forms, symmetric inertia (rational LDL and fraction-free
 Bareiss), and primitive integer pseudo-remainders.
 
 Conventions shared by every kernel:
@@ -192,29 +192,6 @@ def berkowitz_charpoly_int(rows):
     return desc[::-1]
 
 
-def fl_charpoly(rows):
-    """Faddeev-Leverrier over a field (Fraction or mpf entries)."""
-    n = len(rows)
-    one = rows[0][0] * 0 + 1
-    coeffs = [one * 0] * (n + 1)
-    coeffs[n] = one
-    work = [list(r) for r in rows]
-    tr = work[0][0]
-    for i in range(1, n):
-        tr = tr + work[i][i]
-    coeffs[n - 1] = -tr
-    for k in range(2, n + 1):
-        shift = coeffs[n - k + 1]
-        for i in range(n):
-            work[i][i] = work[i][i] + shift
-        work = mat_mul(rows, work)
-        tr = work[0][0]
-        for i in range(1, n):
-            tr = tr + work[i][i]
-        coeffs[n - k] = -tr / k
-    return coeffs
-
-
 def labudde_charpoly(alphas, betas, hrows):
     """Characteristic polynomial of an upper Hessenberg matrix, ascending.
 
@@ -277,8 +254,9 @@ def ldl_inertia(rows):
     every remaining diagonal entry is exactly zero, a nonzero off-diagonal
     b gives a 2x2 block [[0,b],[b,0]] contributing one positive and one
     negative eigenvalue; if the whole remainder is zero the rest of the
-    inertia is zeros.  Exact over Fraction; over floats the comparisons are
-    exact on representations (callers cross-check the result).
+    inertia is zeros.  Exact over Fraction, where the tests hold Bareiss
+    against it; over floats it is only as good as the rounded entries, so
+    no signature is taken from it.
     """
     n = len(rows)
     a = [list(r) for r in rows]

@@ -175,26 +175,23 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     """Signature test for [lo, hi] with q = (x - lo)(x - hi).
 
     The verdict covers the closed interval; min_root_count counts the
-    distinct roots strictly inside (endpoint roots, detected by direct
-    evaluation, are subtracted out).  p is square-free, so the count is
-    exact.
+    distinct roots strictly inside, V(lo) - V(hi) less a root at hi.  p is
+    square-free, so the count is exact.
     """
     lo = ctx.backend.convert(lo)
     hi = ctx.backend.convert(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     sigma_q = ctx.sigma_q(lo, hi)
-    sigma_1 = ctx.base_signature
-    contains = sigma_q != sigma_1
-    endpoint_roots = int(ctx.sign_at(lo) == 0) + int(ctx.sign_at(hi) == 0)
-    drop = sigma_1 - sigma_q - endpoint_roots
-    # p is square-free: each root strictly inside lowers sigma by 2, each
-    # endpoint root by 1, and nothing else moves it
-    if drop < 0 or drop % 2:
+    inside = ctx.variations(lo) - ctx.variations(hi) - (ctx.sign_at(hi) == 0)
+    # a Sturm chain's variations never rise from lo to hi
+    if inside < 0:
         raise InternalConsistencyError(
-            f"signature drop {drop} on [{lo}, {hi}] is not an even count of roots"
+            f"signature drop on [{lo}, {hi}] counts {inside} roots inside: "
+            "the Sturm chain is faulty"
         )
-    return CertifiedInterval(lo, hi, contains, sigma_q, drop // 2, tuple(sources))
+    contains = sigma_q != ctx.base_signature
+    return CertifiedInterval(lo, hi, contains, sigma_q, inside, tuple(sources))
 
 
 def _merge_segments(segments):
@@ -284,11 +281,7 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
                 for d in gershgorin_disks(m.transpose())
             ]
         breakpoints = candidate_points(certified, col_segments)
-        pairs = [
-            (breakpoints[k], breakpoints[k + 1])
-            for k in range(len(breakpoints) - 1)
-            if breakpoints[k] < breakpoints[k + 1]
-        ]
+        pairs = list(zip(breakpoints, breakpoints[1:]))
         # a candidate's sources are the contains-real disks its interior meets
         yes_ends = [
             (d.center - d.radius, d.center + d.radius, d.row)

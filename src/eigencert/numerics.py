@@ -29,7 +29,6 @@ except ImportError:  # gmpy2 is optional (the "fast" extra)
     _fast_int = int
 
 MIN_BITS = 64
-DEFAULT_BITS = 256
 
 
 class ParseError(ValueError):
@@ -44,16 +43,8 @@ class UnsupportedOperationError(RuntimeError):
     """Operation is meaningless on this backend (e.g. float-mode gcd)."""
 
 
-class PrecisionExhaustedError(ArithmeticError):
-    """Float-mode results disagree between independent methods.
-
-    The computation is not wrong, it is undecidable at the working precision;
-    callers should retry with more bits or in exact mode.
-    """
-
-
 class InternalConsistencyError(ArithmeticError):
-    """An internal invariant failed; indicates a bug or hopeless rounding."""
+    """An internal invariant failed; indicates a bug."""
 
 
 # Optional sign, digits with optional fractional part, optional exponent.
@@ -129,9 +120,6 @@ class ExactBackend:
     def owns(self, value) -> bool:
         return isinstance(value, Fraction)
 
-    def to_text(self, value) -> str:
-        return str(value)
-
     def __repr__(self):
         return "ExactBackend()"
 
@@ -154,8 +142,6 @@ class FloatBackend:
         ctx = MPContext()
         ctx.prec = bits
         self.ctx = ctx
-        # Digits needed so that to_text/parse round-trips exactly.
-        self.repr_digits = int(bits / 3.3219280948873626) + 3
 
     @property
     def zero(self):
@@ -189,9 +175,6 @@ class FloatBackend:
     def owns(self, value) -> bool:
         return isinstance(value, self.ctx.mpf)
 
-    def to_text(self, value) -> str:
-        return self.ctx.nstr(value, self.repr_digits, strip_zeros=True)
-
     def __repr__(self):
         return f"FloatBackend(bits={self.bits})"
 
@@ -206,18 +189,9 @@ EXACT = ExactBackend()
 
 
 @lru_cache(maxsize=None)
-def float_backend(bits: int = DEFAULT_BITS) -> FloatBackend:
+def float_backend(bits: int) -> FloatBackend:
     """Shared FloatBackend for the given precision."""
     return FloatBackend(bits)
-
-
-def to_float(value, bits: int = DEFAULT_BITS):
-    """Round an exact rational (or int) to an mpmath float, correctly."""
-    if isinstance(value, int):
-        value = Fraction(value)
-    if not isinstance(value, Fraction):
-        raise BackendMismatchError(f"to_float expects an exact value, got {value!r}")
-    return float_backend(bits).from_fraction(value)
 
 
 def exact_value(value) -> Fraction:

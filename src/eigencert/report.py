@@ -6,7 +6,9 @@ certificates' meaning.  The key tuples below fix each object's keys and
 their order; `build_report` fills them and `from_json` checks a payload
 against them.  `bits` is always None: both modes read their input
 exactly.  The key stays because readers of the JSON report, such as
-certbench's checker, look it up.
+certbench's checker, look it up.  A number with more digits than the
+interpreter converts to text is an input error that names its cause: the
+matrix entries, or --epsilon for the final intervals.
 """
 
 from __future__ import annotations
@@ -36,46 +38,51 @@ def text_scalar(text: str) -> Fraction:
         raise ParseError(f"bad scalar in report: {text!r}") from exc
 
 
+def _text(value: Fraction, cause: str) -> str:
+    """str(value), or ParseError naming cause past the int -> str digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # the interpreter's limit on int -> str digits
+        raise ParseError(
+            f"{cause}: the report needs a number of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
                  wall_time: float) -> dict:
     """The report of a LocateResult and its refined intervals."""
-
-    def final_text(value: Fraction) -> str:
-        try:
-            return str(value)
-        except ValueError:  # the interpreter's limit on int -> str digits
-            raise ParseError(
-                f"--epsilon {epsilon_text} is too small: a final interval needs "
-                f"more than {sys.get_int_max_str_digits()} digits"
-            ) from None
-
+    entries = "the matrix entries are too large"
+    epsilon = f"--epsilon {epsilon_text} is too small"
     disks = [
-        dict(zip(DISK_KEYS, (d.row, str(d.center), str(d.radius), d.verdict)))
+        dict(zip(DISK_KEYS, (d.row, _text(d.center, entries), _text(d.radius, entries),
+                             d.verdict)))
         for d in result.disks
     ]
     initial = [
-        dict(zip(INTERVAL_KEYS, (str(t.lo), str(t.hi), t.contains_real, t.sigma,
-                                 t.min_root_count, list(t.sources))))
+        dict(zip(INTERVAL_KEYS, (_text(t.lo, entries), _text(t.hi, entries),
+                                 t.contains_real, t.sigma, t.min_root_count,
+                                 list(t.sources))))
         for t in result.tested
     ]
     widths = [iv.hi - iv.lo for iv in final_intervals]
     final = [
-        dict(zip(FINAL_KEYS, (final_text(iv.lo), final_text(iv.hi), final_text(w),
-                              iv.min_root_count, list(iv.sources))))
+        dict(zip(FINAL_KEYS, (_text(iv.lo, epsilon), _text(iv.hi, epsilon),
+                              _text(w, epsilon), iv.min_root_count, list(iv.sources))))
         for iv, w in zip(final_intervals, widths)
     ]
     metrics = {
         "candidate_interval_count": len(initial),
         "final_interval_count": len(final),
-        "max_width": final_text(max(widths)) if widths else None,
-        "average_width": final_text(sum(widths) / len(widths)) if widths else None,
+        "max_width": _text(max(widths), epsilon) if widths else None,
+        "average_width": _text(sum(widths) / len(widths), epsilon) if widths else None,
         "wall_time_seconds": wall_time,
     }
     poly = result.context.original
     return dict(zip(REPORT_KEYS, (
-        poly.degree(), mode, None, epsilon_text, [str(c) for c in poly.coeffs],
+        poly.degree(), mode, None, epsilon_text, [_text(c, entries) for c in poly.coeffs],
         result.context.base_signature, disks, initial, final,
-        [str(p) for p in result.points], metrics,
+        [_text(p, entries) for p in result.points], metrics,
     )))
 
 

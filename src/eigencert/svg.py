@@ -1,15 +1,21 @@
 """SVG picture of a report: disks, certified segments, refined intervals.
 
 Pure function of the report contents (no timestamps, no randomness), so
-the same report always renders byte-identical output.
+the same report always renders byte-identical output.  The picture is
+drawn in doubles, so a report that reaches beyond their range, by a value
+or by the span of its values, raises ParseError.
 """
 
 from __future__ import annotations
 
+import math
+
+from eigencert.numerics import ParseError
 from eigencert.report import text_scalar
 
 _WIDTH = 900
 _MARGIN = 40
+_BEYOND_DOUBLES = "--svg cannot draw this report: it reaches beyond the range of a double"
 
 _DISK_STYLE = {
     "contains-real-eigenvalue": ("#d35400", "#fdebd0", "0.55"),
@@ -22,21 +28,24 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text_scalar(text))
+    except OverflowError:
+        raise ParseError(_BEYOND_DOUBLES) from None
+
+
 def render_svg(report: dict) -> str:
     disks = [
-        (float(text_scalar(d["center"])), float(text_scalar(d["radius"])), d["verdict"])
-        for d in report["disks"]
+        (_float(d["center"]), _float(d["radius"]), d["verdict"]) for d in report["disks"]
     ]
-    points = [float(text_scalar(p)) for p in report["point_eigenvalues"]]
+    points = [_float(p) for p in report["point_eigenvalues"]]
     segments = [
-        (float(text_scalar(t["lo"])), float(text_scalar(t["hi"])))
+        (_float(t["lo"]), _float(t["hi"]))
         for t in report["initial_intervals"]
         if t["contains_real"]
     ]
-    refined = [
-        (float(text_scalar(t["lo"])), float(text_scalar(t["hi"])))
-        for t in report["final_intervals"]
-    ]
+    refined = [(_float(t["lo"]), _float(t["hi"])) for t in report["final_intervals"]]
     xs = [c - r for c, r, _ in disks] + [c + r for c, r, _ in disks] + points
     if not xs:
         xs = [0.0, 1.0]
@@ -46,6 +55,8 @@ def render_svg(report: dict) -> str:
     pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
+    if math.isinf(hi - lo):  # every value is a double, but not the span
+        raise ParseError(_BEYOND_DOUBLES)
     scale = (_WIDTH - 2 * _MARGIN) / (hi - lo)
     max_radius = max([r for _, r, _ in disks], default=0.0)
     axis_y = max_radius * scale + 60.0

@@ -240,22 +240,48 @@ def test_main_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_main_epsilon_past_digit_limit_exit_2(tmp_path, capsys):
-    # the final cells of 1e-700 need more digits than the lowered limit
-    # converts to text, so the report cannot be written
+@pytest.mark.parametrize(
+    "csv, epsilon, cause",
+    [
+        # the final cells of 1e-700 need more digits than the lowered limit
+        ("1,2\n3,4\n", "1e-700", "--epsilon 1e-700 is too small"),
+        # the charpoly of diag(10^400, 10^400) has the coefficient 10^800
+        (f"{10**400},0\n0,{10**400}\n", "1e-7", "the matrix entries are too large"),
+    ],
+    ids=["tiny-epsilon", "huge-entries"],
+)
+def test_main_epsilon_past_digit_limit_exit_2(tmp_path, capsys, csv, epsilon, cause):
+    # the report cannot be written once a number passes the lowered limit
+    # on int -> str digits
     path = tmp_path / "m.csv"
-    path.write_text("1,2\n3,4\n")
+    path.write_text(csv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code = cli.main([str(path), "--epsilon", "1e-700", "--format", "json"])
+        code = cli.main([str(path), "--epsilon", epsilon, "--format", "json"])
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("eigencert: input error: --epsilon 1e-700 is too small")
+    assert captured.err.startswith(f"eigencert: input error: {cause}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "csv", ["1e400,1\n1,2\n", "1.7e308,1\n1,-1.7e308\n"], ids=["value", "span"]
+)
+def test_main_svg_beyond_double_range_exit_2(tmp_path, capsys, csv):
+    # the run certifies these entries exactly; only the picture needs doubles
+    path = tmp_path / "m.csv"
+    path.write_text(csv)
+    svg = tmp_path / "out.svg"
+    assert cli.main([str(path), "--svg", str(svg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eigencert: input error: --svg cannot draw")
+    assert captured.err.count("\n") == 1
+    assert not svg.exists()
 
 
 def test_main_epsilon_error_exit_2(tmp_path, capsys):
@@ -326,6 +352,11 @@ def test_run_is_a_lazy_package_attribute():
     assert run is cli.run and eigencert.run is cli.run
     with pytest.raises(AttributeError, match="no_such_name"):
         eigencert.no_such_name
+
+
+def test_package_all_resolves():
+    for name in eigencert.__all__:
+        assert getattr(eigencert, name) is not None, name
 
 
 def test_module_entry_point_warns_nothing(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigencert import hermite
+from eigencert import hermite, kernels
 from eigencert.charpoly import SquareMatrix, charpoly, faddeev_leverrier
 from eigencert.hermite import (
     descartes_signature,
@@ -13,7 +13,7 @@ from eigencert.hermite import (
     power_sums,
     signature,
 )
-from eigencert.numerics import EXACT, PrecisionExhaustedError, float_backend
+from eigencert.numerics import EXACT, UnsupportedOperationError
 from eigencert.oracle import companion, dense_hermite
 from eigencert.poly import Poly
 
@@ -148,8 +148,8 @@ def test_inertia_diagonal_cases():
 
 
 def test_inertia_exact_vs_float():
+    # Bareiss inertia on the cleared integer rows against rational LDL
     rng = random.Random(21)
-    fb = float_backend(128)
     for _ in range(10):
         n = rng.randint(2, 5)
         sym = [[Fraction(0)] * n for _ in range(n)]
@@ -157,9 +157,7 @@ def test_inertia_exact_vs_float():
             for j in range(i, n):
                 v = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                 sym[i][j] = sym[j][i] = v
-        me = SquareMatrix.from_rows(sym, EXACT)
-        mf = SquareMatrix.from_rows([[fb.convert(v) for v in row] for row in sym], fb)
-        assert inertia(me) == inertia(mf)
+        assert inertia(SquareMatrix.from_rows(sym, EXACT)) == kernels.ldl_inertia(sym)
 
 
 def test_signature_is_cached():
@@ -178,17 +176,13 @@ def test_exact_signature_above_charpoly_threshold():
     assert hermite._signature_of(m) == 3
 
 
-def test_float_signature_cross_check_disagreement(monkeypatch):
-    fb = float_backend(128)
-    m = SquareMatrix.from_rows([["2", "0"], ["0", "3"]], fb)
-    monkeypatch.setattr(hermite, "inertia", lambda _m: (0, 2, 0))
-    with pytest.raises(PrecisionExhaustedError):
-        hermite._signature_of(m)
-
-
 def test_float_weighted_form_is_symmetric(worked_float):
     p = charpoly(worked_float)
     base = hermite_base(p)
     h = hermite_weighted(base, Poly.from_coeffs(["4.5", "-4.5", "1"], p.backend))
     assert h.matrix.is_symmetric()
-    assert signature(base) == 3
+    # a signature is a certificate, so it is taken on exact forms only
+    with pytest.raises(UnsupportedOperationError):
+        signature(base)
+    with pytest.raises(UnsupportedOperationError):
+        inertia(h.matrix)

@@ -9,7 +9,6 @@ from eigencert.numerics import (
     exact_value,
     float_backend,
     parse_decimal,
-    to_float,
 )
 
 
@@ -69,7 +68,7 @@ def test_float_backend_interned():
 
 def test_to_float_correct_rounding():
     fb = float_backend(64)
-    x = to_float(Fraction(1, 3), 64)
+    x = fb.convert(Fraction(1, 3))
     # round-to-nearest: |x - 1/3| <= 2^-66 (half ulp of a 64-bit mantissa)
     err = abs(exact_value(x) - Fraction(1, 3))
     assert err <= Fraction(1, 2**66)
@@ -77,8 +76,8 @@ def test_to_float_correct_rounding():
 
 
 def test_to_float_dyadic_exact():
-    assert exact_value(to_float(Fraction(5, 8), 64)) == Fraction(5, 8)
-    assert exact_value(to_float(Fraction(-3, 1), 256)) == -3
+    assert exact_value(float_backend(64).convert(Fraction(5, 8))) == Fraction(5, 8)
+    assert exact_value(float_backend(256).convert(Fraction(-3, 1))) == -3
 
 
 def test_float_convert_string_single_rounding():
@@ -86,20 +85,6 @@ def test_float_convert_string_single_rounding():
     via_string = fb.convert("0.1")
     via_fraction = fb.from_fraction(Fraction(1, 10))
     assert via_string == via_fraction
-
-
-def test_text_round_trip_float():
-    fb = float_backend(256)
-    x = fb.convert(Fraction(1, 3))
-    again = fb.convert(fb.to_text(x))
-    assert again == x
-
-
-def test_text_round_trip_exact():
-    from eigencert.report import text_scalar
-
-    assert text_scalar(EXACT.to_text(Fraction(-71, 8))) == Fraction(-71, 8)
-    assert text_scalar("0.625") == Fraction(5, 8)
 
 
 def test_exact_value_rejects_junk():

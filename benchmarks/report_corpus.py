@@ -2,16 +2,18 @@
 
     python3 benchmarks/report_corpus.py OUTDIR [--seed N]
 
-The corpus is the worked 5x5 example, the lost-root 3x3 matrix and 42
+The corpus is the worked 5x5 example, the lost-root 3x3 matrix and 70
 seeded matrices with n = 2-8: integer; integer with one row zero off the
-diagonal; and diagonal with repeated entries plus one corner entry.  The
+diagonal; diagonal with repeated entries plus one corner entry; and
+one- and two-place decimals, whose common denominator is 10 or 100.  The
 matrices are written alternately as CSV and JSON under OUTDIR/inputs.
 Each one runs through `eigencert.cli.main` in both modes, at epsilon
 1e-7 and 1e-30, once with --format json --svg and once with --format
-text: 352 runs.  For each run, OUTDIR gets NAME.out (stdout, with the
-wall time masked), NAME.err (stderr), NAME.code (the exit code) and, for
-the JSON runs, NAME.svg.  An exception that escapes `main` is recorded
-as exit 1 with its type and message.
+text, and once more in exact mode at 1e-7 with --column-disks --format
+json --svg: 648 runs.  For each run, OUTDIR gets NAME.out (stdout, with
+the wall time masked), NAME.err (stderr), NAME.code (the exit code) and,
+for the JSON runs, NAME.svg.  An exception that escapes `main` is
+recorded as exit 1 with its type and message.
 
 Run it on two source trees and compare with `diff -r` to check that a
 change leaves every report byte-identical:
@@ -52,8 +54,14 @@ WALL_TIME = [
 ]
 
 
+def decimal_text(units: int, places: int) -> str:
+    """units / 10**places as decimal text, e.g. (-5, 2) -> "-0.05"."""
+    digits = str(abs(units)).rjust(places + 1, "0")
+    return ("-" if units < 0 else "") + digits[:-places] + "." + digits[-places:]
+
+
 def seeded_matrices(seed: int):
-    """Yield (name, rows) for the 42 seeded matrices, 2 of each kind and n."""
+    """Yield (name, rows) for the 70 seeded matrices, 2 of each kind and n."""
     rng = random.Random(seed)
     for n in range(2, 9):
         for copy in range(2):
@@ -67,6 +75,14 @@ def seeded_matrices(seed: int):
             rows = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
             rows[0][n - 1] = rng.choice((-2, -1, 1, 2))
             yield f"diagonal-{n}-{copy}", rows
+    # drawn after the others, so the first 42 do not depend on them
+    for n in range(2, 9):
+        for copy in range(2):
+            for places in (1, 2):
+                top = 10**places * 10 - 1
+                rows = [[decimal_text(rng.randint(-top, top), places) for _ in range(n)]
+                        for _ in range(n)]
+                yield f"dec{places}-{n}-{copy}", rows
 
 
 def write_input(rows, path: str) -> None:
@@ -105,18 +121,19 @@ def main(argv=None) -> int:
     for index, (name, rows) in enumerate(matrices):
         path = os.path.join("inputs", f"{index:02d}-{name}.{('csv', 'json')[index % 2]}")
         write_input(rows, path)
-        for mode in ("exact", "float"):
-            for eps in ("1e-7", "1e-30"):
-                for fmt in ("json", "text"):
-                    stem = f"{index:02d}-{name}-{mode}-{eps}-{fmt}"
-                    argv = [path, "--mode", mode, "--epsilon", eps, "--format", fmt]
-                    if fmt == "json":
-                        argv += ["--svg", f"{stem}.svg"]
-                    out, err, code = run_main(argv)
-                    for suffix, text in (("out", out), ("err", err), ("code", f"{code}\n")):
-                        with open(f"{stem}.{suffix}", "w", encoding="utf-8") as handle:
-                            handle.write(text)
-                    runs += 1
+        settings = [(mode, eps, fmt, ()) for mode in ("exact", "float")
+                    for eps in ("1e-7", "1e-30") for fmt in ("json", "text")]
+        settings.append(("exact", "1e-7", "json", ("--column-disks",)))
+        for mode, eps, fmt, extra in settings:
+            stem = f"{index:02d}-{name}-{mode}-{eps}-{fmt}" + ("-column" if extra else "")
+            argv = [path, "--mode", mode, "--epsilon", eps, "--format", fmt, *extra]
+            if fmt == "json":
+                argv += ["--svg", f"{stem}.svg"]
+            out, err, code = run_main(argv)
+            for suffix, text in (("out", out), ("err", err), ("code", f"{code}\n")):
+                with open(f"{stem}.{suffix}", "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            runs += 1
     print(f"{runs} runs written to {os.getcwd()}")
     return 0
 

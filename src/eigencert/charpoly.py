@@ -63,13 +63,6 @@ class SquareMatrix:
             acc = acc + self.rows[i][i]
         return acc
 
-    def transpose(self) -> "SquareMatrix":
-        n = self.n
-        return SquareMatrix(
-            tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(n)),
-            self.backend,
-        )
-
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         check_same_backend(self.backend, other.backend)
         prod = kernels.mat_mul([list(r) for r in self.rows], [list(r) for r in other.rows])
@@ -91,11 +84,8 @@ class HessenbergForm:
 
 def cleared_int_rows(m: SquareMatrix):
     """(D*A as big-int rows, D) for exact A; D = lcm of all denominators."""
-    denom = 1
-    for row in m.rows:
-        for v in row:
-            denom = lcm(denom, v.denominator)
-    rows = [[fast_int(int(v * denom)) for v in row] for row in m.rows]
+    denom = lcm(*(v.denominator for row in m.rows for v in row))
+    rows = [[fast_int(v.numerator * (denom // v.denominator)) for v in row] for row in m.rows]
     return rows, denom
 
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 bad input, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -177,7 +178,9 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eigencert",
         description="Certified intervals containing every real eigenvalue "

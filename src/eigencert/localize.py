@@ -15,8 +15,16 @@ Every test has q = (x-a)(x-b).  For square-free p, Hermite-Sylvester
 gives sigma(H_q) = TaQ(q, p) = sigma(H_1) - 2 #{roots in (a, b)} -
 #{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Those counts come
 from one primitive integer Sturm chain of p, built with the context,
-whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b); V is
-memoised by point, so a breakpoint shared by two tests is evaluated once.
+whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b).  V and
+the sign of p are memoised by the point's (numerator, denominator) pair,
+the integers that Horner evaluates on, so a breakpoint shared by two
+tests is evaluated once.
+
+Disks and candidates are found in the integers of B = D*A, A with its
+denominators cleared (D is their lcm): the radii, the disk ends, their
+union, the breakpoints and each candidate's sources are int sums and
+compares.  Each radius R and breakpoint y of B becomes the Fraction R/D
+or y/D once, and the tests run in A's coordinates.
 
 The whole pipeline is exact.  A matrix on a float backend holds binary
 floats, each an exact dyadic rational, so locate certifies the matrix of
@@ -30,11 +38,12 @@ an eigenvalue exactly) and bypass the interval machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from eigencert import kernels
-from eigencert.charpoly import SquareMatrix, charpoly
+from eigencert.charpoly import SquareMatrix, charpoly, cleared_int_rows
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.numerics import EXACT, InternalConsistencyError, exact_value
@@ -89,7 +98,8 @@ class CertificationContext:
     poly: Poly  # monic and square-free
     original: Poly  # characteristic polynomial before deflation
     chain: tuple  # primitive integer Sturm chain of poly
-    # by point: sign variations of the chain, and sign of poly
+    # keyed by a point's (numerator, denominator): sign variations of the
+    # chain, and sign of poly
     _variations: dict = field(default_factory=dict, repr=False, compare=False)
     _signs: dict = field(default_factory=dict, repr=False, compare=False)
     backend = EXACT  # not a field: every context is exact
@@ -119,20 +129,21 @@ class CertificationContext:
         Evaluates the chain's first member by integer Horner, memoised by
         point.
         """
-        sign = self._signs.get(x)
+        key = x.numerator, x.denominator
+        sign = self._signs.get(key)
         if sign is None:
-            value = kernels.horner_homogeneous(self.chain[0], x.numerator, x.denominator)
-            sign = self._signs[x] = (value > 0) - (value < 0)
+            value = kernels.horner_homogeneous(self.chain[0], *key)
+            sign = self._signs[key] = (value > 0) - (value < 0)
         return sign
 
     def variations(self, x) -> int:
         """Sign variations V(x) of the Sturm chain at x, memoised by point."""
-        count = self._variations.get(x)
+        key = x.numerator, x.denominator
+        count = self._variations.get(key)
         if count is None:
-            num, den = x.numerator, x.denominator
-            values = [kernels.horner_homogeneous(f, num, den) for f in self.chain]
-            count = self._variations[x] = kernels.sign_variations(values)
-            self._signs[x] = (values[0] > 0) - (values[0] < 0)
+            values = [kernels.horner_homogeneous(f, *key) for f in self.chain]
+            count = self._variations[key] = kernels.sign_variations(values)
+            self._signs[key] = (values[0] > 0) - (values[0] < 0)
         return count
 
     def sigma_q(self, lo, hi) -> int:
@@ -147,16 +158,17 @@ class CertificationContext:
         return self.base_signature - 2 * (half_open - at_hi) - at_lo - at_hi
 
 
-def gershgorin_disks(m: SquareMatrix) -> list:
-    """Row disks D(a_ii, sum_{j != i} |a_ij|), in row order."""
+def gershgorin_disks(rows) -> list:
+    """Row disks of an integer matrix as (c - r, c, c + r), in row order.
+
+    c is the diagonal entry and r = sum_{j != i} |b_ij|; every value is an
+    int.  Column disks are the row disks of the transpose.
+    """
     disks = []
-    for i in range(m.n):
-        row = m.rows[i]
-        radius = m.backend.zero
-        for j in range(m.n):
-            if j != i:
-                radius = radius + abs(row[j])
-        disks.append(Disk(i, row[i], radius))
+    for i, row in enumerate(rows):
+        c = row[i]
+        r = sum(map(abs, row)) - abs(c)
+        disks.append((c - r, c, c + r))
     return disks
 
 
@@ -227,25 +239,27 @@ def _covered(point, segments) -> bool:
     return any(lo <= point <= hi for lo, hi in segments)
 
 
-def candidate_points(disks, column_segments=None) -> list:
+def candidate_points(disks, yes, column_segments=None) -> list:
     """Sorted breakpoints cutting the certified region into candidates.
 
-    Takes the center of every contains-real disk and both boundaries of
-    every disk, whatever its verdict - an empty disk overlapping a
-    certified one still shapes where roots can hide.  Points outside the
-    certified union are dropped.  With column_segments given, the union is
-    first clipped to it (column disks also bound the spectrum) and the
-    clip edges join the breakpoints.
+    disks holds the (c - r, c, c + r) of every disk and yes those of the
+    contains-real ones, all as the integers of gershgorin_disks.  Takes
+    the center of every contains-real disk and both ends of every disk,
+    whatever its verdict - an empty disk overlapping a certified one still
+    shapes where roots can hide.  Points outside the union of yes are
+    dropped.  With column_segments given, the union is first clipped to
+    it (column disks also bound the spectrum) and the clip edges join the
+    breakpoints.
     """
-    yes = [d for d in disks if d.verdict == CONTAINS_REAL]
     if not yes:
         raise ValueError("no contains-real disk; nothing to localize")
-    segments = _merge_segments([(d.center - d.radius, d.center + d.radius) for d in yes])
+    segments = _merge_segments([(lo, hi) for lo, _, hi in yes])
     if column_segments is not None:
         segments = _intersect_segments(segments, _merge_segments(column_segments))
-    points = {d.center for d in yes}
-    for d in disks:
-        points.update((d.center - d.radius, d.center + d.radius))
+    points = {c for _, c, _ in yes}
+    for lo, _, hi in disks:
+        points.add(lo)
+        points.add(hi)
     for seg in segments:
         points.update(seg)
     return sorted(p for p in points if _covered(p, segments))
@@ -264,35 +278,36 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     """Full initial localization of the real spectrum of m.
 
     A float-mode m is replaced by the exact matrix of its entries' values,
-    so the context, the disks and every verdict are exact.
+    so the context, the disks and every verdict are exact.  Disks and
+    candidates are found on B = D*A, the matrix with its denominators
+    cleared, and each radius and breakpoint becomes a Fraction once, as
+    R/D and y/D.
     """
     if m.backend != EXACT:
         m = SquareMatrix.from_rows([[exact_value(v) for v in row] for row in m.rows], EXACT)
     ctx = CertificationContext.from_matrix(m)
-    disks = gershgorin_disks(m)
-    certified = [certify_disk(ctx, d) for d in disks]
+    rows, denom = cleared_int_rows(m)
+    disks = gershgorin_disks(rows)
+    certified = [
+        certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
+        for i, (_, c, hi) in enumerate(disks)
+    ]
     points = tuple(sorted({d.center for d in certified if d.verdict == POINT_EIGENVALUE}))
+    # a candidate's sources are the contains-real disks its interior meets
+    yes = [(disk, d.row) for disk, d in zip(disks, certified) if d.verdict == CONTAINS_REAL]
     tested: list = []
-    if any(d.verdict == CONTAINS_REAL for d in certified):
+    if yes:
         col_segments = None
         if column_disks:
-            col_segments = [
-                (d.center - d.radius, d.center + d.radius)
-                for d in gershgorin_disks(m.transpose())
-            ]
-        breakpoints = candidate_points(certified, col_segments)
-        pairs = list(zip(breakpoints, breakpoints[1:]))
-        # a candidate's sources are the contains-real disks its interior meets
-        yes_ends = [
-            (d.center - d.radius, d.center + d.radius, d.row)
-            for d in certified
-            if d.verdict == CONTAINS_REAL
-        ]
+            col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
+        breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
+        values = [Fraction(y, denom) for y in breakpoints]
         tested = [
             certify_interval(
-                ctx, lo, hi, tuple(row for a, b, row in yes_ends if a < hi and lo < b)
+                ctx, values[k], values[k + 1],
+                tuple(row for (a, _, b), row in yes if a < hi and lo < b),
             )
-            for lo, hi in pairs
+            for k, (lo, hi) in enumerate(zip(breakpoints, breakpoints[1:]))
         ]
     intervals = tuple(t for t in tested if t.contains_real)
     return LocateResult(ctx, tuple(certified), points, tuple(tested), intervals)

@@ -20,9 +20,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import libmp
-from mpmath.ctx_mp import MPContext
-
 try:
     from gmpy2 import mpz as _fast_int
 except ImportError:  # gmpy2 is optional (the "fast" extra)
@@ -136,6 +133,9 @@ class FloatBackend:
     kind = "float"
 
     def __init__(self, bits: int):
+        # mpmath loads with the first float backend, not with the package
+        from mpmath.ctx_mp import MPContext
+
         if bits < MIN_BITS:
             raise ValueError(f"float backend needs >= {MIN_BITS} bits, got {bits}")
         self.bits = bits
@@ -153,6 +153,8 @@ class FloatBackend:
 
     def from_fraction(self, value: Fraction):
         """Correctly rounded conversion of an exact rational."""
+        from mpmath import libmp
+
         raw = libmp.from_rational(
             value.numerator, value.denominator, self.bits, libmp.round_nearest
         )
@@ -211,8 +213,8 @@ def exact_value(value) -> Fraction:
             if exp != 0:
                 raise BackendMismatchError(f"non-finite float {value!r}")
             return Fraction(0)
-        frac = Fraction(int(man)) * Fraction(2) ** exp
-        return -frac if sign else frac
+        man = -int(man) if sign else int(man)
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise BackendMismatchError(f"no exact value for {value!r}")
 
 

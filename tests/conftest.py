@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from eigencert.charpoly import SquareMatrix
 from eigencert.numerics import EXACT, float_backend
@@ -64,3 +65,25 @@ def to_float_matrix(m: SquareMatrix, bits: int = 256) -> SquareMatrix:
     return SquareMatrix.from_rows(
         [[fb.convert(v) for v in row] for row in m.rows], fb
     )
+
+
+# Entries whose common denominator is rarely 1: one- and two-place
+# decimals, and mixed denominators.
+RATIONAL_ENTRIES = (
+    st.integers(-99, 99).map(lambda k: Fraction(k, 10)),
+    st.integers(-999, 999).map(lambda k: Fraction(k, 100)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 7, 10, 12])),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """n x n rows, n = 2-6, of one kind of RATIONAL_ENTRIES; sometimes one
+    row is zero off the diagonal (a radius-zero disk, so a point eigenvalue)."""
+    entries = draw(st.sampled_from(RATIONAL_ENTRIES))
+    n = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = [v if j == i else Fraction(0) for j, v in enumerate(rows[i])]
+    return rows

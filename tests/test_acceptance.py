@@ -19,9 +19,7 @@ from eigencert.localize import (
     EMPTY_REAL,
     CertificationContext,
     _merge_segments,
-    certify_disk,
     certify_interval,
-    gershgorin_disks,
     locate,
 )
 from eigencert.numerics import EXACT, exact_value, float_backend
@@ -108,8 +106,7 @@ def test_criterion_2_h1_and_signature(worked_exact):
 
 def test_criterion_3_disk_verdicts(worked_exact):
     with criterion(3, "disks 1,3,4,5 certified contains-real; disk 2 empty"):
-        ctx = CertificationContext.from_matrix(worked_exact)
-        verdicts = [certify_disk(ctx, d).verdict for d in gershgorin_disks(worked_exact)]
+        verdicts = [d.verdict for d in locate(worked_exact).disks]
         assert verdicts == [
             CONTAINS_REAL, EMPTY_REAL, CONTAINS_REAL, CONTAINS_REAL, CONTAINS_REAL,
         ]

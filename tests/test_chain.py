@@ -9,14 +9,16 @@ on the acceptance corpus and on adversarial spectra.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from eigencert.charpoly import SquareMatrix
+from eigencert.charpoly import SquareMatrix, cleared_int_rows
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.localize import gershgorin_disks, int_sturm_chain, locate
+from eigencert.localize import CONTAINS_REAL, int_sturm_chain, locate
 from eigencert.numerics import EXACT, InternalConsistencyError
-from eigencert.poly import Poly
+from eigencert.oracle import sturm_count_closed
+from eigencert.poly import Poly, sturm_chain, sturm_count
+from tests.conftest import rational_rows
 
 TINY = F(1, 10**9)
 
@@ -36,7 +38,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
     res = locate(m)
     ctx = res.context
     base = hermite_base(ctx.poly)
-    for d in gershgorin_disks(m):
+    for d in res.disks:
         if d.radius:
             c, r = d.center, d.radius
             q = Poly.from_coeffs([c * c - r * r, -2 * c, EXACT.one], EXACT)
@@ -118,6 +120,39 @@ def triangular_similar(draw, diagonal=DIAGONAL):
 def test_chain_matches_hermite_similar_triangles(case):
     m, eigenvalues = case
     check_pipeline_tests(m, eigenvalues, (-TINY, TINY))
+
+
+@st.composite
+def rational_matrices(draw):
+    """A matrix whose cleared form D*A has D > 1."""
+    m = SquareMatrix.from_rows(draw(rational_rows()), EXACT)
+    assume(cleared_int_rows(m)[1] > 1)
+    return m
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices(), st.booleans())
+def test_locate_on_cleared_matrix_matches_textbook(m, column_disks):
+    res = locate(m, column_disks=column_disks)
+    ctx = res.context
+    base = hermite_base(ctx.poly)
+    chain = sturm_chain(ctx.poly)
+    for d in res.disks:
+        if d.radius:
+            c, r = d.center, d.radius
+            assert (d.verdict == CONTAINS_REAL) == (
+                hermite_sigma(base, c - r, c + r) != signature(base)
+            ), d
+    for iv in res.tested:
+        assert type(iv.lo) is F and type(iv.hi) is F
+        assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
+        if ctx.poly.eval(iv.lo) and ctx.poly.eval(iv.hi):
+            inside = sturm_count(chain, iv.lo, iv.hi)
+        else:
+            ends = (ctx.poly.eval(iv.lo) == 0) + (ctx.poly.eval(iv.hi) == 0)
+            inside = sturm_count_closed(ctx.poly, iv.lo, iv.hi) - ends
+        assert iv.min_root_count == inside, (iv.lo, iv.hi)
 
 
 def test_int_sturm_chain_rejects_repeated_roots():

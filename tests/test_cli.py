@@ -189,6 +189,22 @@ def test_main_json_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_main_parser_is_shared_but_runs_are_independent(tmp_path, capsys):
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+    path = write_worked_csv(tmp_path)
+    svg_path = tmp_path / "out.svg"
+    assert cli.main([path, "--epsilon", "0.05", "--svg", str(svg_path), "--format", "json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    svg_path.unlink()
+    assert cli.main([path, "--epsilon", "0.01"]) == 0
+    second = capsys.readouterr().out
+    # the second run neither writes the first one's SVG nor keeps its options
+    assert not svg_path.exists()
+    assert second.startswith("5 x 5 matrix, exact mode")
+    assert "refined intervals (epsilon = 0.01)" in second
+    assert first["epsilon"] == "0.05"
+
+
 MALFORMED = [
     # id, file name, text, extra arguments, part of the message
     ("empty-cell", "m.csv", "1,,2\n3,4,5\n6,7,8\n", [], "row 1, column 2"),
@@ -370,3 +386,14 @@ def test_module_entry_point_warns_nothing(tmp_path):
     )
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("5 x 5 matrix, exact mode")
+
+
+def test_import_does_not_load_mpmath():
+    src = str(Path(eigencert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eigencert, eigencert.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr

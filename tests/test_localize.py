@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eigencert import localize as localize_mod
-from eigencert.charpoly import SquareMatrix
+from eigencert.charpoly import SquareMatrix, cleared_int_rows
 from eigencert.localize import (
     CONTAINS_REAL,
     EMPTY_REAL,
     POINT_EIGENVALUE,
     CertificationContext,
+    Disk,
     _intersect_segments,
     _merge_segments,
     candidate_points,
@@ -20,27 +23,41 @@ from eigencert.localize import (
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import refine_all
+from tests.conftest import rational_rows
 
 
 def ctx_for(*coeffs):
     return CertificationContext.from_poly(Poly.from_coeffs(coeffs, EXACT))
 
 
+WORKED_DISKS = [
+    (0, F(5, 4), F(5, 2)),
+    (1, 0, 1),
+    (2, 0, 2),
+    (3, 3, 1),
+    (4, 5, F(1, 2)),
+]
+
+
 def test_gershgorin_disks_worked(worked_exact):
-    disks = gershgorin_disks(worked_exact)
-    got = [(d.row, d.center, d.radius) for d in disks]
-    assert got == [
-        (0, F(5, 4), F(5, 2)),
-        (1, 0, 1),
-        (2, 0, 2),
-        (3, 3, 1),
-        (4, 5, F(1, 2)),
-    ]
+    rows, denom = cleared_int_rows(worked_exact)
+    assert denom == 4
+    # (c - r, c, c + r) of B = 4A
+    disks = gershgorin_disks(rows)
+    assert disks == [(-5, 5, 15), (-4, 0, 4), (-8, 0, 8), (8, 12, 16), (18, 20, 22)]
+    assert all(type(v) is int for disk in disks for v in disk)
+    assert [(d.row, d.center, d.radius) for d in locate(worked_exact).disks] == WORKED_DISKS
+
+
+def test_gershgorin_disks_columns():
+    rows = [[3, 4], [1, 0]]
+    assert gershgorin_disks(rows) == [(-1, 3, 7), (-1, 0, 1)]
+    assert gershgorin_disks(list(zip(*rows))) == [(2, 3, 4), (-4, 0, 4)]
 
 
 def test_certify_disk_verdicts_worked(worked_exact):
     ctx = CertificationContext.from_matrix(worked_exact)
-    verdicts = [certify_disk(ctx, d).verdict for d in gershgorin_disks(worked_exact)]
+    verdicts = [certify_disk(ctx, Disk(*d)).verdict for d in WORKED_DISKS]
     assert verdicts == [
         CONTAINS_REAL,
         EMPTY_REAL,
@@ -48,13 +65,14 @@ def test_certify_disk_verdicts_worked(worked_exact):
         CONTAINS_REAL,
         CONTAINS_REAL,
     ]
+    assert [d.verdict for d in locate(worked_exact).disks] == verdicts
 
 
 def test_certify_disk_point():
     m = SquareMatrix.from_rows([[2, 0], [1, 3]], EXACT)
     ctx = CertificationContext.from_matrix(m)
-    d = gershgorin_disks(m)[0]
-    assert certify_disk(ctx, d).verdict == POINT_EIGENVALUE
+    assert certify_disk(ctx, Disk(0, F(2), F(0))).verdict == POINT_EIGENVALUE
+    assert [d.verdict for d in locate(m).disks] == [POINT_EIGENVALUE, CONTAINS_REAL]
 
 
 def test_certify_interval_counts():
@@ -96,19 +114,22 @@ def test_segment_helpers():
 
 
 def test_candidate_points_worked(worked_exact):
-    ctx = CertificationContext.from_matrix(worked_exact)
-    disks = [certify_disk(ctx, d) for d in gershgorin_disks(worked_exact)]
-    pts = candidate_points(disks)
-    assert pts == [
+    rows, denom = cleared_int_rows(worked_exact)
+    disks = gershgorin_disks(rows)
+    yes = [disks[0], disks[2], disks[3], disks[4]]  # disk 2 is empty
+    pts = candidate_points(disks, yes)
+    # the breakpoints -2, -5/4, ..., 11/2 of A, times D = 4
+    assert pts == [-8, -5, -4, 0, 4, 5, 8, 12, 15, 16, 18, 20, 22]
+    assert [F(y, denom) for y in pts] == [
         -2, F(-5, 4), -1, 0, 1, F(5, 4), 2, 3, F(15, 4), 4, F(9, 2), 5, F(11, 2),
     ]
+    # column disks clip the union and add the clip edges
+    assert candidate_points(disks, yes, [(-6, 10)]) == [-6, -5, -4, 0, 4, 5, 8, 10]
 
 
 def test_candidate_points_needs_certified_disk():
-    from eigencert.localize import Disk
-
     with pytest.raises(ValueError):
-        candidate_points([Disk(0, 0, 1, EMPTY_REAL)])
+        candidate_points([(-1, 0, 1)], [])
 
 
 def test_locate_worked(worked_exact):
@@ -171,3 +192,27 @@ def test_exact_pipeline_builds_no_hermite_form(worked_exact, worked_float, monke
         assert spans == [(F(5, 4), 2), (2, 3), (F(9, 2), 5)]
         pieces = refine_all(res.context, res.intervals, F(1, 10**7))
         assert [p.min_root_count for p in pieces] == [1, 1, 1]
+
+
+SCALES = [F(2), F(3), F(1, 2), F(7, 10), F(10, 3)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_rows(), st.sampled_from(SCALES), st.booleans())
+def test_locate_scales_with_the_matrix(rows, k, column_disks):
+    # k > 0 keeps the order of every point
+    a = locate(SquareMatrix.from_rows(rows, EXACT), column_disks=column_disks)
+    ka = locate(
+        SquareMatrix.from_rows([[k * v for v in row] for row in rows], EXACT),
+        column_disks=column_disks,
+    )
+    # the eigenvalues of kA are k times those of A, and so is every disk
+    assert [(d.row, k * d.center, k * d.radius, d.verdict) for d in a.disks] == [
+        (d.row, d.center, d.radius, d.verdict) for d in ka.disks
+    ]
+    assert tuple(k * p for p in a.points) == ka.points
+    assert [(k * t.lo, k * t.hi, t.contains_real, t.sigma, t.min_root_count, t.sources)
+            for t in a.tested] == [
+        (t.lo, t.hi, t.contains_real, t.sigma, t.min_root_count, t.sources) for t in ka.tested
+    ]

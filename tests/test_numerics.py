@@ -87,6 +87,30 @@ def test_float_convert_string_single_rounding():
     assert via_string == via_fraction
 
 
+@pytest.mark.parametrize("value", [
+    Fraction(0),
+    Fraction(-5, 8),
+    Fraction(3 * 2**300),
+    Fraction(-7, 2**400),
+    Fraction(-(2**255 + 1), 2**1000),
+    Fraction(2**255 - 1) * 2**5000,
+])
+def test_exact_value_of_dyadic_floats(value):
+    x = float_backend(256).convert(value)
+    got = exact_value(x)
+    assert type(got) is Fraction and got == value
+    # the value of the (sign, man, exp) triple, built independently
+    sign, man, exp, _ = x._mpf_
+    assert got == (-1) ** sign * man * Fraction(2) ** exp
+
+
+def test_exact_value_rejects_non_finite():
+    fb = float_backend(64)
+    for value in (fb.ctx.inf, -fb.ctx.inf, fb.ctx.nan):
+        with pytest.raises(BackendMismatchError, match="non-finite"):
+            exact_value(value)
+
+
 def test_exact_value_rejects_junk():
     with pytest.raises(BackendMismatchError):
         exact_value("not a number")

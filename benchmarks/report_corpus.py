@@ -2,15 +2,17 @@
 
     python3 benchmarks/report_corpus.py OUTDIR [--seed N]
 
-The corpus is the worked 5x5 example, the lost-root 3x3 matrix and 70
+The corpus is the worked 5x5 example, the lost-root 3x3 matrix and 94
 seeded matrices with n = 2-8: integer; integer with one row zero off the
-diagonal; diagonal with repeated entries plus one corner entry; and
-one- and two-place decimals, whose common denominator is 10 or 100.  The
-matrices are written alternately as CSV and JSON under OUTDIR/inputs.
-Each one runs through `eigencert.cli.main` in both modes, at epsilon
-1e-7 and 1e-30, once with --format json --svg and once with --format
-text, and once more in exact mode at 1e-7 with --column-disks --format
-json --svg: 648 runs.  For each run, OUTDIR gets NAME.out (stdout, with
+diagonal; diagonal with repeated entries plus one corner entry; one- and
+two-place decimals, whose common denominator is 10 or 100; and, last,
+block-diagonal matrices with constant row sums in integer and one-place
+decimal form, whose eigenvalues sit on disk ends and on breakpoints
+shared by two candidates.  The matrices are written alternately as CSV
+and JSON under OUTDIR/inputs.  Each one runs through `eigencert.cli.main`
+in both modes, at epsilon 1e-7 and 1e-30, once with --format json --svg
+and once with --format text, and once more in exact mode at 1e-7 with
+--column-disks --format json --svg: 864 runs.  For each run, OUTDIR gets NAME.out (stdout, with
 the wall time masked), NAME.err (stderr), NAME.code (the exit code) and,
 for the JSON runs, NAME.svg.  An exception that escapes `main` is
 recorded as exit 1 with its type and message.
@@ -61,7 +63,7 @@ def decimal_text(units: int, places: int) -> str:
 
 
 def seeded_matrices(seed: int):
-    """Yield (name, rows) for the 70 seeded matrices, 2 of each kind and n."""
+    """Yield (name, rows) for the 94 seeded matrices, 2 of each kind and n."""
     rng = random.Random(seed)
     for n in range(2, 9):
         for copy in range(2):
@@ -83,6 +85,35 @@ def seeded_matrices(seed: int):
                 rows = [[decimal_text(rng.randint(-top, top), places) for _ in range(n)]
                         for _ in range(n)]
                 yield f"dec{places}-{n}-{copy}", rows
+    # drawn last, so the first 70 do not depend on them
+    for n in range(3, 9):
+        for copy in range(2):
+            for places in (0, 1):
+                yield f"rowsum{places}-{n}-{copy}", row_sum_rows(rng, n, places)
+
+
+def row_sum_rows(rng: random.Random, n: int, places: int) -> list:
+    """Two diagonal blocks, each with off-diagonal entries in [0, 5] and
+    one row sum s in [-5, 5], as integers (places 0) or decimal text.
+
+    The all-ones vector of a block gives the eigenvalue s, which is the
+    right end c + r of each of the block's disks.  The smaller sum often
+    lies inside the other block's disks, where it is a breakpoint between
+    two candidates.
+    """
+    unit = 10**places
+    split = rng.randint(1, n - 1)
+    units = [[0] * n for _ in range(n)]
+    for block in (range(split), range(split, n)):
+        total = rng.randint(-5 * unit, 5 * unit)
+        for i in block:
+            for j in block:
+                if i != j:
+                    units[i][j] = rng.randint(0, 5 * unit)
+            units[i][i] = total - sum(units[i])
+    if not places:
+        return units
+    return [[decimal_text(v, places) for v in row] for row in units]
 
 
 def write_input(rows, path: str) -> None:

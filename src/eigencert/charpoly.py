@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from eigencert import kernels
@@ -74,6 +75,20 @@ class SquareMatrix:
             self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n)
         )
 
+    @cached_property
+    def cleared(self):
+        """(D*A as big-int rows, D) for exact A; D = lcm of all denominators.
+
+        Computed once per matrix: charpoly and locate both run on it.  The
+        cache sits outside the fields, so == and hash do not see it.
+        """
+        denom = lcm(*(v.denominator for row in self.rows for v in row))
+        rows = tuple(
+            tuple(fast_int(v.numerator * (denom // v.denominator)) for v in row)
+            for row in self.rows
+        )
+        return rows, denom
+
 
 @dataclass(frozen=True)
 class HessenbergForm:
@@ -82,20 +97,13 @@ class HessenbergForm:
     betas: tuple  # subdiagonal, betas[j] = H[j+1][j]
 
 
-def cleared_int_rows(m: SquareMatrix):
-    """(D*A as big-int rows, D) for exact A; D = lcm of all denominators."""
-    denom = lcm(*(v.denominator for row in m.rows for v in row))
-    rows = [[fast_int(v.numerator * (denom // v.denominator)) for v in row] for row in m.rows]
-    return rows, denom
-
-
 def _cleared_charpoly(m: SquareMatrix, kernel) -> Poly:
     """Exact charpoly of m from an integer charpoly kernel run on D*A.
 
     The roots of D*A are D times those of A, so coefficient k of its
     charpoly is D^(n-k) times that of A's.
     """
-    rows, denom = cleared_int_rows(m)
+    rows, denom = m.cleared
     raw = kernel(rows)
     n = m.n
     coeffs = [Fraction(int(raw[k]), denom ** (n - k)) for k in range(n + 1)]

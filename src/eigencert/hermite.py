@@ -40,7 +40,6 @@ from eigencert.numerics import EXACT, UnsupportedOperationError, check_same_back
 from eigencert.charpoly import (
     SquareMatrix,
     charpoly,  # unused here; certbench/tracing.py patches this name on this module
-    cleared_int_rows,
     faddeev_leverrier,
 )
 from eigencert.poly import Poly
@@ -112,7 +111,7 @@ def inertia(m: SquareMatrix):
         raise UnsupportedOperationError("inertia is taken on exact matrices only")
     if not m.is_symmetric():
         raise ValueError("inertia needs a symmetric matrix")
-    rows, _ = cleared_int_rows(m)  # positive scaling preserves inertia
+    rows, _ = m.cleared  # positive scaling preserves inertia
     return kernels.bareiss_inertia(rows)
 
 

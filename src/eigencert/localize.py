@@ -20,6 +20,14 @@ the sign of p are memoised by the point's (numerator, denominator) pair,
 the integers that Horner evaluates on, so a breakpoint shared by two
 tests is evaluated once.
 
+V only drops, and only at roots of p, which are few, so most points need
+no evaluation.  locate fills the memo by bisection over sorted points
+(CertificationContext.fill): the ends of every disk of nonzero radius
+before the disk tests, and the breakpoints before the candidate tests.
+Where V is equal at the two ends of a run, the points inside are
+inferred; only runs where V drops are evaluated at their middle.  Every
+evaluated point is one a test reads.
+
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
 union, the breakpoints and each candidate's sources are int sums and
@@ -43,7 +51,7 @@ from functools import cached_property
 from math import lcm
 
 from eigencert import kernels
-from eigencert.charpoly import SquareMatrix, charpoly, cleared_int_rows
+from eigencert.charpoly import SquareMatrix, charpoly
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.numerics import EXACT, InternalConsistencyError, exact_value
@@ -95,6 +103,14 @@ def int_sturm_chain(p: Poly) -> tuple:
 
 @dataclass
 class CertificationContext:
+    """The square-free p, its Sturm chain, and V and signs memoised by point.
+
+    A memo entry is evaluated (integer Horner on every chain member) or
+    inferred by fill from two evaluated points with the same V around it.
+    Both are exact under the Sturm property V(a) - V(b) = #{roots in
+    (a, b]}, so the tests cannot tell them apart.
+    """
+
     poly: Poly  # monic and square-free
     original: Poly  # characteristic polynomial before deflation
     chain: tuple  # primitive integer Sturm chain of poly
@@ -145,6 +161,37 @@ class CertificationContext:
             count = self._variations[key] = kernels.sign_variations(values)
             self._signs[key] = (values[0] > 0) - (values[0] < 0)
         return count
+
+    def fill(self, points) -> None:
+        """Memoise V and the sign of poly at sorted distinct points.
+
+        Evaluates the first and last point.  Where V is equal at the two
+        ends of a run, no root lies in (x_i, x_j], so every point inside
+        gets V(x_j) and the sign of poly at x_j; otherwise the middle point
+        is evaluated and both halves are filled.  Each dropping run costs
+        one evaluation per level, so m points take at most
+        min(m, 2 + sigma(H_1) ceil(log2 m)) chain evaluations, none twice.
+        """
+        keys = [(x.numerator, x.denominator) for x in points]
+        runs = [(0, len(points) - 1)] if points else []
+        while runs:
+            i, j = runs.pop()
+            left, right = self.variations(points[i]), self.variations(points[j])
+            if left < right:
+                raise InternalConsistencyError(
+                    f"sign variations rise from {left} at {points[i]} to {right} "
+                    f"at {points[j]}: the Sturm chain is faulty"
+                )
+            if j - i < 2:
+                continue
+            if left == right:
+                sign = self._signs[keys[j]]
+                for key in keys[i + 1:j]:
+                    self._variations[key] = right
+                    self._signs[key] = sign
+            else:
+                mid = (i + j) // 2
+                runs += [(i, mid), (mid, j)]
 
     def sigma_q(self, lo, hi) -> int:
         """sigma(H_q) for q = (x - lo)(x - hi), lo < hi.
@@ -281,13 +328,16 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     so the context, the disks and every verdict are exact.  Disks and
     candidates are found on B = D*A, the matrix with its denominators
     cleared, and each radius and breakpoint becomes a Fraction once, as
-    R/D and y/D.
+    R/D and y/D.  The memo is filled at the disk ends before the disk
+    tests and at the breakpoints before the candidate tests.
     """
     if m.backend != EXACT:
         m = SquareMatrix.from_rows([[exact_value(v) for v in row] for row in m.rows], EXACT)
     ctx = CertificationContext.from_matrix(m)
-    rows, denom = cleared_int_rows(m)
+    rows, denom = m.cleared
     disks = gershgorin_disks(rows)
+    value = {y: Fraction(y, denom) for lo, c, hi in disks if lo < c for y in (lo, hi)}
+    ctx.fill([value[y] for y in sorted(value)])
     certified = [
         certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
         for i, (_, c, hi) in enumerate(disks)
@@ -301,7 +351,8 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
         if column_disks:
             col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        values = [Fraction(y, denom) for y in breakpoints]
+        values = [value[y] if y in value else Fraction(y, denom) for y in breakpoints]
+        ctx.fill(values)
         tested = [
             certify_interval(
                 ctx, values[k], values[k + 1],

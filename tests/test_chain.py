@@ -6,19 +6,21 @@ the independent oracle: every disk and candidate test must agree with it,
 on the acceptance corpus and on adversarial spectra.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from eigencert.charpoly import SquareMatrix, cleared_int_rows
+from eigencert import kernels
+from eigencert.charpoly import SquareMatrix
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.localize import CONTAINS_REAL, int_sturm_chain, locate
+from eigencert.localize import CONTAINS_REAL, CertificationContext, int_sturm_chain, locate
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
 from eigencert.poly import Poly, sturm_chain, sturm_count
-from tests.conftest import rational_rows
+from tests.conftest import random_rational_matrix, rational_rows
 
 TINY = F(1, 10**9)
 
@@ -126,7 +128,7 @@ def test_chain_matches_hermite_similar_triangles(case):
 def rational_matrices(draw):
     """A matrix whose cleared form D*A has D > 1."""
     m = SquareMatrix.from_rows(draw(rational_rows()), EXACT)
-    assume(cleared_int_rows(m)[1] > 1)
+    assume(m.cleared[1] > 1)
     return m
 
 
@@ -168,3 +170,92 @@ def test_int_sturm_chain_is_primitive_and_integer():
     assert chain[1] == [11, -12, 3]
     assert [len(f) for f in chain] == [4, 3, 2, 1]
     assert all(isinstance(c, int) for f in chain for c in f)
+
+
+@st.composite
+def constant_row_sum(draw):
+    """A block-diagonal matrix, each block with nonnegative off-diagonal
+    entries and one row sum, in integer or one-place-decimal form.
+
+    A block's row sum s is an eigenvalue (the all-ones vector) and the
+    right end c + r of each of its disks, so roots sit on disk ends, and on
+    breakpoints inside another block's disks.
+    """
+    n = draw(st.integers(2, 10))
+    split = draw(st.integers(1, n))
+    scale = draw(st.sampled_from([1, 10]))
+    sums = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2))
+    a = [[F(0)] * n for _ in range(n)]
+    for block, s in zip((range(split), range(split, n)), sums):
+        for i in block:
+            for j in block:
+                if i != j:
+                    a[i][j] = F(draw(st.integers(0, 12)), scale)
+            a[i][i] = F(s, scale) - sum(a[i])
+    return SquareMatrix.from_rows(a, EXACT)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(triangular_similar().map(lambda case: case[0]), constant_row_sum()),
+       st.booleans())
+def test_memo_matches_direct_evaluation(m, column_disks):
+    """Every V and sign locate memoised, evaluated or inferred, is the chain's."""
+    ctx = locate(m, column_disks=column_disks).context
+    assert set(ctx._signs) == set(ctx._variations)
+    for key, count in ctx._variations.items():
+        values = [kernels.horner_homogeneous(f, *key) for f in ctx.chain]
+        assert count == kernels.sign_variations(values), key
+        assert ctx._signs[key] == (values[0] > 0) - (values[0] < 0), key
+
+
+def test_fill_refuses_rising_variations():
+    p = Poly.from_coeffs([0, 1], EXACT)
+    # forged chain x, -1: V is 0 left of 0 and 1 right of it
+    ctx = CertificationContext(p, p, ([0, 1], [-1]))
+    with pytest.raises(InternalConsistencyError, match="rise"):
+        ctx.fill([F(-1), F(-1, 2), F(1, 2), F(1)])
+
+
+def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
+    """Chain evaluations per fill stay within min(m, 2 + sigma(H_1) ceil(log2 m)),
+    no test evaluates outside a fill, and no point is evaluated that the
+    disk and candidate tests do not read."""
+    calls = [0]
+    horner = kernels.horner_homogeneous
+
+    def counted(*args):
+        calls[0] += 1
+        return horner(*args)
+
+    fills = []
+    fill = CertificationContext.fill
+
+    def logged(ctx, points):
+        before = calls[0]
+        fill(ctx, points)
+        fills.append((len(points), calls[0] - before))
+
+    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
+    monkeypatch.setattr(CertificationContext, "fill", logged)
+    rng = random.Random(14)
+    matrices = [worked_exact]
+    for n in range(8, 16):
+        matrices.append(SquareMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], EXACT))
+        matrices.append(random_rational_matrix(rng, n))
+    for k, m in enumerate(matrices):
+        calls[0] = 0
+        fills.clear()
+        res = locate(m, column_disks=bool(k % 2))
+        ctx = res.context
+        sigma, members = ctx.base_signature, len(ctx.chain)
+        assert calls[0] == sum(spent for _, spent in fills), k
+        for size, spent in fills:
+            assert spent % members == 0
+            bound = min(size, 2 + sigma * (size - 1).bit_length()) if size else 0
+            assert spent // members <= bound, (k, size, spent // members, sigma)
+        read = {x for d in res.disks if d.radius for x in (d.center - d.radius,
+                                                           d.center + d.radius)}
+        read |= {x for iv in res.tested for x in (iv.lo, iv.hi)}
+        assert calls[0] // members <= len(read), k

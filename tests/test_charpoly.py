@@ -6,7 +6,6 @@ import pytest
 from eigencert.charpoly import (
     SquareMatrix,
     charpoly,
-    cleared_int_rows,
     faddeev_leverrier,
     hessenberg_reduce,
 )
@@ -34,10 +33,14 @@ def test_matrix_basics():
 
 
 def test_cleared_int_rows(worked_exact):
-    rows, denom = cleared_int_rows(worked_exact)
+    rows, denom = worked_exact.cleared
     assert denom == 4
     assert [int(v) for v in rows[0]] == [5, 4, 3, 2, 1]
     assert all(isinstance(int(v), int) for row in rows for v in row)
+    # cleared once per matrix, and the cache leaves == and hash alone
+    assert worked_exact.cleared is worked_exact.cleared
+    fresh = SquareMatrix.from_rows(worked_exact.rows, EXACT)
+    assert fresh == worked_exact and hash(fresh) == hash(worked_exact)
 
 
 def test_faddeev_leverrier_worked(worked_exact):

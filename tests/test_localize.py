@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eigencert import localize as localize_mod
-from eigencert.charpoly import SquareMatrix, cleared_int_rows
+from eigencert.charpoly import SquareMatrix
 from eigencert.localize import (
     CONTAINS_REAL,
     EMPTY_REAL,
@@ -40,7 +40,7 @@ WORKED_DISKS = [
 
 
 def test_gershgorin_disks_worked(worked_exact):
-    rows, denom = cleared_int_rows(worked_exact)
+    rows, denom = worked_exact.cleared
     assert denom == 4
     # (c - r, c, c + r) of B = 4A
     disks = gershgorin_disks(rows)
@@ -114,7 +114,7 @@ def test_segment_helpers():
 
 
 def test_candidate_points_worked(worked_exact):
-    rows, denom = cleared_int_rows(worked_exact)
+    rows, denom = worked_exact.cleared
     disks = gershgorin_disks(rows)
     yes = [disks[0], disks[2], disks[3], disks[4]]  # disk 2 is empty
     pts = candidate_points(disks, yes)

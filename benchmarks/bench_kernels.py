@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from eigencert import kernels
 from eigencert.localize import int_sturm_chain
-from eigencert.numerics import EXACT, fast_int, float_backend
+from eigencert.numerics import float_backend
 from eigencert.poly import Poly
 
 
@@ -38,15 +38,15 @@ def build_cases(size: int):
 
     monic = [Fraction(rng.randint(-5, 5)) for _ in range(n)] + [Fraction(1)]
 
-    int_rows = [[fast_int(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    int_rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
 
     sums = kernels.power_sums(monic, 2 * n)
     q = [Fraction(3), Fraction(-4), Fraction(1)]
 
-    sym = [[fast_int(0)] * n for _ in range(n)]
+    sym = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = fast_int(rng.randint(-10**20, 10**20))
+            v = rng.randint(-10**20, 10**20)
             sym[i][j] = sym[j][i] = v
 
     fb = float_backend(256)
@@ -58,7 +58,7 @@ def build_cases(size: int):
     int_monic = [int(c) for c in monic]
 
     # a random integer polynomial of degree n, square-free like almost all
-    chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1], EXACT)
+    chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1])
 
     # the two charpoly kernels are timed on one matrix; they must agree on it
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):

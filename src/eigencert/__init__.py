@@ -3,9 +3,10 @@
 Computes intervals that provably contain every real eigenvalue of a real
 square matrix: Gershgorin disks bound the spectrum, Hermite-form signature
 tests certify which regions actually touch the real spectrum, and certified
-bisection narrows them to any requested width.  Every step runs in exact
-rational arithmetic on the exact values of the input entries; a matrix
-on a float backend is certified as the exact values of its binary floats.
+bisection narrows them to any requested width.  Every matrix and
+polynomial holds exact rationals, and every step runs in exact
+arithmetic; a float backend only rounds the input entries, and the
+matrix of the rounded values is certified exactly.
 """
 
 from eigencert.charpoly import SquareMatrix, charpoly
@@ -15,7 +16,6 @@ from eigencert.numerics import (
     BackendMismatchError,
     InternalConsistencyError,
     ParseError,
-    UnsupportedOperationError,
     float_backend,
     parse_decimal,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "SquareMatrix",
-    "UnsupportedOperationError",
     "__version__",
     "certify_interval",
     "charpoly",

@@ -1,17 +1,19 @@
 """Square matrices and their characteristic polynomials.
 
-Two routes, one per backend.  Exact: Berkowitz's division-free algorithm
-after clearing denominators, so the whole computation runs in (big)
-integers and the result is exact.  Float: Householder reduction to upper
-Hessenberg form followed by the La Budde recurrence, which is the
-numerically trustworthy way to get coefficients at fixed precision.  Both
-return monic ascending polynomials equal to det(xI - A).
+A SquareMatrix holds Fractions.  from_rows reads each entry through a
+backend and keeps its exact value: EXACT reads ints, Fractions and
+decimal text exactly, and a float backend rounds each entry once to its
+precision, so a float backend only says how the input is rounded.
 
-The pipeline runs only the exact route: locate replaces a float matrix
-by the exact values of its entries.  Faddeev-Leverrier, on the same
-cleared integer matrix and on exact matrices only, is the tests'
-independent cross-check of the exact route, and the float route is their
-fixed-precision reference.
+charpoly() runs Berkowitz's division-free algorithm after clearing
+denominators, so the whole computation runs in big integers and the
+result is exact.  Faddeev-Leverrier, on the same cleared integer matrix,
+is the tests' independent cross-check.
+
+The tests' fixed-precision reference works on rows of mpf values rather
+than on a SquareMatrix: Householder reduction to upper Hessenberg form
+followed by the La Budde recurrence, which is the numerically
+trustworthy way to get coefficients at fixed precision.
 """
 
 from __future__ import annotations
@@ -22,22 +24,17 @@ from functools import cached_property
 from math import lcm
 
 from eigencert import kernels
-from eigencert.numerics import (
-    EXACT,
-    UnsupportedOperationError,
-    check_same_backend,
-    fast_int,
-)
+from eigencert.numerics import exact_value
 from eigencert.poly import Poly
 
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    rows: tuple
-    backend: object
+    rows: tuple  # rows of Fractions
 
     @staticmethod
     def from_rows(rows, backend) -> "SquareMatrix":
+        """The matrix of the exact values of rows' entries as backend reads them."""
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must be nonempty")
@@ -48,15 +45,12 @@ class SquareMatrix:
                     f"matrix must be square; row of length {len(row)} "
                     f"in a matrix with {n} rows"
                 )
-            conv.append(tuple(backend.convert(v) for v in row))
-        return SquareMatrix(tuple(conv), backend)
+            conv.append(tuple(exact_value(backend.convert(v)) for v in row))
+        return SquareMatrix(tuple(conv))
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def trace(self):
         acc = self.rows[0][0]
@@ -65,9 +59,8 @@ class SquareMatrix:
         return acc
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
-        check_same_backend(self.backend, other.backend)
         prod = kernels.mat_mul([list(r) for r in self.rows], [list(r) for r in other.rows])
-        return SquareMatrix(tuple(tuple(r) for r in prod), self.backend)
+        return SquareMatrix(tuple(tuple(r) for r in prod))
 
     def is_symmetric(self) -> bool:
         n = self.n
@@ -77,22 +70,21 @@ class SquareMatrix:
 
     @cached_property
     def cleared(self):
-        """(D*A as big-int rows, D) for exact A; D = lcm of all denominators.
+        """(D*A as int rows, D); D = lcm of all denominators.
 
         Computed once per matrix: charpoly and locate both run on it.  The
         cache sits outside the fields, so == and hash do not see it.
         """
         denom = lcm(*(v.denominator for row in self.rows for v in row))
         rows = tuple(
-            tuple(fast_int(v.numerator * (denom // v.denominator)) for v in row)
-            for row in self.rows
+            tuple(v.numerator * (denom // v.denominator) for v in row) for row in self.rows
         )
         return rows, denom
 
 
 @dataclass(frozen=True)
 class HessenbergForm:
-    matrix: SquareMatrix
+    rows: tuple  # rows of H, mpf values
     alphas: tuple  # diagonal
     betas: tuple  # subdiagonal, betas[j] = H[j+1][j]
 
@@ -106,30 +98,28 @@ def _cleared_charpoly(m: SquareMatrix, kernel) -> Poly:
     rows, denom = m.cleared
     raw = kernel(rows)
     n = m.n
-    coeffs = [Fraction(int(raw[k]), denom ** (n - k)) for k in range(n + 1)]
-    return Poly.from_coeffs(coeffs, EXACT)
+    return Poly.from_coeffs([Fraction(raw[k], denom ** (n - k)) for k in range(n + 1)])
 
 
 def faddeev_leverrier(m: SquareMatrix) -> Poly:
-    """Characteristic polynomial of exact m by trace recursion.
+    """Characteristic polynomial of m by trace recursion.
 
     The matrix is scaled to integers first, keeping every step in integer
     arithmetic; this is the tests' cross-check of charpoly().
     """
-    if m.backend != EXACT:
-        raise UnsupportedOperationError("Faddeev-Leverrier runs on exact matrices only")
     return _cleared_charpoly(m, kernels.fl_charpoly_int)
 
 
-def hessenberg_reduce(m: SquareMatrix) -> HessenbergForm:
-    """Orthogonal (Householder) reduction to upper Hessenberg form."""
-    if m.backend == EXACT:
-        raise UnsupportedOperationError(
-            "Hessenberg reduction needs square roots; use the float backend"
-        )
-    ctx = m.backend.ctx
-    n = m.n
-    h = [list(row) for row in m.rows]
+def hessenberg_reduce(rows, backend) -> HessenbergForm:
+    """Orthogonal (Householder) reduction to upper Hessenberg form.
+
+    backend is a float backend.  Each entry of the square rows is rounded
+    to it (mpf values of its precision pass unchanged), and every step
+    runs at that precision.
+    """
+    ctx = backend.ctx
+    n = len(rows)
+    h = [[backend.convert(v) for v in row] for row in rows]
     for k in range(n - 2):
         norm2 = ctx.zero
         for i in range(k + 1, n):
@@ -170,22 +160,21 @@ def hessenberg_reduce(m: SquareMatrix) -> HessenbergForm:
     for i in range(n):
         for j in range(i - 1):
             h[i][j] = ctx.zero
-    mat = SquareMatrix(tuple(tuple(r) for r in h), m.backend)
     alphas = tuple(h[i][i] for i in range(n))
     betas = tuple(h[i + 1][i] for i in range(n - 1))
-    return HessenbergForm(mat, alphas, betas)
+    return HessenbergForm(tuple(tuple(r) for r in h), alphas, betas)
 
 
-def labudde(hf: HessenbergForm) -> Poly:
-    """Characteristic polynomial of a Hessenberg form via La Budde."""
-    raw = kernels.labudde_charpoly(
-        list(hf.alphas), list(hf.betas), [list(r) for r in hf.matrix.rows]
+def labudde(hf: HessenbergForm) -> tuple:
+    """Characteristic polynomial of a Hessenberg form via La Budde.
+
+    Its mpf coefficients, ascending and monic.
+    """
+    return tuple(
+        kernels.labudde_charpoly(list(hf.alphas), list(hf.betas), [list(r) for r in hf.rows])
     )
-    return Poly.from_coeffs(raw, hf.matrix.backend)
 
 
 def charpoly(m: SquareMatrix) -> Poly:
-    """det(xI - A), monic ascending, by the backend-appropriate route."""
-    if m.backend == EXACT:
-        return _cleared_charpoly(m, kernels.berkowitz_charpoly_int)
-    return labudde(hessenberg_reduce(m))
+    """det(xI - A), monic ascending, by Berkowitz on the cleared matrix."""
+    return _cleared_charpoly(m, kernels.berkowitz_charpoly_int)

@@ -169,11 +169,13 @@ def render_text(report: dict) -> str:
         lines.append("")
         lines.append("point eigenvalues: " + ", ".join(report["point_eigenvalues"]))
     m = report["metrics"]
+    # no final interval, no width
+    width = f"max width {m['max_width']}, " if m["max_width"] is not None else ""
     lines.append("")
     lines.append(
         f"{m['candidate_interval_count']} candidates, "
         f"{m['final_interval_count']} final intervals, "
-        f"max width {m['max_width']}, wall time {m['wall_time_seconds']}s"
+        f"{width}wall time {m['wall_time_seconds']}s"
     )
     return "\n".join(lines) + "\n"
 

@@ -16,19 +16,17 @@ tests into interval certificates: sigma(H_1) is the number of distinct
 real roots, and sigma(H_q) differs from it exactly when q takes negative
 values on some real root.
 
-A form can be built on either backend, but its signature is taken only
-on an exact one, because a certificate must be exact: a float form is
-refused with UnsupportedOperationError.  The signature comes from the
-form's characteristic polynomial (Descartes' rule is exact for a
-symmetric matrix's spectrum), switching to fraction-free symmetric
-inertia above a degree threshold where big-integer Faddeev-Leverrier
-stops being economical.
+Every form holds exact rationals, so its signature is a certificate.  It
+comes from the form's characteristic polynomial (Descartes' rule is
+exact for a symmetric matrix's spectrum), switching to fraction-free
+symmetric inertia above a degree threshold where big-integer
+Faddeev-Leverrier stops being economical.
 
 The certificate stays sigma(H_q), but this module is no longer how the
 pipeline computes it: for q = (x-a)(x-b) and square-free p, sigma(H_q) =
-TaQ(q, p), which localize.py reads off one integer Sturm chain of p in
-both modes.  The forms here are the paper's route, and the tests use
-them as the independent oracle for the chain.
+TaQ(q, p), which localize.py reads off one integer Sturm chain of p.
+The forms here are the paper's route, and the tests use them as the
+independent oracle for the chain.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from eigencert import kernels
-from eigencert.numerics import EXACT, UnsupportedOperationError, check_same_backend
 from eigencert.charpoly import (
     SquareMatrix,
     charpoly,  # unused here; certbench/tracing.py patches this name on this module
@@ -77,8 +74,7 @@ def hermite_base(p: Poly) -> HermiteForm:
     n = p.degree()
     sums = power_sums(p, 2 * n)
     rows = tuple(tuple(sums[i:i + n]) for i in range(n))
-    one_poly = Poly.from_coeffs([p.backend.one], p.backend)
-    return HermiteForm(p, one_poly, SquareMatrix(rows, p.backend), sums)
+    return HermiteForm(p, Poly.from_coeffs([1]), SquareMatrix(rows), sums)
 
 
 def hermite_weighted(base: HermiteForm, q: Poly) -> HermiteForm:
@@ -88,14 +84,13 @@ def hermite_weighted(base: HermiteForm, q: Poly) -> HermiteForm:
     past S_2n, which are computed afresh.  O(n deg q) arithmetic.
     """
     p = base.poly
-    check_same_backend(p.backend, q.backend)
     n = p.degree()
     last = 2 * n - 3 + len(q.coeffs)  # index of the last power sum read
     sums = base.sums
     if len(sums) <= last:
         sums = power_sums(p, last)
     rows = kernels.hermite_product(sums, list(q.coeffs), n)
-    return HermiteForm(p, q, SquareMatrix(tuple(tuple(r) for r in rows), p.backend))
+    return HermiteForm(p, q, SquareMatrix(tuple(tuple(r) for r in rows)))
 
 
 def descartes_signature(char: Poly) -> int:
@@ -106,9 +101,7 @@ def descartes_signature(char: Poly) -> int:
 
 
 def inertia(m: SquareMatrix):
-    """(n+, n-, n0) of an exact symmetric matrix by congruence elimination."""
-    if m.backend != EXACT:
-        raise UnsupportedOperationError("inertia is taken on exact matrices only")
+    """(n+, n-, n0) of a symmetric matrix by congruence elimination."""
     if not m.is_symmetric():
         raise ValueError("inertia needs a symmetric matrix")
     rows, _ = m.cleared  # positive scaling preserves inertia
@@ -123,7 +116,6 @@ def signature(form: HermiteForm) -> int:
 
 
 def _signature_of(m: SquareMatrix) -> int:
-    # both routes refuse a float matrix
     if m.n <= SIGNATURE_CHARPOLY_MAX_DEGREE:
         return descartes_signature(faddeev_leverrier(m))
     pos, neg, _ = inertia(m)

@@ -13,10 +13,12 @@ Conventions shared by every kernel:
 * polynomials are nonempty lists of coefficients in ascending order
   ([c0, c1, ..., cn] means c0 + c1*x + ... + cn*x^n);
 * matrices are lists of row lists, square, nonempty;
-* scalars are whatever the caller's backend uses (Fraction, mpmath mpf,
-  int, gmpy2 mpz); kernels only ever add, subtract, multiply, compare with
-  0 and - where documented - divide, so they are backend-agnostic;
-* kernels never mutate their arguments and never import backend modules.
+* scalars are whatever the caller passes (Fraction and int in the
+  pipeline, mpmath mpf in the tests' fixed-precision reference); kernels
+  only ever add, subtract, multiply, compare with 0 and - where
+  documented - divide, so one kernel serves every number type;
+* kernels never mutate their arguments and never import the number types
+  they run on.
 """
 
 import math
@@ -143,7 +145,7 @@ def fl_charpoly_int(rows):
 
     Faddeev-Leverrier: M_1 = A, a_{n-1} = -tr(M_1), and for k = 2..n
     M_k = A (M_{k-1} + a_{n-k+1} I), a_{n-k} = -tr(M_k)/k.  All divisions
-    are exact over the integers, so // keeps the computation in int/mpz.
+    are exact over the integers, so // keeps the computation in int.
     """
     n = len(rows)
     coeffs = [0] * (n + 1)

@@ -34,10 +34,10 @@ union, the breakpoints and each candidate's sources are int sums and
 compares.  Each radius R and breakpoint y of B becomes the Fraction R/D
 or y/D once, and the tests run in A's coordinates.
 
-The whole pipeline is exact.  A matrix on a float backend holds binary
-floats, each an exact dyadic rational, so locate certifies the matrix of
-their exact values: the verdicts are theorems about the entries as that
-backend holds them, and nothing after that is rounded.
+The whole pipeline is exact.  A matrix holds the exact values of its
+entries; one built on a float backend holds the values of its rounded
+binary floats, so the verdicts are theorems about the entries as that
+backend rounded them, and nothing after that is rounded.
 
 Radius-zero disks are point eigenvalues (the row is a_ii e_i, so a_ii is
 an eigenvalue exactly) and bypass the interval machinery.
@@ -54,7 +54,7 @@ from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.numerics import EXACT, InternalConsistencyError, exact_value
+from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly, square_free_part
 
 CONTAINS_REAL = "contains-real-eigenvalue"
@@ -81,7 +81,7 @@ class CertifiedInterval:
 
 
 def int_sturm_chain(p: Poly) -> tuple:
-    """Primitive integer Sturm chain of square-free exact p.
+    """Primitive integer Sturm chain of square-free p.
 
     f_0 is p with denominators cleared, f_1 is p' without its content and
     f_{k+1} = -prem(f_{k-1}, f_k) made primitive.  Each member is a
@@ -122,7 +122,7 @@ class CertificationContext:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CertificationContext":
-        """Context of exact p; square_free_part refuses any other backend."""
+        """Context of the characteristic polynomial p."""
         original = p.monic()
         deflated = square_free_part(original)
         return cls(deflated, original, int_sturm_chain(deflated))
@@ -237,8 +237,8 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     distinct roots strictly inside, V(lo) - V(hi) less a root at hi.  p is
     square-free, so the count is exact.
     """
-    lo = ctx.backend.convert(lo)
-    hi = ctx.backend.convert(hi)
+    lo = EXACT.convert(lo)
+    hi = EXACT.convert(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     sigma_q = ctx.sigma_q(lo, hi)
@@ -324,15 +324,12 @@ class LocateResult:
 def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     """Full initial localization of the real spectrum of m.
 
-    A float-mode m is replaced by the exact matrix of its entries' values,
-    so the context, the disks and every verdict are exact.  Disks and
-    candidates are found on B = D*A, the matrix with its denominators
-    cleared, and each radius and breakpoint becomes a Fraction once, as
-    R/D and y/D.  The memo is filled at the disk ends before the disk
-    tests and at the breakpoints before the candidate tests.
+    Disks and candidates are found on B = D*A, the matrix with its
+    denominators cleared, and each radius and breakpoint becomes a
+    Fraction once, as R/D and y/D.  The memo is filled at the disk ends
+    before the disk tests and at the breakpoints before the candidate
+    tests.
     """
-    if m.backend != EXACT:
-        m = SquareMatrix.from_rows([[exact_value(v) for v in row] for row in m.rows], EXACT)
     ctx = CertificationContext.from_matrix(m)
     rows, denom = m.cleared
     disks = gershgorin_disks(rows)

@@ -1,17 +1,18 @@
-"""Scalar backends: exact rationals and fixed-precision binary floats.
+"""Input conversion: exact rationals, and rounding to binary floats.
 
-Every number handled by this package belongs to exactly one backend:
+Every polynomial and matrix in this package holds ``fractions.Fraction``
+values, and every computation on them is exact.  A backend only says how
+input is read:
 
-* the exact backend works in ``fractions.Fraction`` and never rounds;
-* a float backend works in an mpmath context pinned to ``bits`` bits of
-  precision (one shared context per precision, so values from two float
-  backends with the same ``bits`` are interchangeable).
+* the exact backend reads ints, Fractions and decimal text exactly;
+* a float backend rounds each value once, correctly, to ``bits`` bits in
+  an mpmath context (one shared context per precision).  A matrix built
+  on it holds the exact values of the rounded floats, and the
+  fixed-precision references in charpoly.py and oracle.py compute on the
+  mpf values themselves.
 
-Containers (polynomials, matrices, certification contexts) carry their
-backend and refuse to mix scalars from another one: silent coercion between
-exact and rounded arithmetic is precisely the failure mode this package
-exists to rule out.  Decimal text is converted to a float scalar with a
-single correct rounding, never through an intermediate double.
+Decimal text is converted with a single correct rounding, never through
+an intermediate double.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-
-try:
-    from gmpy2 import mpz as _fast_int
-except ImportError:  # gmpy2 is optional (the "fast" extra)
-    _fast_int = int
 
 MIN_BITS = 64
 
@@ -33,11 +29,7 @@ class ParseError(ValueError):
 
 
 class BackendMismatchError(TypeError):
-    """Scalars from different backends were combined."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    """Operation is meaningless on this backend (e.g. float-mode gcd)."""
+    """A value has no exact rational value (non-finite or not a number)."""
 
 
 class InternalConsistencyError(ArithmeticError):
@@ -82,18 +74,7 @@ def parse_decimal(text: str) -> Fraction:
 
 
 class ExactBackend:
-    """Arithmetic in arbitrary-precision rationals."""
-
-    kind = "exact"
-    bits = None
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    """Reads input as arbitrary-precision rationals."""
 
     def convert(self, value) -> Fraction:
         """Coerce value (int, Fraction, decimal string) to an exact scalar.
@@ -114,23 +95,12 @@ class ExactBackend:
             )
         raise ParseError(f"cannot convert {value!r} to an exact scalar")
 
-    def owns(self, value) -> bool:
-        return isinstance(value, Fraction)
-
     def __repr__(self):
         return "ExactBackend()"
 
-    def __eq__(self, other):
-        return isinstance(other, ExactBackend)
-
-    def __hash__(self):
-        return hash("exact")
-
 
 class FloatBackend:
-    """Arithmetic in binary floats with a fixed mantissa size."""
-
-    kind = "float"
+    """Rounds input to binary floats with a fixed mantissa size."""
 
     def __init__(self, bits: int):
         # mpmath loads with the first float backend, not with the package
@@ -142,14 +112,6 @@ class FloatBackend:
         ctx = MPContext()
         ctx.prec = bits
         self.ctx = ctx
-
-    @property
-    def zero(self):
-        return self.ctx.zero
-
-    @property
-    def one(self):
-        return self.ctx.one
 
     def from_fraction(self, value: Fraction):
         """Correctly rounded conversion of an exact rational."""
@@ -180,12 +142,6 @@ class FloatBackend:
     def __repr__(self):
         return f"FloatBackend(bits={self.bits})"
 
-    def __eq__(self, other):
-        return isinstance(other, FloatBackend) and other.bits == self.bits
-
-    def __hash__(self):
-        return hash(("float", self.bits))
-
 
 EXACT = ExactBackend()
 
@@ -200,7 +156,7 @@ def exact_value(value) -> Fraction:
     """Exact rational value of a scalar from either backend.
 
     Binary floats (mpf) are exact dyadic rationals, so this never rounds.
-    locate uses it to certify a float-mode matrix exactly.
+    SquareMatrix.from_rows stores every entry through it.
     """
     if isinstance(value, Fraction):
         return value
@@ -217,15 +173,3 @@ def exact_value(value) -> Fraction:
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise BackendMismatchError(f"no exact value for {value!r}")
 
-
-def check_same_backend(backend, *others):
-    """Raise BackendMismatchError unless all backends are equal."""
-    for other in others:
-        if other != backend:
-            raise BackendMismatchError(f"mixed backends: {backend!r} vs {other!r}")
-    return backend
-
-
-def fast_int(value):
-    """Cast a Python int to the fastest available big-integer type."""
-    return _fast_int(value)

@@ -12,9 +12,11 @@ iteration.  Tests hold the two sides against each other.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
-from eigencert.numerics import EXACT, check_same_backend
+from eigencert.numerics import EXACT
 from eigencert.poly import (
     Poly,
     cauchy_root_bound,
@@ -36,16 +38,11 @@ def naive_charpoly(m: SquareMatrix) -> Poly:
     Berkowitz route of charpoly().
     """
     n = m.n
-    backend = m.backend
-    one = Poly.from_coeffs([backend.one], backend)
     entries = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                entries[i, j] = Poly.from_coeffs([-m.rows[i][j], backend.one], backend)
-            else:
-                entries[i, j] = Poly.from_coeffs([-m.rows[i][j]], backend)
-    memo = {(): one}
+            entries[i, j] = Poly.from_coeffs([-m.rows[i][j], 1] if i == j else [-m.rows[i][j]])
+    memo = {(): Poly.from_coeffs([1])}
 
     def det(cols):
         try:
@@ -63,7 +60,7 @@ def naive_charpoly(m: SquareMatrix) -> Poly:
                 term = -term
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = Poly.from_coeffs([backend.zero], backend)
+            acc = Poly.from_coeffs([0])
         memo[cols] = acc
         return acc
 
@@ -75,23 +72,20 @@ def companion(p: Poly) -> SquareMatrix:
     n = p.degree()
     if n < 1 or not p.is_monic():
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    zero = p.backend.zero
     rows = []
     for i in range(n):
-        row = [zero] * n
+        row = [Fraction(0)] * n
         if i > 0:
-            row[i - 1] = p.backend.one
+            row[i - 1] = Fraction(1)
         row[n - 1] = -p.coeffs[i]
         rows.append(tuple(row))
-    return SquareMatrix(tuple(rows), p.backend)
+    return SquareMatrix(tuple(rows))
 
 
 def apply_poly(q: Poly, m: SquareMatrix) -> SquareMatrix:
     """q(M) by Horner's rule on matrices (cross-check path, O(d n^3))."""
-    check_same_backend(q.backend, m.backend)
     n = m.n
-    zero = m.backend.zero
-    acc = [[zero] * n for _ in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
     top = q.coeffs[-1]
     for i in range(n):
         acc[i][i] = top
@@ -101,7 +95,7 @@ def apply_poly(q: Poly, m: SquareMatrix) -> SquareMatrix:
         ck = q.coeffs[k]
         for i in range(n):
             acc[i][i] = acc[i][i] + ck
-    return SquareMatrix(tuple(tuple(r) for r in acc), m.backend)
+    return SquareMatrix(tuple(tuple(r) for r in acc))
 
 
 def dense_hermite(p: Poly, q: Poly) -> SquareMatrix:
@@ -113,29 +107,25 @@ def dense_hermite(p: Poly, q: Poly) -> SquareMatrix:
     """
     c = companion(p)
     n = c.n
-    traces = [p.backend.convert(n)]
+    traces = [Fraction(n)]
     power = c
     for _ in range(2 * n - 2):
         traces.append(power.trace())
         power = power.matmul(c)
-    h1 = SquareMatrix(
-        tuple(tuple(traces[i + j] for j in range(n)) for i in range(n)), p.backend
-    )
+    h1 = SquareMatrix(tuple(tuple(traces[i + j] for j in range(n)) for i in range(n)))
     return h1.matmul(apply_poly(q, c))
 
 
 def sturm_isolate_roots(p: Poly, eps) -> list:
     """Disjoint intervals of width <= eps, one per real root of p.
 
-    Exact backend, square-free p.  Plain Sturm bisection inside the Cauchy
-    bound, on the textbook Fraction chain of poly.sturm_chain rather than
-    the pipeline's primitive integer chain; a midpoint that is a root
-    becomes the zero-width interval [m, m] and the remaining roots are
-    isolated on the deflated quotient.
+    Square-free p.  Plain Sturm bisection inside the Cauchy bound, on the
+    textbook Fraction chain of poly.sturm_chain rather than the pipeline's
+    primitive integer chain; a midpoint that is a root becomes the
+    zero-width interval [m, m] and the remaining roots are isolated on the
+    deflated quotient.
     """
-    if p.backend != EXACT:
-        raise ValueError("root isolation is exact-only")
-    eps = p.backend.convert(eps)
+    eps = EXACT.convert(eps)
     if not eps > 0:
         raise ValueError("epsilon must be positive")
     bound = cauchy_root_bound(p.monic()) + 1
@@ -176,10 +166,8 @@ def sturm_count_closed(p: Poly, lo, hi) -> int:
     exact deflation, so tests can interrogate any interval the pipeline
     emits, including point intervals.
     """
-    if p.backend != EXACT:
-        raise ValueError("closed-interval counting is exact-only")
-    lo = p.backend.convert(lo)
-    hi = p.backend.convert(hi)
+    lo = EXACT.convert(lo)
+    hi = EXACT.convert(hi)
     if hi < lo:
         raise ValueError("need lo <= hi")
     work = square_free_part(p)
@@ -193,17 +181,18 @@ def sturm_count_closed(p: Poly, lo, hi) -> int:
     return extra + sturm_count(sturm_chain(work), lo, hi)
 
 
-def reference_eigensolve(m: SquareMatrix) -> list:
-    """All eigenvalues by mpmath QR iteration (float backend).
+def reference_eigensolve(rows, backend) -> list:
+    """All eigenvalues of the square rows by mpmath QR iteration.
 
+    backend is a float backend: each entry is rounded to it (mpf values
+    of its precision pass unchanged) and QR runs at its precision.
     Returns mpmath complex numbers in no particular order.  This is the
     bought reference path; convergence failures surface as OracleError.
     """
-    backend = m.backend
-    if backend == EXACT:
-        raise ValueError("reference eigensolver runs on the float backend")
-    ctx = backend.ctx
-    mat = ctx.matrix([[v for v in row] for row in m.rows])
+    ctx = getattr(backend, "ctx", None)
+    if ctx is None:
+        raise ValueError("reference eigensolver runs on a float backend")
+    mat = ctx.matrix([[backend.convert(v) for v in row] for row in rows])
     try:
         eigenvalues = ctx.eig(mat, left=False, right=False)
     except (RuntimeError, ZeroDivisionError) as exc:
@@ -211,16 +200,15 @@ def reference_eigensolve(m: SquareMatrix) -> list:
     return list(eigenvalues)
 
 
-def real_eigenvalues(m: SquareMatrix, imag_cut=None) -> list:
+def real_eigenvalues(rows, backend, imag_cut=None) -> list:
     """Sorted real parts of eigenvalues whose imaginary part is tiny.
 
     imag_cut defaults to 2^(-bits/2) * (1 + max |eigenvalue|); good enough
     for test comparisons, carries no certificate (that is the point of the
     rest of the package).
     """
-    backend = m.backend
+    values = reference_eigensolve(rows, backend)
     ctx = backend.ctx
-    values = reference_eigensolve(m)
     if imag_cut is None:
         biggest = max((abs(v) for v in values), default=ctx.zero)
         imag_cut = ctx.ldexp(1 + biggest, -(backend.bits // 2))

@@ -1,24 +1,18 @@
-"""Dense univariate polynomials over a scalar backend.
+"""Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending ([c0, c1, ..., cn] is c0 + c1 x + ... +
-cn x^n) with trailing zeros stripped; the zero polynomial keeps a single
-zero coefficient and reports degree -1.  Exact-only operations (gcd,
-square-free part, Sturm chains) refuse float backends instead of silently
-rounding.
+Coefficients are Fractions stored ascending ([c0, c1, ..., cn] is c0 +
+c1 x + ... + cn x^n) with trailing zeros stripped; the zero polynomial
+keeps a single zero coefficient and reports degree -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from eigencert import kernels
-from eigencert.numerics import (
-    EXACT,
-    InternalConsistencyError,
-    UnsupportedOperationError,
-    check_same_backend,
-)
+from eigencert.numerics import EXACT, InternalConsistencyError
 
 
 class SquareFreeRequiredError(ValueError):
@@ -28,12 +22,11 @@ class SquareFreeRequiredError(ValueError):
 @dataclass(frozen=True)
 class Poly:
     coeffs: tuple
-    backend: object
 
     @staticmethod
-    def from_coeffs(coeffs, backend) -> "Poly":
-        vals = [backend.convert(c) for c in coeffs]
-        return _strip(vals, backend)
+    def from_coeffs(coeffs) -> "Poly":
+        """Polynomial of ints, Fractions or decimal strings, read exactly."""
+        return _strip([EXACT.convert(c) for c in coeffs])
 
     def degree(self) -> int:
         if len(self.coeffs) == 1 and self.coeffs[0] == 0:
@@ -47,30 +40,28 @@ class Poly:
         return self.coeffs[-1] == 1
 
     def eval(self, x):
-        return kernels.horner_eval(self.coeffs, self.backend.convert(x))
+        return kernels.horner_eval(self.coeffs, EXACT.convert(x))
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:
-            return Poly((self.backend.zero,), self.backend)
-        vals = [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        return _strip(vals, self.backend)
+            return Poly((Fraction(0),))
+        return _strip([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
         lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs), self.backend)
+        return Poly(tuple(c / lead for c in self.coeffs))
 
     def reflected(self) -> "Poly":
         """p(-x): negate the odd-degree coefficients."""
-        vals = [(-c if k % 2 else c) for k, c in enumerate(self.coeffs)]
-        return _strip(vals, self.backend)
+        return _strip([(-c if k % 2 else c) for k, c in enumerate(self.coeffs)])
 
     def deflated(self, root) -> "Poly":
         """Exact synthetic division by (x - root); root must be a root."""
-        root = self.backend.convert(root)
+        root = EXACT.convert(root)
         out = []
-        acc = self.backend.zero
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * root + c
             out.append(acc)
@@ -78,53 +69,49 @@ class Poly:
         if rem != 0:
             raise ValueError(f"{root!r} is not a root; remainder {rem!r}")
         out.reverse()
-        return _strip(out, self.backend)
+        return _strip(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs), self.backend)
+        return Poly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "Poly") -> "Poly":
-        check_same_backend(self.backend, other.backend)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         vals = list(a)
         for k in range(len(b)):
             vals[k] = vals[k] + b[k]
-        return _strip(vals, self.backend)
+        return _strip(vals)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        check_same_backend(self.backend, other.backend)
         if self.is_zero() or other.is_zero():
-            return Poly((self.backend.zero,), self.backend)
-        zero = self.backend.zero
-        vals = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly((Fraction(0),))
+        vals = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 vals[i + j] = vals[i + j] + a * b
-        return _strip(vals, self.backend)
+        return _strip(vals)
 
 
-def _strip(vals: list, backend) -> Poly:
+def _strip(vals: list) -> Poly:
     while len(vals) > 1 and vals[-1] == 0:
         vals.pop()
     if not vals:
-        vals = [backend.zero]
-    return Poly(tuple(vals), backend)
+        vals = [Fraction(0)]
+    return Poly(tuple(vals))
 
 
 def divmod_poly(num: Poly, den: Poly):
     """Quotient and remainder over the coefficient field."""
-    check_same_backend(num.backend, den.backend)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     quot, rem = kernels.poly_divmod(list(num.coeffs), list(den.coeffs))
-    return _strip(quot, num.backend), _strip(rem, num.backend)
+    return _strip(quot), _strip(rem)
 
 
 def cauchy_root_bound(p: Poly):
@@ -133,29 +120,16 @@ def cauchy_root_bound(p: Poly):
         raise ValueError("root bound needs degree >= 1")
     lead = abs(p.coeffs[-1])
     top = max(abs(c) for c in p.coeffs[:-1])
-    return p.backend.one + top / lead
-
-
-def _require_exact(p: Poly, what: str):
-    if p.backend != EXACT:
-        raise UnsupportedOperationError(
-            f"{what} is exact-only; convert the input or use exact mode"
-        )
+    return 1 + top / lead
 
 
 def _int_coeffs(p: Poly) -> list:
     scale = lcm(*(c.denominator for c in p.coeffs))
-    out = []
-    for c in p.coeffs:
-        v = c * scale
-        out.append(int(v))
-    return out
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of two exact polynomials (fraction-free internally)."""
-    _require_exact(p, "gcd")
-    check_same_backend(p.backend, q.backend)
+    """Monic gcd of two polynomials (fraction-free internally)."""
     if p.is_zero():
         return q.monic()
     if q.is_zero():
@@ -166,13 +140,12 @@ def gcd(p: Poly, q: Poly) -> Poly:
     while True:
         rem = kernels.int_prem_primitive(fa, fb)
         if not rem:
-            return Poly.from_coeffs(fb, EXACT).monic()
+            return Poly.from_coeffs(fb).monic()
         fa, fb = fb, rem
 
 
 def square_free_part(p: Poly) -> Poly:
     """Monic polynomial with the same roots as p, all simple."""
-    _require_exact(p, "square-free part")
     if p.degree() < 1:
         return p.monic()
     g = gcd(p, p.derivative())
@@ -190,8 +163,7 @@ class SturmChain:
 
 
 def sturm_chain(p: Poly) -> SturmChain:
-    """Textbook Sturm chain p, p', -rem(...), ... for square-free exact p."""
-    _require_exact(p, "Sturm chain")
+    """Textbook Sturm chain p, p', -rem(...), ... for square-free p."""
     if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial")
     polys = [p]
@@ -215,8 +187,8 @@ def sturm_count(chain: SturmChain, a, b) -> int:
     is how this is used everywhere in the package.
     """
     p = chain.polys[0]
-    a = p.backend.convert(a)
-    b = p.backend.convert(b)
+    a = EXACT.convert(a)
+    b = EXACT.convert(b)
     if not a < b:
         raise ValueError("need a < b")
     if p.eval(a) == 0 or p.eval(b) == 0:

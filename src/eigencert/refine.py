@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
-from eigencert.numerics import InternalConsistencyError
+from eigencert.numerics import EXACT, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,12 @@ def _endpoint_cells(ctx: CertificationContext, iv: CertifiedInterval, eps) -> li
 
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
     """Refine one certified interval to pieces of width <= eps."""
-    eps = ctx.backend.convert(eps)
+    eps = EXACT.convert(eps)
     if not eps > 0:
         raise ValueError("epsilon must be positive")
     if not interval.contains_real:
         return []
-    interval = replace(
-        interval, lo=ctx.backend.convert(interval.lo), hi=ctx.backend.convert(interval.hi)
-    )
+    interval = replace(interval, lo=EXACT.convert(interval.lo), hi=EXACT.convert(interval.hi))
     out = []
     budget = _depth_budget(interval.hi - interval.lo, eps)
     stack = [RefinementTask(interval, 0)]

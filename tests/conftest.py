@@ -61,10 +61,8 @@ def random_rational_matrix(rng: random.Random, n: int, bound: int = 5, max_den: 
 
 
 def to_float_matrix(m: SquareMatrix, bits: int = 256) -> SquareMatrix:
-    fb = float_backend(bits)
-    return SquareMatrix.from_rows(
-        [[fb.convert(v) for v in row] for row in m.rows], fb
-    )
+    """m with each entry rounded to a float of the given precision."""
+    return SquareMatrix.from_rows(m.rows, float_backend(bits))
 
 
 # Entries whose common denominator is rarely 1: one- and two-place

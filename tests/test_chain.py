@@ -26,7 +26,7 @@ TINY = F(1, 10**9)
 
 
 def hermite_sigma(base, a, b):
-    q = Poly.from_coeffs([a * b, -(a + b), EXACT.one], EXACT)
+    q = Poly.from_coeffs([a * b, -(a + b), 1])
     return signature(hermite_weighted(base, q))
 
 
@@ -43,7 +43,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
     for d in res.disks:
         if d.radius:
             c, r = d.center, d.radius
-            q = Poly.from_coeffs([c * c - r * r, -2 * c, EXACT.one], EXACT)
+            q = Poly.from_coeffs([c * c - r * r, -2 * c, 1])
             assert ctx.sigma_q(c - r, c + r) == signature(hermite_weighted(base, q)), d
     for iv in res.tested:
         assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
@@ -158,13 +158,13 @@ def test_locate_on_cleared_matrix_matches_textbook(m, column_disks):
 
 
 def test_int_sturm_chain_rejects_repeated_roots():
-    p = Poly.from_coeffs([1, -2, 1], EXACT)  # (x-1)^2
+    p = Poly.from_coeffs([1, -2, 1])  # (x-1)^2
     with pytest.raises(InternalConsistencyError, match="square-free"):
         int_sturm_chain(p)
 
 
 def test_int_sturm_chain_is_primitive_and_integer():
-    p = Poly.from_coeffs([F(-6, 4), F(11, 4), F(-6, 4), F(1, 4)], EXACT)  # (x-1)(x-2)(x-3)/4
+    p = Poly.from_coeffs([F(-6, 4), F(11, 4), F(-6, 4), F(1, 4)])  # (x-1)(x-2)(x-3)/4
     chain = int_sturm_chain(p)
     assert chain[0] == [-6, 11, -6, 1]
     assert chain[1] == [11, -12, 3]
@@ -210,7 +210,7 @@ def test_memo_matches_direct_evaluation(m, column_disks):
 
 
 def test_fill_refuses_rising_variations():
-    p = Poly.from_coeffs([0, 1], EXACT)
+    p = Poly.from_coeffs([0, 1])
     # forged chain x, -1: V is 0 left of 0 and 1 right of it
     ctx = CertificationContext(p, p, ([0, 1], [-1]))
     with pytest.raises(InternalConsistencyError, match="rise"):

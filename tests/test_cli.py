@@ -42,7 +42,7 @@ def test_parse_json_bare_float_exact_mode():
 def test_parse_json_bare_float_float_mode():
     # a bare number is its binary double, exactly; decimal strings stay decimal
     m = cli.parse_matrix_text('{"matrix": [[1, 2.5], [0.1, "0.1"]]}', "float")
-    assert m.backend == EXACT
+    assert all(type(v) is F for row in m.rows for v in row)
     assert m.rows == ((1, F(5, 2)), (F(0.1), F(1, 10)))
     assert F(0.1) != F(1, 10)
 
@@ -112,6 +112,15 @@ def test_main_text_output(tmp_path, capsys):
     assert "5 x 5 matrix, exact mode" in out
     assert "refined intervals (epsilon = 0.01):" in out
     assert "contains real" in out
+    assert "3 final intervals, max width " in out
+    # no final interval: a point eigenvalue, or no real eigenvalue at all
+    for text in ("5\n", "0,0\n0,0\n", "0,-1\n1,0\n"):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        assert cli.main([str(path)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert " 0 final intervals, wall time " in summary
+        assert "None" not in summary
 
 
 def test_main_json_output(tmp_path, capsys):

@@ -27,7 +27,7 @@ from tests.conftest import rational_rows
 
 
 def ctx_for(*coeffs):
-    return CertificationContext.from_poly(Poly.from_coeffs(coeffs, EXACT))
+    return CertificationContext.from_poly(Poly.from_coeffs(coeffs))
 
 
 WORKED_DISKS = [

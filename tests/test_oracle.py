@@ -12,11 +12,11 @@ from eigencert.oracle import (
     sturm_isolate_roots,
 )
 from eigencert.poly import Poly
-from tests.conftest import WORKED_CHARPOLY
+from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS
 
 
 def P(*coeffs):
-    return Poly.from_coeffs(coeffs, EXACT)
+    return Poly.from_coeffs(coeffs)
 
 
 def test_naive_charpoly_golden(worked_exact):
@@ -48,10 +48,6 @@ def test_sturm_isolate_exact_midpoint():
 
 
 def test_sturm_isolate_validation():
-    fb = float_backend(64)
-    q = Poly.from_coeffs(["1", "0", "1"], fb)
-    with pytest.raises(ValueError):
-        sturm_isolate_roots(q, "0.5")
     with pytest.raises(ValueError):
         sturm_isolate_roots(P(-1, 0, 1), 0)
 
@@ -71,15 +67,16 @@ def test_sturm_count_closed():
         sturm_count_closed(p, 3, 1)
 
 
-def test_reference_eigensolve_rejects_exact(worked_exact):
+def test_reference_eigensolve_rejects_exact():
     with pytest.raises(ValueError):
-        reference_eigensolve(worked_exact)
+        reference_eigensolve(WORKED_ROWS, EXACT)
 
 
-def test_reference_eigensolve_worked(worked_exact, worked_float):
-    values = reference_eigensolve(worked_float)
+def test_reference_eigensolve_worked(worked_exact):
+    fb = float_backend(256)
+    values = reference_eigensolve(WORKED_ROWS, fb)
     assert len(values) == 5
-    reals = real_eigenvalues(worked_float)
+    reals = real_eigenvalues(WORKED_ROWS, fb)
     assert len(reals) == 3
     # each QR eigenvalue must land inside an independently isolated box
     p = faddeev_leverrier(worked_exact)
@@ -90,6 +87,4 @@ def test_reference_eigensolve_worked(worked_exact, worked_float):
 
 
 def test_real_eigenvalues_rotation():
-    fb = float_backend(128)
-    m = SquareMatrix.from_rows([["0", "1"], ["-1", "0"]], fb)
-    assert real_eigenvalues(m) == []
+    assert real_eigenvalues([["0", "1"], ["-1", "0"]], float_backend(128)) == []

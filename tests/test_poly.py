@@ -3,12 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from eigencert.numerics import (
-    EXACT,
-    BackendMismatchError,
-    UnsupportedOperationError,
-    float_backend,
-)
 from eigencert.poly import (
     Poly,
     SquareFreeRequiredError,
@@ -24,7 +18,7 @@ from eigencert.poly import (
 
 
 def P(*coeffs):
-    return Poly.from_coeffs(coeffs, EXACT)
+    return Poly.from_coeffs(coeffs)
 
 
 def test_construction_strips_trailing_zeros():
@@ -66,13 +60,6 @@ def test_deflated():
         p.deflated(5)
 
 
-def test_backend_mixing_rejected():
-    fb = float_backend(128)
-    q = Poly.from_coeffs([1, 1], fb)
-    with pytest.raises(BackendMismatchError):
-        P(1, 1) + q
-
-
 def test_divmod_poly():
     num = P(-1, 0, 1)
     den = P(1, 1)
@@ -96,17 +83,10 @@ def test_gcd_coprime_and_zero():
 
 
 def test_gcd_rational_coefficients():
-    a = Poly.from_coeffs([Fraction(1, 2), Fraction(1, 3)], EXACT)
-    b = Poly.from_coeffs([Fraction(3, 2), Fraction(1, 1)], EXACT)
+    a = Poly.from_coeffs([Fraction(1, 2), Fraction(1, 3)])
+    b = Poly.from_coeffs([Fraction(3, 2), Fraction(1, 1)])
     # both are multiples of (x + 3/2)
     assert gcd(a, b).coeffs == (Fraction(3, 2), 1)
-
-
-def test_gcd_float_rejected():
-    fb = float_backend(128)
-    q = Poly.from_coeffs([1, 1], fb)
-    with pytest.raises(UnsupportedOperationError):
-        gcd(q, q)
 
 
 def test_square_free_part():

@@ -5,13 +5,13 @@ import pytest
 
 from eigencert import refine as refine_mod
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval, locate
-from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.numerics import InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, refine_all, refine_interval
 
 
 def ctx_for(*coeffs):
-    return CertificationContext.from_poly(Poly.from_coeffs(coeffs, EXACT))
+    return CertificationContext.from_poly(Poly.from_coeffs(coeffs))
 
 
 def test_depth_budget():

@@ -15,7 +15,12 @@ Every test has q = (x-a)(x-b).  For square-free p, Hermite-Sylvester
 gives sigma(H_q) = TaQ(q, p) = sigma(H_1) - 2 #{roots in (a, b)} -
 #{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Those counts come
 from one primitive integer Sturm chain of p, built with the context,
-whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b).  V and
+whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b).  The
+context builds the negated primitive remainder sequence of the
+characteristic polynomial and its derivative once.  When it ends in a
+constant the polynomial is square-free and the sequence is its Sturm
+chain; otherwise it ends in gcd(p, p'), the polynomial is divided by it,
+and only then is a second chain built, on the square-free quotient.  V and
 the sign of p are memoised by the point's (numerator, denominator) pair,
 the integers that Horner evaluates on, so a breakpoint shared by two
 tests is evaluated once.
@@ -52,10 +57,11 @@ from math import lcm
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
+from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.poly import Poly, divmod_poly
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.numerics import EXACT, InternalConsistencyError
-from eigencert.poly import Poly, square_free_part
+from eigencert.poly import square_free_part
 
 CONTAINS_REAL = "contains-real-eigenvalue"
 EMPTY_REAL = "empty-of-real-eigenvalues"
@@ -81,11 +87,14 @@ class CertifiedInterval:
 
 
 def int_sturm_chain(p: Poly) -> tuple:
-    """Primitive integer Sturm chain of square-free p.
+    """Negated primitive remainder sequence of p and p', in integers.
 
     f_0 is p with denominators cleared, f_1 is p' without its content and
-    f_{k+1} = -prem(f_{k-1}, f_k) made primitive.  Each member is a
-    positive multiple of the textbook chain's, so every sign agrees.
+    f_{k+1} = -prem(f_{k-1}, f_k) made primitive, down to the last nonzero
+    member.  That member is a constant exactly when p is square-free, and
+    the sequence is then p's Sturm chain: each member is a positive
+    multiple of the textbook chain's, so every sign agrees.  Otherwise the
+    last member is gcd(p, p') up to a constant factor.
     """
     scale = lcm(*(c.denominator for c in p.coeffs))
     chain = [[int(c * scale) for c in p.coeffs]]
@@ -94,9 +103,7 @@ def int_sturm_chain(p: Poly) -> tuple:
     while len(chain[-1]) > 1:
         rem = kernels.int_prem_primitive(chain[-2], chain[-1])
         if not rem:
-            raise InternalConsistencyError(
-                "Sturm chain ends in a zero remainder: p is not square-free"
-            )
+            break
         chain.append([-c for c in rem])
     return tuple(chain)
 
@@ -122,10 +129,18 @@ class CertificationContext:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CertificationContext":
-        """Context of the characteristic polynomial p."""
+        """Context of the characteristic polynomial p, divided by gcd(p, p')
+        only if its remainder sequence ends in that instead of a constant."""
         original = p.monic()
-        deflated = square_free_part(original)
-        return cls(deflated, original, int_sturm_chain(deflated))
+        chain = int_sturm_chain(original)
+        if len(chain[-1]) == 1:
+            return cls(original, original, chain)
+        quot, rem = divmod_poly(original, Poly.from_coeffs(chain[-1]))
+        deflated = quot.monic()
+        chain = int_sturm_chain(deflated)
+        if not rem.is_zero() or len(chain[-1]) > 1:
+            raise InternalConsistencyError("gcd(p, p') does not divide p to a square-free part")
+        return cls(deflated, original, chain)
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":

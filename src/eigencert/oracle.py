@@ -1,13 +1,17 @@
 """Independent slow paths used to check the fast ones.
 
-Nothing here shares an algorithm with the production pipeline: the
-characteristic polynomial comes from cofactor expansion instead of
+The characteristic polynomial comes from cofactor expansion instead of
 division-free Berkowitz, the Hermite forms from dense products with the
 companion matrix instead of Newton power sums laid out as Hankel
 matrices, root counting and isolation from the textbook Sturm chain over
 Fraction (field remainders) instead of the primitive integer chain that
 every signature is read from, and the dense eigensolver is mpmath's QR
 iteration.  Tests hold the two sides against each other.
+
+One kernel is shared: sturm_count_closed deflates through
+poly.square_free_part, whose gcd runs kernels.int_prem_primitive, the
+pseudo-remainder step of the pipeline's Sturm chain.  A fault in that
+kernel can reach both sides of a test that uses sturm_count_closed.
 """
 
 from __future__ import annotations

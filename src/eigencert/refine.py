@@ -35,6 +35,7 @@ ever emitted on numeric evidence alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
@@ -47,14 +48,14 @@ class RefinementTask:
     depth: int
 
 
+def _halvings(width, eps) -> int:
+    """Smallest d >= 0 with width <= eps * 2^d."""
+    return (math.ceil(width / eps) - 1).bit_length()
+
+
 def _depth_budget(width, eps) -> int:
-    # smallest d with width <= 2^d * eps, plus slack for the eps/4 nudges
-    budget = 2
-    scale = eps
-    while scale < width:
-        scale = scale * 2
-        budget += 1
-    return budget
+    # the halvings down to eps, plus slack for the eps/4 nudges
+    return _halvings(width, eps) + 2
 
 
 def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
@@ -79,9 +80,7 @@ def _endpoint_cells(ctx: CertificationContext, iv: CertifiedInterval, eps) -> li
     bisection keeps beside it, and sigma(H_q) of that cell is
     sigma(H_1) - 1 by TaQ: one endpoint root, none inside.
     """
-    cell = iv.hi - iv.lo
-    while cell > eps:
-        cell = cell / 2
+    cell = (iv.hi - iv.lo) / 2 ** _halvings(iv.hi - iv.lo, eps)
     sigma = ctx.base_signature - 1
     cells = []
     if ctx.sign_at(iv.lo) == 0:

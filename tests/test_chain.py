@@ -13,13 +13,20 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from eigencert import kernels
-from eigencert.charpoly import SquareMatrix
+from eigencert import kernels, localize
+from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.localize import CONTAINS_REAL, CertificationContext, int_sturm_chain, locate
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
-from eigencert.poly import Poly, sturm_chain, sturm_count
+from eigencert.poly import (
+    Poly,
+    divmod_poly,
+    square_free_part,
+    sturm_chain,
+    sturm_count,
+    sturm_count_all,
+)
 from tests.conftest import random_rational_matrix, rational_rows
 
 TINY = F(1, 10**9)
@@ -157,10 +164,94 @@ def test_locate_on_cleared_matrix_matches_textbook(m, column_disks):
         assert iv.min_root_count == inside, (iv.lo, iv.hi)
 
 
-def test_int_sturm_chain_rejects_repeated_roots():
+def test_int_sturm_chain_ends_in_gcd_on_repeated_roots():
     p = Poly.from_coeffs([1, -2, 1])  # (x-1)^2
+    last = int_sturm_chain(p)[-1]
+    assert len(last) == 2 and last[0] == -last[1] != 0  # a multiple of x - 1
+    ctx = CertificationContext.from_poly(p)
+    assert ctx.poly == Poly.from_coeffs([-1, 1])
+    assert ctx.original == p
+    assert len(ctx.chain[-1]) == 1
+    assert ctx.base_signature == 1
+
+
+def test_from_poly_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    def bad_divmod(num, den):
+        quot, _ = divmod_poly(num, den)
+        return quot, Poly.from_coeffs([1])
+
+    monkeypatch.setattr(localize, "divmod_poly", bad_divmod)
     with pytest.raises(InternalConsistencyError, match="square-free"):
-        int_sturm_chain(p)
+        CertificationContext.from_poly(Poly.from_coeffs([1, -2, 1]))
+
+
+@st.composite
+def factored_polys(draw):
+    """An integer polynomial built from linear and quadratic factors, each
+    to the power 1-3, so that square-free and repeated-root cases both occur."""
+    p = Poly.from_coeffs([draw(st.sampled_from([1, -1, 2, 3]))])
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 2))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=degree + 1, max_size=degree + 1))
+        assume(coeffs[-1] != 0)
+        factor = Poly.from_coeffs(coeffs)
+        for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+            p = p * factor
+    return p
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(factored_polys())
+def test_one_remainder_sequence_gives_square_free_part_and_chain(p):
+    """The context's one sequence equals the two-route result: the
+    square-free part by poly.gcd, and the Sturm chain built on it."""
+    square_free = square_free_part(p)
+    calls = []
+    prem = kernels.int_prem_primitive
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "int_prem_primitive", lambda f, g: calls.append(1) or prem(f, g))
+        ctx = CertificationContext.from_poly(p)
+    assert ctx.poly == square_free
+    assert ctx.original == p.monic()
+    assert ctx.chain == int_sturm_chain(ctx.poly)
+    assert len(ctx.chain[-1]) == 1
+    assert ctx.base_signature == sturm_count_all(sturm_chain(ctx.poly))
+    if square_free == p.monic():
+        # one sequence: a pseudo-remainder per member after p and p'
+        assert len(calls) == len(ctx.chain) - 2
+
+
+def repeated_block_matrix(block, order):
+    """diag(B, B) with rows and columns permuted alike: each eigenvalue of B
+    is a double root of the characteristic polynomial."""
+    k = len(block)
+    rows = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][j] = rows[i + k][j + k] = block[i][j]
+    return SquareMatrix.from_rows([[rows[i][j] for j in order] for i in order], EXACT)
+
+
+def test_repeated_block_matrix_takes_the_division_path(monkeypatch):
+    # B has eigenvalues 1 and 2 and a complex pair
+    block = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 3, 0, -1], [2, 0, 1, 0]]
+    m = repeated_block_matrix(block, [5, 2, 7, 0, 3, 6, 1, 4])
+    divisions = []
+
+    def counted_divmod(num, den):
+        divisions.append(den)
+        return divmod_poly(num, den)
+
+    monkeypatch.setattr(localize, "divmod_poly", counted_divmod)
+    res = locate(m)
+    ctx = res.context
+    assert len(divisions) == 1 and divisions[0].degree() == 4
+    assert ctx.original == charpoly(m).monic()
+    assert ctx.poly == square_free_part(ctx.original)
+    assert ctx.poly.degree() == 4
+    assert ctx.chain == int_sturm_chain(ctx.poly)
+    assert ctx.base_signature == 2
+    check_pipeline_tests(m, [F(1), F(2)], (-TINY, TINY))
 
 
 def test_int_sturm_chain_is_primitive_and_integer():

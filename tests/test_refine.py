@@ -14,10 +14,30 @@ def ctx_for(*coeffs):
     return CertificationContext.from_poly(Poly.from_coeffs(coeffs))
 
 
+TINY_STEP = F(1, 10**40)
+
+
+def _doubling_budget(width, eps):
+    """The budget by doubling eps until it reaches the width, plus 2."""
+    budget = 2
+    scale = eps
+    while scale < width:
+        scale = scale * 2
+        budget += 1
+    return budget
+
+
 def test_depth_budget():
     assert _depth_budget(F(1, 8), F(1, 4)) == 2
     assert _depth_budget(4, F(1, 4)) == 6
     assert _depth_budget(F(1, 4), F(1, 4)) == 2
+    for eps in (F("1e-7"), F("1e-30"), F(1, 2**20), F(3, 2**10)):
+        widths = {F(2) ** k for k in range(-110, 12)}
+        widths |= {eps * 2**k + d for k in range(0, 110, 7) for d in (-TINY_STEP, 0, TINY_STEP)}
+        widths |= {eps * F(k, 7) for k in range(1, 50)}
+        for width in widths:
+            if width > 0:
+                assert _depth_budget(width, eps) == _doubling_budget(width, eps), (width, eps)
 
 
 def test_refine_requires_positive_eps(worked_exact):

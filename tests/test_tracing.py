@@ -18,8 +18,7 @@ def load_tracing():
     return module
 
 
-PIPELINE_SPANS = ("cli.parse", "charpoly", "poly.square_free", "localize.disk",
-                  "localize.candidate")
+PIPELINE_SPANS = ("cli.parse", "charpoly", "localize.disk", "localize.candidate")
 HERMITE_SPANS = ("hermite.base", "hermite.weighted", "hermite.signature",
                  "kernels.power_sums", "kernels.hermite_product")
 
@@ -45,6 +44,9 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
         assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
     for span in PIPELINE_SPANS:
         assert exact_calls[span] > 0, f"no call reached the traced name of {span}"
+    # the worked example's p is square-free: its one remainder sequence is
+    # the Sturm chain, and square_free_part, though patched, is not called
+    assert exact_calls["poly.square_free"] == 0
     # both modes read their signatures off the Sturm chain and their signs
     # by integer Horner; neither builds a Hermite form
     assert exact_evals == 0
@@ -54,5 +56,6 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
     for span in PIPELINE_SPANS:
         assert calls[span] > exact_calls[span], f"float mode did not reach {span}"
     assert tracer.counts["poly.eval.calls"] == 0
+    assert calls["poly.square_free"] == 0
     for span in HERMITE_SPANS:
         assert calls[span] == 0, f"float mode reached {span}"

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from eigencert import kernels
 from eigencert.localize import int_sturm_chain
-from eigencert.numerics import float_backend
 from eigencert.poly import Poly
 
 
@@ -49,8 +48,7 @@ def build_cases(size: int):
             v = rng.randint(-10**20, 10**20)
             sym[i][j] = sym[j][i] = v
 
-    fb = float_backend(256)
-    frows = [[fb.convert(str(rng.randint(-50, 50))) for _ in range(n)] for _ in range(n)]
+    frows = [[Fraction(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
     fsym = [[(frows[i][j] + frows[j][i]) for j in range(n)] for i in range(n)]
 
     # a midpoint deep in exact bisection: dyadic, with denominator 2^90

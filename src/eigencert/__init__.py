@@ -5,15 +5,15 @@ square matrix: Gershgorin disks bound the spectrum, Hermite-form signature
 tests certify which regions actually touch the real spectrum, and certified
 bisection narrows them to any requested width.  Every matrix and
 polynomial holds exact rationals, and every step runs in exact
-arithmetic; a float backend only rounds the input entries, and the
-matrix of the rounded values is certified exactly.
+arithmetic; a float backend only rounds the input entries, by integer
+arithmetic, and the matrix of the rounded values is certified exactly.
+The package needs nothing outside the standard library.
 """
 
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.localize import CertificationContext, certify_interval, locate
 from eigencert.numerics import (
     EXACT,
-    BackendMismatchError,
     InternalConsistencyError,
     ParseError,
     float_backend,
@@ -36,7 +36,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BackendMismatchError",
     "CertificationContext",
     "EXACT",
     "InternalConsistencyError",

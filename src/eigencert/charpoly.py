@@ -1,19 +1,19 @@
 """Square matrices and their characteristic polynomials.
 
 A SquareMatrix holds Fractions.  from_rows reads each entry through a
-backend and keeps its exact value: EXACT reads ints, Fractions and
-decimal text exactly, and a float backend rounds each entry once to its
-precision, so a float backend only says how the input is rounded.
+backend: EXACT reads ints, Fractions and decimal text exactly, and a
+float backend rounds each entry once to its precision, so a float
+backend only says how the input is rounded.
 
 charpoly() runs Berkowitz's division-free algorithm after clearing
 denominators, so the whole computation runs in big integers and the
 result is exact.  Faddeev-Leverrier, on the same cleared integer matrix,
 is the tests' independent cross-check.
 
-The tests' fixed-precision reference works on rows of mpf values rather
-than on a SquareMatrix: Householder reduction to upper Hessenberg form
-followed by the La Budde recurrence, which is the numerically
-trustworthy way to get coefficients at fixed precision.
+The tests' fixed-precision reference runs in mpmath, which it imports
+when called: Householder reduction to upper Hessenberg form followed by
+the La Budde recurrence, which is the numerically trustworthy way to get
+coefficients at fixed precision.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from math import lcm
 
 from eigencert import kernels
-from eigencert.numerics import exact_value
+from eigencert.numerics import float_backend
 from eigencert.poly import Poly
 
 
@@ -45,7 +45,7 @@ class SquareMatrix:
                     f"matrix must be square; row of length {len(row)} "
                     f"in a matrix with {n} rows"
                 )
-            conv.append(tuple(exact_value(backend.convert(v)) for v in row))
+            conv.append(tuple(backend.convert(v) for v in row))
         return SquareMatrix(tuple(conv))
 
     @property
@@ -110,16 +110,33 @@ def faddeev_leverrier(m: SquareMatrix) -> Poly:
     return _cleared_charpoly(m, kernels.fl_charpoly_int)
 
 
-def hessenberg_reduce(rows, backend) -> HessenbergForm:
+def mp_rows(rows, bits: int):
+    """An mpmath context of bits precision, and the square rows in it.
+
+    Each entry is rounded as float_backend(bits) rounds it, so the mpf
+    rows hold the matrix that SquareMatrix.from_rows(rows,
+    float_backend(bits)) holds; a rounded value has at most bits
+    significant bits over a power of two, so mpf holds it exactly.
+    """
+    from mpmath.ctx_mp import MPContext
+
+    ctx = MPContext()
+    ctx.prec = bits
+    backend = float_backend(bits)
+    return ctx, [
+        [ctx.mpf(v.numerator) / v.denominator for v in map(backend.convert, row)]
+        for row in rows
+    ]
+
+
+def hessenberg_reduce(rows, bits: int) -> HessenbergForm:
     """Orthogonal (Householder) reduction to upper Hessenberg form.
 
-    backend is a float backend.  Each entry of the square rows is rounded
-    to it (mpf values of its precision pass unchanged), and every step
-    runs at that precision.
+    Each entry of the square rows is rounded to bits bits, and every step
+    runs at that precision in mpmath.
     """
-    ctx = backend.ctx
+    ctx, h = mp_rows(rows, bits)
     n = len(rows)
-    h = [[backend.convert(v) for v in row] for row in rows]
     for k in range(n - 2):
         norm2 = ctx.zero
         for i in range(k + 1, n):

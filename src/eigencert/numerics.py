@@ -5,18 +5,18 @@ values, and every computation on them is exact.  A backend only says how
 input is read:
 
 * the exact backend reads ints, Fractions and decimal text exactly;
-* a float backend rounds each value once, correctly, to ``bits`` bits in
-  an mpmath context (one shared context per precision).  A matrix built
-  on it holds the exact values of the rounded floats, and the
-  fixed-precision references in charpoly.py and oracle.py compute on the
-  mpf values themselves.
+* a float backend reads the same, and finite doubles exactly, then rounds
+  the value once to ``bits`` significant bits (nearest, ties to even) by
+  integer arithmetic.  It returns the exact Fraction of the rounded
+  float, so a matrix built on it holds the values of its rounded entries.
 
-Decimal text is converted with a single correct rounding, never through
-an intermediate double.
+Decimal text is read exactly and rounded once, never through an
+intermediate double.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -26,10 +26,6 @@ MIN_BITS = 64
 
 class ParseError(ValueError):
     """Malformed numeric literal or malformed matrix input."""
-
-
-class BackendMismatchError(TypeError):
-    """A value has no exact rational value (non-finite or not a number)."""
 
 
 class InternalConsistencyError(ArithmeticError):
@@ -103,41 +99,40 @@ class FloatBackend:
     """Rounds input to binary floats with a fixed mantissa size."""
 
     def __init__(self, bits: int):
-        # mpmath loads with the first float backend, not with the package
-        from mpmath.ctx_mp import MPContext
-
         if bits < MIN_BITS:
             raise ValueError(f"float backend needs >= {MIN_BITS} bits, got {bits}")
         self.bits = bits
-        ctx = MPContext()
-        ctx.prec = bits
-        self.ctx = ctx
 
-    def from_fraction(self, value: Fraction):
-        """Correctly rounded conversion of an exact rational."""
-        from mpmath import libmp
+    def convert(self, value) -> Fraction:
+        """value rounded to bits significant bits, as an exact Fraction.
 
-        raw = libmp.from_rational(
-            value.numerator, value.denominator, self.bits, libmp.round_nearest
-        )
-        return self.ctx.make_mpf(raw)
-
-    def convert(self, value):
-        if self.owns(value):
-            return value
-        if isinstance(value, int):
-            return self.from_fraction(Fraction(value))
-        if isinstance(value, Fraction):
-            return self.from_fraction(value)
-        if isinstance(value, str):
-            return self.from_fraction(parse_decimal(value))
+        Reads what EXACT reads, and finite doubles exactly (widening a
+        double is lossless), then rounds once: to nearest, ties to even.
+        """
         if isinstance(value, float):
-            # Doubles are exact binary rationals; widening them is lossless.
-            return self.from_fraction(Fraction(value))
-        raise ParseError(f"cannot convert {value!r} to a float scalar")
-
-    def owns(self, value) -> bool:
-        return isinstance(value, self.ctx.mpf)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite float {value!r} is not a scalar")
+            value = Fraction(value)
+        value = EXACT.convert(value)
+        num, den = abs(value.numerator), value.denominator
+        if num == 0:
+            return value
+        # scale num/den by 2^shift into [2^(bits-1), 2^bits): the estimate
+        # lands in [2^(bits-1), 2^(bits+1)), and one halving corrects it
+        shift = self.bits - num.bit_length() + den.bit_length()
+        if shift >= 0:
+            num <<= shift
+        else:
+            den <<= -shift
+        if num >= den << self.bits:
+            den <<= 1
+            shift -= 1
+        man, rem = divmod(num, den)
+        if 2 * rem > den or (2 * rem == den and man & 1):
+            man += 1
+        if value < 0:
+            man = -man
+        return Fraction(man, 1 << shift) if shift >= 0 else Fraction(man << -shift)
 
     def __repr__(self):
         return f"FloatBackend(bits={self.bits})"
@@ -150,26 +145,3 @@ EXACT = ExactBackend()
 def float_backend(bits: int) -> FloatBackend:
     """Shared FloatBackend for the given precision."""
     return FloatBackend(bits)
-
-
-def exact_value(value) -> Fraction:
-    """Exact rational value of a scalar from either backend.
-
-    Binary floats (mpf) are exact dyadic rationals, so this never rounds.
-    SquareMatrix.from_rows stores every entry through it.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    mpf_tuple = getattr(value, "_mpf_", None)
-    if mpf_tuple is not None:
-        sign, man, exp, _ = mpf_tuple
-        if man == 0:
-            if exp != 0:
-                raise BackendMismatchError(f"non-finite float {value!r}")
-            return Fraction(0)
-        man = -int(man) if sign else int(man)
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    raise BackendMismatchError(f"no exact value for {value!r}")
-

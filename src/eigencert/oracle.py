@@ -7,11 +7,6 @@ matrices, root counting and isolation from the textbook Sturm chain over
 Fraction (field remainders) instead of the primitive integer chain that
 every signature is read from, and the dense eigensolver is mpmath's QR
 iteration.  Tests hold the two sides against each other.
-
-One kernel is shared: sturm_count_closed deflates through
-poly.square_free_part, whose gcd runs kernels.int_prem_primitive, the
-pseudo-remainder step of the pipeline's Sturm chain.  A fault in that
-kernel can reach both sides of a test that uses sturm_count_closed.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eigencert import kernels
-from eigencert.charpoly import SquareMatrix
+from eigencert.charpoly import SquareMatrix, mp_rows
 from eigencert.numerics import EXACT
 from eigencert.poly import (
     Poly,
@@ -185,36 +180,29 @@ def sturm_count_closed(p: Poly, lo, hi) -> int:
     return extra + sturm_count(sturm_chain(work), lo, hi)
 
 
-def reference_eigensolve(rows, backend) -> list:
+def reference_eigensolve(rows, bits: int) -> list:
     """All eigenvalues of the square rows by mpmath QR iteration.
 
-    backend is a float backend: each entry is rounded to it (mpf values
-    of its precision pass unchanged) and QR runs at its precision.
+    Each entry is rounded to bits bits and QR runs at that precision.
     Returns mpmath complex numbers in no particular order.  This is the
     bought reference path; convergence failures surface as OracleError.
     """
-    ctx = getattr(backend, "ctx", None)
-    if ctx is None:
-        raise ValueError("reference eigensolver runs on a float backend")
-    mat = ctx.matrix([[backend.convert(v) for v in row] for row in rows])
+    ctx, h = mp_rows(rows, bits)
     try:
-        eigenvalues = ctx.eig(mat, left=False, right=False)
+        eigenvalues = ctx.eig(ctx.matrix(h), left=False, right=False)
     except (RuntimeError, ZeroDivisionError) as exc:
         raise OracleError(f"QR iteration failed: {exc}") from exc
     return list(eigenvalues)
 
 
-def real_eigenvalues(rows, backend, imag_cut=None) -> list:
+def real_eigenvalues(rows, bits: int, imag_cut=None) -> list:
     """Sorted real parts of eigenvalues whose imaginary part is tiny.
 
     imag_cut defaults to 2^(-bits/2) * (1 + max |eigenvalue|); good enough
     for test comparisons, carries no certificate (that is the point of the
     rest of the package).
     """
-    values = reference_eigensolve(rows, backend)
-    ctx = backend.ctx
+    values = reference_eigensolve(rows, bits)
     if imag_cut is None:
-        biggest = max((abs(v) for v in values), default=ctx.zero)
-        imag_cut = ctx.ldexp(1 + biggest, -(backend.bits // 2))
-    reals = [ctx.re(v) for v in values if abs(ctx.im(v)) <= imag_cut]
-    return sorted(reals)
+        imag_cut = (1 + max((abs(v) for v in values), default=0)) / 2 ** (bits // 2)
+    return sorted(v.real for v in values if abs(v.imag) <= imag_cut)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from eigencert import kernels
 from eigencert.numerics import EXACT, InternalConsistencyError
@@ -123,25 +122,11 @@ def cauchy_root_bound(p: Poly):
     return 1 + top / lead
 
 
-def _int_coeffs(p: Poly) -> list:
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
-
-
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of two polynomials (fraction-free internally)."""
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    fa, fb = _int_coeffs(p), _int_coeffs(q)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while True:
-        rem = kernels.int_prem_primitive(fa, fb)
-        if not rem:
-            return Poly.from_coeffs(fb).monic()
-        fa, fb = fb, rem
+    """Monic gcd of two polynomials, by Euclid's algorithm over Fraction."""
+    while not q.is_zero():
+        p, q = q, divmod_poly(p, q)[1]
+    return p.monic()
 
 
 def square_free_part(p: Poly) -> Poly:

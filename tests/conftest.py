@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked 5x5 example and random-matrix helpers."""
+"""Shared fixtures: the worked 5x5 example, random-matrix helpers, and the
+exact value of an mpmath float."""
 
 import random
 from fractions import Fraction
@@ -58,6 +59,19 @@ def random_rational_matrix(rng: random.Random, n: int, bound: int = 5, max_den: 
             row.append(Fraction(num, den))
         rows.append(row)
     return SquareMatrix.from_rows(rows, EXACT)
+
+
+def mpf_value(value) -> Fraction:
+    """Exact rational value of a finite mpmath float (a dyadic rational).
+
+    The fixed-precision references return mpf values; tests compare them
+    with exact results through this.
+    """
+    sign, man, exp, _ = value._mpf_  # value = (-1)**sign * man * 2**exp
+    if not man and exp:
+        raise ValueError(f"non-finite float {value!r}")
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def to_float_matrix(m: SquareMatrix, bits: int = 256) -> SquareMatrix:

@@ -22,12 +22,12 @@ from eigencert.localize import (
     certify_interval,
     locate,
 )
-from eigencert.numerics import EXACT, exact_value, float_backend
+from eigencert.numerics import EXACT
 from eigencert.oracle import companion, dense_hermite, sturm_count_closed
 from eigencert.poly import Poly, sturm_chain, sturm_count_all
 from eigencert.refine import refine_all
 from eigencert.report import text_scalar
-from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, random_rational_matrix
+from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value, random_rational_matrix
 
 # real eigenvalues of the worked matrix, frozen from the QR reference
 REAL_EIGENVALUES = (
@@ -84,9 +84,9 @@ def test_criterion_1_worked_charpoly(worked_exact):
         started = time.perf_counter()
         exact = faddeev_leverrier(worked_exact)
         assert exact.coeffs == WORKED_CHARPOLY
-        approx = labudde(hessenberg_reduce(WORKED_ROWS, float_backend(256)))
+        approx = labudde(hessenberg_reduce(WORKED_ROWS, 256))
         for want, got in zip(WORKED_CHARPOLY, approx, strict=True):
-            rel = abs(want - exact_value(got)) / abs(want)
+            rel = abs(want - mpf_value(got)) / abs(want)
             assert rel <= F(1, 10**30)
         assert time.perf_counter() - started < 1.0
 

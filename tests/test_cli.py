@@ -397,7 +397,32 @@ def test_module_entry_point_warns_nothing(tmp_path):
     assert done.stdout.startswith("5 x 5 matrix, exact mode")
 
 
-def test_import_does_not_load_mpmath():
+# Run with mpmath unimportable: the CLI in both modes, and locate plus
+# refine_all on a float_backend(256) matrix, each against exact mode.
+STDLIB_ONLY = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None
+from eigencert import EXACT, SquareMatrix, cli, float_backend, locate, refine_all
+
+def report(mode):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([sys.argv[1], "--mode", mode, "--epsilon", "1e-9", "--format", "json"])
+    data = json.loads(out.getvalue())
+    return code, {k: v for k, v in data.items() if k not in ("mode", "metrics")}
+
+def solve(backend):
+    located = locate(SquareMatrix.from_rows(ROWS, backend))
+    final = refine_all(located.context, located.intervals, EXACT.convert("1e-9"))
+    return located.points, [(iv.lo, iv.hi, iv.min_root_count, iv.sources) for iv in final]
+
+ROWS = json.load(open(sys.argv[1]))["matrix"]
+exact, floated = report("exact"), report("float")
+print(exact[0], floated[0], floated == exact, solve(float_backend(256)) == solve(EXACT))
+"""
+
+
+def test_import_does_not_load_mpmath(tmp_path):
     src = str(Path(eigencert.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
@@ -406,3 +431,9 @@ def test_import_does_not_load_mpmath():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+    # the library runs on the standard library alone
+    done = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY, write_worked_json(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout == "0 0 True True\n", done.stderr

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import libmp
 
+from eigencert.charpoly import SquareMatrix
 from eigencert.numerics import (
     EXACT,
-    BackendMismatchError,
     ParseError,
-    exact_value,
     float_backend,
     parse_decimal,
 )
@@ -70,21 +72,21 @@ def test_to_float_correct_rounding():
     fb = float_backend(64)
     x = fb.convert(Fraction(1, 3))
     # round-to-nearest: |x - 1/3| <= 2^-66 (half ulp of a 64-bit mantissa)
-    err = abs(exact_value(x) - Fraction(1, 3))
-    assert err <= Fraction(1, 2**66)
-    assert fb.owns(x)
+    assert type(x) is Fraction
+    assert abs(x - Fraction(1, 3)) <= Fraction(1, 2**66)
+    assert x == Fraction(2**65 // 3 + 1, 2**65)
 
 
 def test_to_float_dyadic_exact():
-    assert exact_value(float_backend(64).convert(Fraction(5, 8))) == Fraction(5, 8)
-    assert exact_value(float_backend(256).convert(Fraction(-3, 1))) == -3
+    assert float_backend(64).convert(Fraction(5, 8)) == Fraction(5, 8)
+    assert float_backend(256).convert(Fraction(-3, 1)) == -3
 
 
 def test_float_convert_string_single_rounding():
     fb = float_backend(256)
-    via_string = fb.convert("0.1")
-    via_fraction = fb.from_fraction(Fraction(1, 10))
-    assert via_string == via_fraction
+    assert fb.convert("0.1") == fb.convert(Fraction(1, 10)) != Fraction(1, 10)
+    # the double nearest 0.1 is read exactly, then rounded (here: kept)
+    assert fb.convert(0.1) == Fraction(0.1) != fb.convert("0.1")
 
 
 @pytest.mark.parametrize("value", [
@@ -96,21 +98,71 @@ def test_float_convert_string_single_rounding():
     Fraction(2**255 - 1) * 2**5000,
 ])
 def test_exact_value_of_dyadic_floats(value):
-    x = float_backend(256).convert(value)
-    got = exact_value(x)
+    # 256 bits hold each of these dyadic values, so rounding keeps it
+    got = float_backend(256).convert(value)
     assert type(got) is Fraction and got == value
-    # the value of the (sign, man, exp) triple, built independently
-    sign, man, exp, _ = x._mpf_
-    assert got == (-1) ** sign * man * Fraction(2) ** exp
 
 
-def test_exact_value_rejects_non_finite():
+def mpmath_rounded(value: Fraction, bits: int) -> Fraction:
+    """value rounded to bits bits by mpmath, as an exact Fraction."""
+    sign, man, exp, _ = libmp.from_rational(
+        value.numerator, value.denominator, bits, libmp.round_nearest
+    )
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+@st.composite
+def roundable(draw):
+    """(value, bits): random rationals, big integers, decimal-scaled values,
+    exact ties and values a sixth of an ulp beside one, of magnitude
+    2^-1000 to 2^1000."""
+    bits = draw(st.sampled_from([64, 65, 128, 256]))
+    kind = draw(st.sampled_from(["ratio", "integer", "decimal", "tie", "third"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "ratio":
+        value = Fraction(draw(st.integers(1, 2**600)), draw(st.integers(1, 2**600)))
+    elif kind == "integer":
+        value = Fraction(draw(st.integers(0, 2**600)))
+    elif kind == "decimal":
+        value = Fraction(draw(st.integers(0, 10**40)), 10 ** draw(st.integers(0, 300)))
+    else:
+        # halfway between two floats of bits bits, where the last bit
+        # decides, or a sixth of an ulp to either side of halfway
+        man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        third = Fraction(draw(st.sampled_from([1, 2])), 3)
+        value = man + (Fraction(1, 2) if kind == "tie" else third)
+    value *= Fraction(2) ** draw(st.integers(-400, 400))
+    return sign * value, bits
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(roundable())
+def test_float_convert_matches_mpmath(case):
+    value, bits = case
+    got = float_backend(bits).convert(value)
+    assert type(got) is Fraction and got == mpmath_rounded(value, bits)
+
+
+def test_float_convert_ties_to_even():
     fb = float_backend(64)
-    for value in (fb.ctx.inf, -fb.ctx.inf, fb.ctx.nan):
-        with pytest.raises(BackendMismatchError, match="non-finite"):
-            exact_value(value)
+    odd, even = 2**63 + 1, 2**63 + 2
+    assert fb.convert(Fraction(2 * odd + 1, 2)) == even
+    assert fb.convert(Fraction(2 * even + 1, 2)) == even
+    assert fb.convert(-Fraction(2 * odd + 1, 2) / 2**1000) == -Fraction(even, 2**1000)
+    assert fb.convert(2**64 - 1) == 2**64 - 1
+    assert fb.convert(2**65 - 1) == 2**65  # rounding up carries into a new bit
 
 
-def test_exact_value_rejects_junk():
-    with pytest.raises(BackendMismatchError):
-        exact_value("not a number")
+def test_float_convert_rejects_non_finite():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ParseError, match=f"non-finite float {value}"):
+            float_backend(64).convert(value)
+        with pytest.raises(ParseError, match=f"non-finite float {value}"):
+            SquareMatrix.from_rows([[value]], float_backend(64))
+
+
+def test_float_convert_rejects_junk():
+    for value in ("not a number", "nan", None, [1], 1j):
+        with pytest.raises(ParseError):
+            float_backend(64).convert(value)

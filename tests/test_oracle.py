@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, faddeev_leverrier
-from eigencert.numerics import EXACT, exact_value, float_backend
+from eigencert.numerics import EXACT
 from eigencert.oracle import (
     naive_charpoly,
     real_eigenvalues,
@@ -12,7 +13,7 @@ from eigencert.oracle import (
     sturm_isolate_roots,
 )
 from eigencert.poly import Poly
-from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS
+from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value
 
 
 def P(*coeffs):
@@ -67,24 +68,29 @@ def test_sturm_count_closed():
         sturm_count_closed(p, 3, 1)
 
 
-def test_reference_eigensolve_rejects_exact():
-    with pytest.raises(ValueError):
-        reference_eigensolve(WORKED_ROWS, EXACT)
-
-
 def test_reference_eigensolve_worked(worked_exact):
-    fb = float_backend(256)
-    values = reference_eigensolve(WORKED_ROWS, fb)
+    values = reference_eigensolve(WORKED_ROWS, 256)
     assert len(values) == 5
-    reals = real_eigenvalues(WORKED_ROWS, fb)
+    reals = real_eigenvalues(WORKED_ROWS, 256)
     assert len(reals) == 3
     # each QR eigenvalue must land inside an independently isolated box
     p = faddeev_leverrier(worked_exact)
     boxes = sturm_isolate_roots(p, F(1, 2**40))
     slack = F(1, 2**30)
     for value, (lo, hi) in zip(reals, boxes):
-        assert lo - slack <= exact_value(value) <= hi + slack
+        assert lo - slack <= mpf_value(value) <= hi + slack
 
 
 def test_real_eigenvalues_rotation():
-    assert real_eigenvalues([["0", "1"], ["-1", "0"]], float_backend(128)) == []
+    assert real_eigenvalues([["0", "1"], ["-1", "0"]], 128) == []
+
+
+def test_sturm_count_closed_shares_no_chain_kernel(monkeypatch):
+    # the oracle's gcd runs Euclid over Fraction, not the pipeline's
+    # primitive pseudo-remainder kernel
+    def unused(*args):
+        raise AssertionError("oracle ran kernels.int_prem_primitive")
+
+    monkeypatch.setattr(kernels, "int_prem_primitive", unused)
+    sq = P(4, -4, 1)  # (x-2)^2
+    assert sturm_count_closed(sq * P(-1, 1), 0, 3) == 2

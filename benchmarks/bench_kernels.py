@@ -1,8 +1,11 @@
 """Time each arithmetic kernel of eigencert.kernels on seeded operands.
 
-Prints the best of --repeat runs per kernel, in milliseconds.  Operands
-are fixed by --size (matrix order, polynomial degree) and a constant seed,
-so figures from the same host are comparable across changes.
+Also times the Sturm chain of a seeded polynomial and the refinement of
+one of its isolated roots to 2^-300, which is integer Horner in the sign
+loop of eigencert.refine.  Prints the best of --repeat runs per kernel,
+in milliseconds.  Operands are fixed by --size (matrix order, polynomial
+degree) and a constant seed, so figures from the same host are
+comparable across changes.
 
     python3 benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
@@ -13,8 +16,10 @@ import time
 from fractions import Fraction
 
 from eigencert import kernels
-from eigencert.localize import int_sturm_chain
+from eigencert.localize import CertificationContext, certify_interval, int_sturm_chain
+from eigencert.oracle import sturm_isolate_roots
 from eigencert.poly import Poly
+from eigencert.refine import refine_interval
 
 
 def best_of(fn, repeat):
@@ -58,11 +63,19 @@ def build_cases(size: int):
     # a random integer polynomial of degree n, square-free like almost all
     chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1])
 
+    # a root of chain_poly alone in an interval with no root at either end
+    ctx = CertificationContext.from_poly(chain_poly)
+    isolated = next((
+        certify_interval(ctx, a, b) for a, b in sturm_isolate_roots(ctx.poly, 1)
+        if a < b and ctx.sign_at(a) * ctx.sign_at(b) < 0
+    ), None)
+    refine_eps = Fraction(1, 2**300)
+
     # the two charpoly kernels are timed on one matrix; they must agree on it
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
         raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
 
-    return [
+    cases = [
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
         ("horner_dyadic", lambda: [kernels.horner_eval(monic, dyadic_x) for _ in range(50)]),
@@ -79,6 +92,9 @@ def build_cases(size: int):
         ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
         ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),
     ]
+    if isolated is not None:  # an even-degree chain_poly can have no real root
+        cases.append(("refine_isolated", lambda: refine_interval(ctx, isolated, refine_eps)))
+    return cases
 
 
 def main() -> int:

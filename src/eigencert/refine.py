@@ -3,12 +3,17 @@
 Each contains-real interval is halved at its midpoint until its width is
 at most epsilon, by one of three steps:
 
-- Sign step.  Once an interval holds exactly one root (p is square-free,
+- Sign loop.  Once an interval holds exactly one root (p is square-free,
   so that root is simple) and neither endpoint is a root, p(lo) and p(hi)
-  have opposite signs.  One evaluation of p at the midpoint then picks
-  the half that keeps the root, by the intermediate value theorem; a
-  midpoint that is a root becomes the point interval [m, m] and ends the
-  piece.
+  have opposite signs, and each halving is one sign of p at the midpoint,
+  by the intermediate value theorem.  The number of halvings down to
+  epsilon is known up front, so one integer loop runs them all: both ends
+  are put over one denominator q as left/q and (left + width)/q, each
+  step doubles left and q and evaluates p at (left + width)/q by integer
+  Horner, and left moves up by width when that sign equals p's sign at
+  lo, which the kept cell's left end always has.  A midpoint that is a
+  root becomes the point interval [m, m] and ends the loop.  Only the
+  cell returned becomes Fractions.
 - Endpoint step.  An interval with no root inside (min_root_count is
   exact) holds roots only at the ends where p is 0.  Bisection would keep
   the half at each such end until the width is at most epsilon, so the
@@ -22,10 +27,9 @@ at most epsilon, by one of three steps:
   recursion continues on [lo, m - eps/4] and [m + eps/4, hi], so neither
   side inherits the root as an endpoint.
 
-Every test of p's sign goes through the context: it is integer Horner on
-p with denominators cleared, memoised by point, so the endpoints of a
-half, which were the ends or the midpoint of its parent, are not
-evaluated again.
+The ends of every piece and the Hermite step's midpoints are read
+through the context, which memoises V and the sign of p by point; the
+sign loop's midpoints are each evaluated once and not memoised.
 
 The pieces kept at any time are disjoint and each holds a root, so there
 are never more of them than sigma(H_1); more means the signatures are
@@ -37,7 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
+from eigencert import kernels
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
 from eigencert.numerics import EXACT, InternalConsistencyError
 
@@ -94,6 +100,31 @@ def _endpoint_cells(ctx: CertificationContext, iv: CertifiedInterval, eps) -> li
     return cells
 
 
+def _sign_bisect(ctx: CertificationContext, iv: CertifiedInterval, at_lo: int, steps: int):
+    """The cell of iv around its one simple root after `steps` halvings.
+
+    at_lo is the sign of p at iv.lo, and p(iv.hi) has the other sign.  A
+    midpoint where p is 0 is returned as the point interval.
+    """
+    lo, hi = iv.lo, iv.hi
+    q = math.lcm(lo.denominator, hi.denominator)
+    left = lo.numerator * (q // lo.denominator)
+    width = hi.numerator * (q // hi.denominator) - left
+    f = ctx.chain[0]
+    horner = kernels.horner_homogeneous
+    positive_at_lo = at_lo > 0
+    for _ in range(steps):
+        left <<= 1
+        q <<= 1
+        value = horner(f, left + width, q)
+        if value == 0:
+            point = Fraction(left + width, q)
+            return CertifiedInterval(point, point, True, None, 1, iv.sources)
+        if (value > 0) == positive_at_lo:
+            left += width
+    return CertifiedInterval(Fraction(left, q), Fraction(left + width, q), True, None, 1, iv.sources)
+
+
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
     """Refine one certified interval to pieces of width <= eps."""
     eps = EXACT.convert(eps)
@@ -118,10 +149,6 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
             out.extend(_endpoint_cells(ctx, iv, eps))
             _check_piece_count(ctx, len(stack) + len(out))
             continue
-        mid = (iv.lo + iv.hi) / 2
-        at_mid = ctx.sign_at(mid)
-        if at_mid == 0:
-            out.append(CertifiedInterval(mid, mid, True, None, 1, iv.sources))
         ends = _isolated_ends(ctx, iv)
         if ends is not None:
             at_lo, at_hi = ends
@@ -129,21 +156,23 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
                 raise InternalConsistencyError(
                     f"p has no sign change on [{iv.lo}, {iv.hi}], which holds one simple root"
                 )
-            if at_mid != 0:
-                lo, hi = (iv.lo, mid) if (at_lo > 0) != (at_mid > 0) else (mid, iv.hi)
-                half = CertifiedInterval(lo, hi, True, None, 1, iv.sources)
-                stack.append(RefinementTask(half, task.depth + 1))
+            steps = _halvings(iv.hi - iv.lo, eps)
+            if task.depth + steps > budget:
+                raise InternalConsistencyError("bisection failed to converge")
+            out.append(_sign_bisect(ctx, iv, at_lo, steps))
+            continue
+        mid = (iv.lo + iv.hi) / 2
+        if ctx.sign_at(mid) == 0:
+            out.append(CertifiedInterval(mid, mid, True, None, 1, iv.sources))
+            halves = ((iv.lo, mid - quarter), (mid + quarter, iv.hi))
         else:
-            if at_mid == 0:
-                halves = ((iv.lo, mid - quarter), (mid + quarter, iv.hi))
-            else:
-                halves = ((iv.lo, mid), (mid, iv.hi))
-            for lo, hi in halves:
-                if not lo < hi:
-                    continue
-                cert = certify_interval(ctx, lo, hi, iv.sources)
-                if cert.contains_real:
-                    stack.append(RefinementTask(cert, task.depth + 1))
+            halves = ((iv.lo, mid), (mid, iv.hi))
+        for lo, hi in halves:
+            if not lo < hi:
+                continue
+            cert = certify_interval(ctx, lo, hi, iv.sources)
+            if cert.contains_real:
+                stack.append(RefinementTask(cert, task.depth + 1))
         _check_piece_count(ctx, len(stack) + len(out))
     out.sort(key=lambda v: (v.lo, v.hi))
     return out

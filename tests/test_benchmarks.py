@@ -1,0 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import eigencert
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_kernels_runs():
+    src = str(Path(eigencert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeat", "1",
+         "--size", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "refine_isolated" in done.stdout

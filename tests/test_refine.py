@@ -2,12 +2,15 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from eigencert import kernels
 from eigencert import refine as refine_mod
 from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval, locate
 from eigencert.numerics import InternalConsistencyError
 from eigencert.poly import Poly
-from eigencert.refine import _depth_budget, refine_all, refine_interval
+from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
 
 
 def ctx_for(*coeffs):
@@ -218,3 +221,84 @@ def test_refine_endpoint_only_piece_without_end_root_raises():
     forged = CertifiedInterval(F(4), F(5), True, None, 0, ())
     with pytest.raises(InternalConsistencyError, match="at an end"):
         refine_interval(ctx, forged, F(1, 64))
+
+
+EPSILONS = (F("1e-7"), F("1e-30"), F(1, 2**40), F(3, 2**10))
+
+
+def _ctx_with_roots(roots, quadratic):
+    """Context of prod (den x - num) over the distinct rational roots, times x^2 + quadratic."""
+    p = Poly.from_coeffs([quadratic, 0, 1])
+    for r in roots:
+        p = p * Poly.from_coeffs([-r.numerator, r.denominator])
+    return CertificationContext.from_poly(p)
+
+
+@st.composite
+def isolated_cases(draw, on_midpoint):
+    """(ctx, certified [lo, hi] holding one root, that root, eps).
+
+    The ends are y/D with D in {10, 100}, each possibly nudged by eps/4 as
+    the Hermite step leaves them beside a midpoint root.  The root is a
+    dyadic midpoint of the bisection if on_midpoint, and otherwise sits at
+    an odd fraction of the width, which no midpoint is.
+    """
+    eps = draw(st.sampled_from(EPSILONS))
+    den = draw(st.sampled_from((10, 100)))
+    y = draw(st.integers(-300, 300))
+    gap = draw(st.integers(1, 300))
+    lo = F(y, den) + draw(st.sampled_from((0, 1))) * eps / 4
+    hi = F(y + gap, den) - draw(st.sampled_from((0, 1))) * eps / 4
+    if on_midpoint:
+        k = draw(st.integers(1, _halvings(hi - lo, eps)))
+        j = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
+        root = lo + (hi - lo) * F(j, 2**k)
+    else:
+        n = draw(st.sampled_from((3, 7, 101, 65537)))
+        root = lo + (hi - lo) * F(draw(st.integers(1, n - 1)), n)
+    outside = draw(st.lists(st.integers(1, 50), max_size=3, unique=True))
+    others = [lo - d if d % 2 else hi + d for d in outside]
+    ctx = _ctx_with_roots([root, *others], draw(st.sampled_from((1, 7))))
+    iv = certify_interval(ctx, lo, hi, (0,))
+    assert iv.contains_real and iv.min_root_count == 1 and hi - lo > eps
+    return ctx, iv, root, eps
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(isolated_cases(on_midpoint=False))
+def test_sign_loop_matches_fraction_bisection(case):
+    ctx, iv, root, eps = case
+    lo, hi = _bisection_cell(iv.lo, iv.hi, root, eps)
+    assert refine_interval(ctx, iv, eps) == [CertifiedInterval(lo, hi, True, None, 1, (0,))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(isolated_cases(on_midpoint=True))
+def test_sign_loop_root_on_midpoint_is_point(case):
+    ctx, iv, root, eps = case
+    assert refine_interval(ctx, iv, eps) == [CertifiedInterval(root, root, True, None, 1, (0,))]
+
+
+def test_sign_loop_counts(monkeypatch):
+    """One Horner call per halving beyond the two end signs, no Hermite
+    test, and no memo entry but the ends."""
+    ctx = ctx_for(-2, 0, 1)  # x^2 - 2
+    lo, hi = F(7, 5), F(3, 2) + F(1, 4 * 10**30)
+    iv = CertifiedInterval(lo, hi, True, None, 1, ())
+    eps = F(1, 10**30)
+    horner = kernels.horner_homogeneous
+    calls = []
+
+    def counted(coeffs, num, den):
+        calls.append((num, den))
+        return horner(coeffs, num, den)
+
+    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
+    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    [piece] = refine_interval(ctx, iv, eps)
+    assert len(calls) == 2 + _halvings(hi - lo, eps)
+    assert set(ctx._signs) == {(7, 5), (hi.numerator, hi.denominator)}
+    assert not ctx._variations
+    assert piece.hi - piece.lo <= eps and piece.lo ** 2 < 2 < piece.hi ** 2

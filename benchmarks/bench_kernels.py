@@ -2,7 +2,9 @@
 
 Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
-loop of eigencert.refine.  Prints the best of --repeat runs per kernel,
+loop of eigencert.refine; and the CLI's two text layers: the JSON text of
+the worked 5x5 example's report, and the parse of a seeded matrix of
+one-place decimals as CSV and as JSON text.  Prints the best of --repeat runs per kernel,
 in milliseconds.  Operands are fixed by --size (matrix order, polynomial
 degree) and a constant seed, so figures from the same host are
 comparable across changes.
@@ -11,15 +13,30 @@ comparable across changes.
 """
 
 import argparse
+import json
 import random
 import time
 from fractions import Fraction
 
 from eigencert import kernels
+from eigencert.charpoly import SquareMatrix
+from eigencert.cli import parse_matrix_text
+from eigencert.localize import locate
+from eigencert.numerics import EXACT
 from eigencert.localize import CertificationContext, certify_interval, int_sturm_chain
 from eigencert.oracle import sturm_isolate_roots
 from eigencert.poly import Poly
-from eigencert.refine import refine_interval
+from eigencert.refine import refine_all, refine_interval
+from eigencert.report import build_report, to_json
+
+# the worked example of the README and the tests: three real eigenvalues
+WORKED_ROWS = [
+    ["1.25", "1", "0.75", "0.5", "0.25"],
+    ["1", "0", "0", "0", "0"],
+    ["-1", "1", "0", "0", "0"],
+    ["0", "0", "1", "3", "0"],
+    ["0", "0", "0", "0.5", "5"],
+]
 
 
 def best_of(fn, repeat):
@@ -71,6 +88,14 @@ def build_cases(size: int):
     ), None)
     refine_eps = Fraction(1, 2**300)
 
+    worked = locate(SquareMatrix.from_rows(WORKED_ROWS, EXACT))
+    final = refine_all(worked.context, worked.intervals, Fraction(1, 10**7))
+    report = build_report(worked, final, epsilon_text="1e-7", mode="exact", wall_time=0.001)
+
+    decimals = [[f"{rng.randint(-99, 99) / 10:.1f}" for _ in range(n)] for _ in range(n)]
+    matrix_csv = "\n".join(",".join(row) for row in decimals) + "\n"
+    matrix_json = json.dumps({"matrix": decimals})
+
     # the two charpoly kernels are timed on one matrix; they must agree on it
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
         raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
@@ -91,6 +116,9 @@ def build_cases(size: int):
         ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
         ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
         ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),
+        ("report_json", lambda: to_json(report)),
+        ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
+        ("parse_matrix_json", lambda: parse_matrix_text(matrix_json, "exact")),
     ]
     if isolated is not None:  # an even-degree chain_poly can have no real root
         cases.append(("refine_isolated", lambda: refine_interval(ctx, isolated, refine_eps)))

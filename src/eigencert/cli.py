@@ -37,17 +37,24 @@ from eigencert.report import build_report, to_json
 from eigencert.svg import render_svg
 
 
-def _convert_entry(value, mode: str, where: str):
+def _convert_entry(value, mode: str, i: int, j: int) -> Fraction:
+    """Entry (i, j) of the matrix, counted from 0, as an exact Fraction."""
+    if value.__class__ is int:  # not bool, which is refused below
+        return Fraction(value)
     if isinstance(value, bool):
-        raise ParseError(f"boolean at {where} is not a matrix entry")
+        raise ParseError(f"boolean at {_where(i, j)} is not a matrix entry")
     if isinstance(value, float) and mode == "float":
         if not math.isfinite(value):
-            raise ParseError(f"bare JSON number at {where} overflows a double")
-        value = Fraction(value)
+            raise ParseError(f"bare JSON number at {_where(i, j)} overflows a double")
+        return Fraction(value)
     try:
-        return EXACT.convert(value)
+        return parse_decimal(value) if value.__class__ is str else EXACT.convert(value)
     except ParseError as exc:
-        raise ParseError(f"{exc} (at {where})") from exc
+        raise ParseError(f"{exc} (at {_where(i, j)})") from exc
+
+
+def _where(i: int, j: int) -> str:
+    return f"row {i + 1}, column {j + 1}"
 
 
 def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareMatrix:
@@ -79,24 +86,15 @@ def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareM
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise ParseError(f"{source}: row {i + 1} is not a list")
-            converted.append(
-                [
-                    _convert_entry(v, mode, f"row {i + 1}, column {j + 1}")
-                    for j, v in enumerate(row)
-                ]
-            )
+            converted.append([_convert_entry(v, mode, i, j) for j, v in enumerate(row)])
     else:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ParseError(f"{source}: no rows found")
         converted = []
         for i, line in enumerate(lines):
-            cells = line.split(",")
             converted.append(
-                [
-                    _convert_entry(c.strip(), mode, f"row {i + 1}, column {j + 1}")
-                    for j, c in enumerate(cells)
-                ]
+                [_convert_entry(c.strip(), mode, i, j) for j, c in enumerate(line.split(","))]
             )
     try:
         return SquareMatrix.from_rows(converted, EXACT)

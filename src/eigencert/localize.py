@@ -50,7 +50,7 @@ an eigenvalue exactly) and bypass the interval machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -236,13 +236,13 @@ def gershgorin_disks(rows) -> list:
 
 def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
     """Attach a verdict: point eigenvalue, contains real, or empty."""
-    if disk.radius == 0:
-        return replace(disk, verdict=POINT_EIGENVALUE)
     c, r = disk.center, disk.radius
+    if r == 0:
+        return Disk(disk.row, c, r, POINT_EIGENVALUE)
     # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r))
     if ctx.sigma_q(c - r, c + r) != ctx.base_signature:
-        return replace(disk, verdict=CONTAINS_REAL)
-    return replace(disk, verdict=EMPTY_REAL)
+        return Disk(disk.row, c, r, CONTAINS_REAL)
+    return Disk(disk.row, c, r, EMPTY_REAL)
 
 
 def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> CertifiedInterval:

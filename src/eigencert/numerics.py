@@ -56,17 +56,33 @@ def parse_decimal(text: str) -> Fraction:
     if not match:
         raise ParseError(f"not a decimal literal: {text!r}")
     mantissa, exponent = match.groups()
-    size = len(mantissa) - ("." in mantissa)
+    whole, _, frac = mantissa.partition(".")
+    size = len(whole) + len(frac)
+    power = 0
     if exponent:
-        digits = exponent.lstrip("+-").lstrip("0")
-        # five or more significant digits are past the limit already
-        size += int(digits or 0) if len(digits) < 5 else MAX_DECIMAL_DIGITS + 1
+        digits = exponent.lstrip("+-")
+        # past four significant digits the exponent is past the limit
+        # already; int() reads a zero of any script, one digit at a time
+        if any(map(int, digits[:-4])):
+            size = MAX_DECIMAL_DIGITS + 1
+        else:
+            power = int(digits[-4:])
+            size += power
+            if exponent[0] == "-":
+                power = -power
     if size > MAX_DECIMAL_DIGITS:
         raise ParseError(
             f"decimal literal of {len(token)} characters has too many digits "
             f"(its exact value needs more than {MAX_DECIMAL_DIGITS})"
         )
-    return Fraction(token)
+    # the value is sign * int(whole + frac) * 10**(power - len(frac))
+    numerator = int(whole + frac)
+    if token[0] == "-":
+        numerator = -numerator
+    shift = power - len(frac)
+    if shift >= 0:
+        return Fraction(numerator * 10**shift)
+    return Fraction(numerator, 10**-shift)
 
 
 class ExactBackend:

@@ -40,7 +40,7 @@ ever emitted on numeric evidence alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from eigencert import kernels
@@ -132,7 +132,9 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         raise ValueError("epsilon must be positive")
     if not interval.contains_real:
         return []
-    interval = replace(interval, lo=EXACT.convert(interval.lo), hi=EXACT.convert(interval.hi))
+    interval = CertifiedInterval(EXACT.convert(interval.lo), EXACT.convert(interval.hi),
+                                 interval.contains_real, interval.sigma,
+                                 interval.min_root_count, interval.sources)
     out = []
     budget = _depth_budget(interval.hi - interval.lo, eps)
     stack = [RefinementTask(interval, 0)]

@@ -1,14 +1,17 @@
 """The report: the JSON object of one run, built as a plain dict.
 
-Every scalar is an exact rational written as text ("p/q" or an integer)
-in both modes, so a report can be reloaded without losing the
-certificates' meaning.  The key tuples below fix each object's keys and
-their order; `build_report` fills them and `from_json` checks a payload
-against them.  `bits` is always None: both modes read their input
-exactly.  The key stays because readers of the JSON report, such as
-certbench's checker, look it up.  A number with more digits than the
-interpreter converts to text is an input error that names its cause: the
-matrix entries, or --epsilon for the final intervals.
+Every rational (coefficients, centers, radii, interval ends, widths) is
+exact text ("p/q" or an integer) in both modes, so a report can be
+reloaded without losing the certificates' meaning; counts, rows and
+sources are ints, `contains_real` a bool, and `wall_time_seconds` the
+one float.  The key tuples below fix each object's keys and their
+order; `build_report` fills them, `to_json` writes them in that order
+and `from_json` checks a payload against them.  `bits` is always None:
+both modes read their input exactly.  The key stays because readers of
+the JSON report, such as certbench's checker, look it up.  A number with
+more digits than the interpreter converts to text is an input error that
+names its cause: the matrix entries, or --epsilon for the final
+intervals.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ REPORT_KEYS = (
 DISK_KEYS = ("row", "center", "radius", "verdict")
 INTERVAL_KEYS = ("lo", "hi", "contains_real", "sigma_hq", "min_root_count", "sources")
 FINAL_KEYS = ("lo", "hi", "width", "min_root_count", "sources")
+METRIC_KEYS = ("candidate_interval_count", "final_interval_count", "max_width",
+               "average_width", "wall_time_seconds")
 RECORD_KEYS = {"disks": DISK_KEYS, "initial_intervals": INTERVAL_KEYS,
                "final_intervals": FINAL_KEYS}
 
@@ -71,13 +76,13 @@ def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
                               _text(w, epsilon), iv.min_root_count, list(iv.sources))))
         for iv, w in zip(final_intervals, widths)
     ]
-    metrics = {
-        "candidate_interval_count": len(initial),
-        "final_interval_count": len(final),
-        "max_width": _text(max(widths), epsilon) if widths else None,
-        "average_width": _text(sum(widths) / len(widths), epsilon) if widths else None,
-        "wall_time_seconds": wall_time,
-    }
+    metrics = dict(zip(METRIC_KEYS, (
+        len(initial),
+        len(final),
+        _text(max(widths), epsilon) if widths else None,
+        _text(sum(widths) / len(widths), epsilon) if widths else None,
+        wall_time,
+    )))
     poly = result.context.original
     return dict(zip(REPORT_KEYS, (
         poly.degree(), mode, None, epsilon_text, [_text(c, entries) for c in poly.coeffs],
@@ -86,8 +91,75 @@ def build_report(result, final_intervals, *, epsilon_text: str, mode: str,
     )))
 
 
+# json's text of each scalar type a report holds; the one float is finite
+_encode = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {
+    str: _encode,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _list_text(values: list, pad: str) -> str:
+    """A list of scalars, as the value of a key at indent pad."""
+    if not values:
+        return "[]"
+    sep = ",\n  " + pad
+    return f"[{sep[1:]}{sep.join([_SCALAR_TEXT[v.__class__](v) for v in values])}\n{pad}]"
+
+
+def _template(keys: tuple, pad: str) -> str:
+    """The %-template of a record with these keys, opened at indent pad."""
+    inner = pad + "  "
+    lines = [_encode(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + "}"
+
+
+# the templates of the report's own records, at the indents it holds them
+_TEMPLATES = {(keys, pad): _template(keys, pad) for keys, pad in (
+    (DISK_KEYS, "    "), (INTERVAL_KEYS, "    "), (FINAL_KEYS, "    "), (METRIC_KEYS, "  "))}
+
+
+def _record_texts(records: list, pad: str) -> list:
+    """The text of each record, opened at indent pad; a record holds
+    scalars and lists of scalars."""
+    inner = pad + "  "
+    texts = []
+    for record in records:
+        keys = tuple(record)
+        template = _TEMPLATES.get((keys, pad)) or _template(keys, pad)
+        texts.append(template % tuple([
+            _list_text(v, inner) if v.__class__ is list else _SCALAR_TEXT[v.__class__](v)
+            for v in record.values()
+        ]))
+    return texts
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """json.dumps(report, indent=2), byte for byte, without json's encoder.
+
+    json's C encoder runs only without indent, so json.dumps with indent
+    walks the report in pure Python.  This writes the report's fixed
+    schema directly instead: each value is a scalar, a list of scalars, a
+    record, or a list of records, and a record's values are scalars or
+    lists of scalars.  Scalars are str (escaped to ASCII by json's own C
+    function), int, finite float, bool and None; records are not empty.
+    """
+    fields = []
+    for key, value in report.items():
+        kind = value.__class__
+        if kind is dict:
+            text = _record_texts([value], "  ")[0]
+        elif kind is list and value and value[0].__class__ is dict:
+            text = "[\n    " + ",\n    ".join(_record_texts(value, "    ")) + "\n  ]"
+        elif kind is list:
+            text = _list_text(value, "  ")
+        else:
+            text = _SCALAR_TEXT[kind](value)
+        fields.append(_encode(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def from_json(text: str) -> dict:

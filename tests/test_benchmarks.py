@@ -17,4 +17,5 @@ def test_bench_kernels_runs():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "refine_isolated" in done.stdout
+    for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json"):
+        assert case in done.stdout

@@ -253,6 +253,35 @@ def test_main_malformed_input_exit_2(tmp_path, capsys, name, text, argv, fragmen
     assert fragment in err
 
 
+# the whole stderr line of an input error, {path} standing for the file
+INPUT_ERROR_LINES = [
+    ("bad-csv-cell", "m.csv", "1,x2\n3,4\n", [],
+     "not a decimal literal: 'x2' (at row 1, column 2)"),
+    ("bad-json-string", "m.json", '{"matrix": [[1, "2/3"], [3, 4]]}', [],
+     "not a decimal literal: '2/3' (at row 1, column 2)"),
+    ("json-true", "m.json", '{"matrix": [[1, 2], [true, 4]]}', [],
+     "boolean at row 2, column 1 is not a matrix entry"),
+    ("bare-float-exact", "m.json", '{"matrix": [[1, 2.5], [3, 4]]}', [],
+     "refusing binary float 2.5 in exact mode; pass a decimal string instead "
+     "(at row 1, column 2)"),
+    ("bare-overflow-float", "m.json", '{"matrix": [[1, 2], [3, 1e400]]}', ["--mode", "float"],
+     "bare JSON number at row 2, column 2 overflows a double"),
+    ("short-row", "m.csv", "1,2,3\n4,5\n6,7,8\n", [],
+     "{path}: matrix must be square; row of length 2 in a matrix with 3 rows"),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, line",
+                         [case[1:] for case in INPUT_ERROR_LINES],
+                         ids=[case[0] for case in INPUT_ERROR_LINES])
+def test_main_input_error_line(tmp_path, capsys, name, text, argv, line):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main([str(path), *argv]) == 2
+    expected = "eigencert: input error: " + line.format(path=path) + "\n"
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("target", ["missing/out.svg", "."], ids=["missing-dir", "directory"])
 def test_main_svg_unwritable_exit_2(tmp_path, capsys, target):
     svg = tmp_path / target

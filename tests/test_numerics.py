@@ -8,6 +8,7 @@ from mpmath import libmp
 from eigencert.charpoly import SquareMatrix
 from eigencert.numerics import (
     EXACT,
+    MAX_DECIMAL_DIGITS,
     ParseError,
     float_backend,
     parse_decimal,
@@ -43,10 +44,70 @@ def test_parse_decimal_bounds_digits_with_exponent():
             parse_decimal(bad)
 
 
+def test_parse_decimal_reads_exponent_zeros_of_any_script():
+    # leading zeros of the exponent are no digits of the value, in ASCII or
+    # not, however many there are
+    assert parse_decimal("1e-" + "0" * 5000 + "1") == Fraction(1, 10)
+    assert parse_decimal("1e\u0660\u0660\u0660\u0660\u0665") == 10**5
+    assert parse_decimal(".0e-\u0660\u0664\u0662\u0669\u0669") == 0
+
+
 @pytest.mark.parametrize("bad", ["", "nan", "inf", "1/3", "1.2.3", "0x10", "1e", "--1"])
 def test_parse_decimal_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_decimal(bad)
+    assert str(info.value) == f"not a decimal literal: {bad!r}"
+
+
+# zeros of decimal digit runs: ASCII, Arabic-Indic, Devanagari, fullwidth,
+# mathematical bold; int() and Fraction read every Unicode decimal digit
+DIGIT_ZEROS = ("0", "\u0660", "\u0966", "\uff10", "\U0001d7ce")
+
+
+@st.composite
+def decimal_literals(draw):
+    """Text _DECIMAL_RE accepts once stripped: any sign, mantissa form,
+    leading zeros and exponent, and some literals whose exact value needs
+    exactly MAX_DECIMAL_DIGITS digits."""
+    def digits(count):
+        return str(draw(st.integers(0, 10**count - 1))).zfill(count)
+
+    if draw(st.booleans()):
+        size = draw(st.integers(1, MAX_DECIMAL_DIGITS))
+        whole = draw(st.integers(0, size))
+        mantissa_digits = digits(size)
+        # the exponent brings the value to the limit; at the limit already, it may go
+        shift = MAX_DECIMAL_DIGITS - size
+        exponent = str(draw(st.sampled_from([-shift, shift])))
+        if not shift and draw(st.booleans()):
+            exponent = None
+    else:
+        size = draw(st.integers(1, 12))
+        whole = draw(st.integers(0, size))
+        mantissa_digits = "0" * draw(st.integers(0, 3)) + digits(size)
+        whole += len(mantissa_digits) - size
+        exponent = str(draw(st.integers(-40, 40))) if draw(st.booleans()) else None
+    head, tail = mantissa_digits[:whole], mantissa_digits[whole:]
+    if not tail:
+        mantissa = draw(st.sampled_from([head, head + "."]))
+    else:
+        mantissa = head + "." + tail
+    text = draw(st.sampled_from(["", "+", "-"])) + mantissa
+    if exponent is not None:
+        sign = exponent[0] if exponent[0] == "-" else draw(st.sampled_from(["", "+"]))
+        exponent = exponent.lstrip("-")
+        text += draw(st.sampled_from("eE")) + sign + "0" * draw(st.integers(0, 3)) + exponent
+    zero = draw(st.sampled_from(DIGIT_ZEROS))
+    text = text.translate({ord("0") + k: chr(ord(zero) + k) for k in range(10)})
+    space = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+    return draw(space) + text + draw(space)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(decimal_literals())
+def test_parse_decimal_matches_fraction(text):
+    value = parse_decimal(text)
+    assert type(value) is Fraction and value == Fraction(text.strip())
 
 
 def test_exact_backend_convert():

@@ -2,13 +2,26 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigencert import cli
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import locate
 from eigencert.numerics import EXACT, ParseError
 from eigencert.refine import refine_all
-from eigencert.report import build_report, from_json, text_scalar, to_json
+from eigencert.report import (
+    DISK_KEYS,
+    FINAL_KEYS,
+    INTERVAL_KEYS,
+    METRIC_KEYS,
+    build_report,
+    from_json,
+    text_scalar,
+    to_json,
+)
 from eigencert.svg import render_svg
+from tests.conftest import WORKED_ROWS
 
 
 def make_report(matrix, *, mode, eps_text="0.01"):
@@ -81,6 +94,67 @@ def test_json_round_trip_float(worked_float):
     assert from_json(to_json(rep)) == rep
     for rec in rep["final_intervals"]:
         assert text_scalar(rec["hi"]) - text_scalar(rec["lo"]) <= F(1, 100)
+
+
+# strings json escapes: quotes, backslashes, control, non-ASCII and astral
+# characters, mixed with any others
+TEXT = st.text(st.one_of(st.sampled_from('"\\/%\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                         st.characters()), max_size=8)
+SCALARS = st.one_of(
+    TEXT,
+    st.integers(-10**6, 10**6),
+    st.integers(-(1 << 5000), 1 << 5000),
+    st.sampled_from([True, False, None, 1e-06, 0.0, 123456.789, -(1 << 4999)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+SOURCES = st.lists(st.integers(-5, 40), max_size=3)
+
+
+def _record(keys):
+    # the report's keys, or any others
+    return st.one_of(
+        st.fixed_dictionaries({key: SOURCES if key == "sources" else SCALARS for key in keys}),
+        st.dictionaries(TEXT, st.one_of(SCALARS, SOURCES), min_size=1, max_size=4),
+    )
+
+
+def _records(keys):
+    return st.lists(_record(keys), max_size=3)
+
+
+# the report's schema: scalars, lists of strings, lists of records, metrics
+REPORT_SHAPED = st.fixed_dictionaries({
+    "n": SCALARS, "mode": SCALARS, "bits": SCALARS, "epsilon": SCALARS,
+    "characteristic_polynomial": st.lists(TEXT, max_size=4), "sigma_h1": SCALARS,
+    "disks": _records(DISK_KEYS), "initial_intervals": _records(INTERVAL_KEYS),
+    "final_intervals": _records(FINAL_KEYS), "point_eigenvalues": st.lists(TEXT, max_size=3),
+    "metrics": _record(METRIC_KEYS),
+})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(REPORT_SHAPED)
+def test_to_json_matches_json_dumps(report):
+    assert to_json(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("csv, epsilon", [
+    ("\n".join(",".join(row) for row in WORKED_ROWS), "0.01"),
+    ("1,2\n3,4", "1e-7"),
+    # eigenvalues 2, 2, 3: a point eigenvalue and a repeated root
+    ("2,0,1\n0,2,0\n0,0,3", "1e-30"),
+    # an epsilon in Arabic-Indic digits is echoed into the report as \u escapes
+    ("1,2\n3,4", "\u0661e-\u0667"),
+], ids=["worked", "1234", "repeated", "unicode-epsilon"])
+def test_to_json_of_cli_reports(tmp_path, csv, epsilon, mode):
+    path = tmp_path / "m.csv"
+    path.write_text(csv + "\n")
+    report = cli.run(str(path), mode=mode, epsilon=epsilon)
+    text = to_json(report)
+    assert text == json.dumps(report, indent=2) and text.isascii()
 
 
 def _without(record, key):

@@ -2,12 +2,14 @@
 
 Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
-loop of eigencert.refine; and the CLI's two text layers: the JSON text of
-the worked 5x5 example's report, and the parse of a seeded matrix of
-one-place decimals as CSV and as JSON text.  Prints the best of --repeat runs per kernel,
-in milliseconds.  Operands are fixed by --size (matrix order, polynomial
-degree) and a constant seed, so figures from the same host are
-comparable across changes.
+loop of eigencert.refine; the breakpoints of locate on the Gershgorin
+disks of a seeded integer matrix, without and with its column disks, 50
+calls each; and the CLI's two text layers: the JSON text of the worked
+5x5 example's report, and the parse of a seeded matrix of one-place
+decimals as CSV and as JSON text.  Prints the best of --repeat runs per
+kernel, in milliseconds.  Operands are fixed by --size (matrix order,
+polynomial degree) and a constant seed, so figures from the same host
+are comparable across changes.
 
     python3 benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
@@ -21,9 +23,15 @@ from fractions import Fraction
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
 from eigencert.cli import parse_matrix_text
-from eigencert.localize import locate
 from eigencert.numerics import EXACT
-from eigencert.localize import CertificationContext, certify_interval, int_sturm_chain
+from eigencert.localize import (
+    CertificationContext,
+    candidate_points,
+    certify_interval,
+    gershgorin_disks,
+    int_sturm_chain,
+    locate,
+)
 from eigencert.oracle import sturm_isolate_roots
 from eigencert.poly import Poly
 from eigencert.refine import refine_all, refine_interval
@@ -92,6 +100,11 @@ def build_cases(size: int):
     final = refine_all(worked.context, worked.intervals, Fraction(1, 10**7))
     report = build_report(worked, final, epsilon_text="1e-7", mode="exact", wall_time=0.001)
 
+    # every disk of nonzero radius counts as contains-real
+    disks = gershgorin_disks(int_rows)
+    yes = [d for d in disks if d[0] < d[2]] or disks
+    columns = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*int_rows)))]
+
     decimals = [[f"{rng.randint(-99, 99) / 10:.1f}" for _ in range(n)] for _ in range(n)]
     matrix_csv = "\n".join(",".join(row) for row in decimals) + "\n"
     matrix_json = json.dumps({"matrix": decimals})
@@ -116,6 +129,10 @@ def build_cases(size: int):
         ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
         ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
         ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),
+        ("candidate_points", lambda: [candidate_points(disks, yes) for _ in range(50)]),
+        ("candidate_points_columns", lambda: [
+            candidate_points(disks, yes, columns) for _ in range(50)
+        ]),
         ("report_json", lambda: to_json(report)),
         ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
         ("parse_matrix_json", lambda: parse_matrix_text(matrix_json, "exact")),

@@ -86,20 +86,24 @@ def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareM
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise ParseError(f"{source}: row {i + 1} is not a list")
-            converted.append([_convert_entry(v, mode, i, j) for j, v in enumerate(row)])
+            converted.append(tuple([_convert_entry(v, mode, i, j) for j, v in enumerate(row)]))
     else:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ParseError(f"{source}: no rows found")
         converted = []
         for i, line in enumerate(lines):
-            converted.append(
+            converted.append(tuple(
                 [_convert_entry(c.strip(), mode, i, j) for j, c in enumerate(line.split(","))]
+            ))
+    n = len(converted)
+    for row in converted:
+        if len(row) != n:
+            raise ParseError(
+                f"{source}: matrix must be square; row of length {len(row)} "
+                f"in a matrix with {n} rows"
             )
-    try:
-        return SquareMatrix.from_rows(converted, EXACT)
-    except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+    return SquareMatrix(tuple(converted))
 
 
 def load_matrix(path: str, mode: str) -> SquareMatrix:

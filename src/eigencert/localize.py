@@ -50,10 +50,11 @@ an eigenvalue exactly) and bypass the interval machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
@@ -281,24 +282,10 @@ def _merge_segments(segments):
     return out
 
 
-def _intersect_segments(a, b):
-    """Intersection of two merged segment lists (closed segments)."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = a[i][0] if a[i][0] > b[j][0] else b[j][0]
-        hi = a[i][1] if a[i][1] < b[j][1] else b[j][1]
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def _covered(point, segments) -> bool:
-    return any(lo <= point <= hi for lo, hi in segments)
+    """Whether point lies in a segment of the merged list segments."""
+    i = bisect_right(segments, (point, inf))  # the first segment past point
+    return i > 0 and point <= segments[i - 1][1]
 
 
 def candidate_points(disks, yes, column_segments=None) -> list:
@@ -309,22 +296,25 @@ def candidate_points(disks, yes, column_segments=None) -> list:
     the center of every contains-real disk and both ends of every disk,
     whatever its verdict - an empty disk overlapping a certified one still
     shapes where roots can hide.  Points outside the union of yes are
-    dropped.  With column_segments given, the union is first clipped to
-    it (column disks also bound the spectrum) and the clip edges join the
-    breakpoints.
+    dropped.  With column_segments given (column disks also bound the
+    spectrum), the ends of their union join the breakpoints and points
+    outside it are dropped too.  The ends of the union of yes are disk
+    ends already, so every end of the clipped region is a breakpoint.
     """
     if not yes:
         raise ValueError("no contains-real disk; nothing to localize")
-    segments = _merge_segments([(lo, hi) for lo, _, hi in yes])
-    if column_segments is not None:
-        segments = _intersect_segments(segments, _merge_segments(column_segments))
+    regions = [_merge_segments([(lo, hi) for lo, _, hi in yes])]
     points = {c for _, c, _ in yes}
     for lo, _, hi in disks:
         points.add(lo)
         points.add(hi)
-    for seg in segments:
-        points.update(seg)
-    return sorted(p for p in points if _covered(p, segments))
+    if column_segments is not None:
+        regions.append(_merge_segments(column_segments))
+        for seg in regions[-1]:
+            points.update(seg)
+    for region in regions:
+        points = [p for p in points if _covered(p, region)]
+    return sorted(points)
 
 
 @dataclass(frozen=True)

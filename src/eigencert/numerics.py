@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,7 +50,8 @@ def parse_decimal(text: str) -> Fraction:
     optional exponent ("3", "-0.625", "1e-7").  Anything else (including
     inf/nan and fraction syntax) raises ParseError naming the token, and so
     does a literal whose exact value needs more than MAX_DECIMAL_DIGITS
-    digits ("1e-100000").
+    digits ("1e-100000") or whose digits pass the interpreter's limit on
+    str -> int conversion.
     """
     token = text.strip()
     match = _DECIMAL_RE.fullmatch(token)
@@ -76,7 +78,13 @@ def parse_decimal(text: str) -> Fraction:
             f"(its exact value needs more than {MAX_DECIMAL_DIGITS})"
         )
     # the value is sign * int(whole + frac) * 10**(power - len(frac))
-    numerator = int(whole + frac)
+    try:
+        numerator = int(whole + frac)
+    except ValueError:  # the interpreter's limit on str -> int digits
+        raise ParseError(
+            f"decimal literal of {len(token)} characters has more digits than "
+            f"the interpreter converts ({sys.get_int_max_str_digits()})"
+        ) from None
     if token[0] == "-":
         numerator = -numerator
     shift = power - len(frac)

@@ -5,8 +5,8 @@ division-free Berkowitz, the Hermite forms from dense products with the
 companion matrix instead of Newton power sums laid out as Hankel
 matrices, root counting and isolation from the textbook Sturm chain over
 Fraction (field remainders) instead of the primitive integer chain that
-every signature is read from, and the dense eigensolver is mpmath's QR
-iteration.  Tests hold the two sides against each other.
+every signature is read from.  Tests hold the two sides against each
+other.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eigencert import kernels
-from eigencert.charpoly import SquareMatrix, mp_rows
+from eigencert.charpoly import SquareMatrix
 from eigencert.numerics import EXACT
 from eigencert.poly import (
     Poly,
@@ -23,10 +23,6 @@ from eigencert.poly import (
     sturm_chain,
     sturm_count,
 )
-
-
-class OracleError(RuntimeError):
-    """The reference computation itself failed (e.g. QR did not converge)."""
 
 
 def naive_charpoly(m: SquareMatrix) -> Poly:
@@ -178,31 +174,3 @@ def sturm_count_closed(p: Poly, lo, hi) -> int:
     if lo == hi or work.degree() < 1:
         return extra
     return extra + sturm_count(sturm_chain(work), lo, hi)
-
-
-def reference_eigensolve(rows, bits: int) -> list:
-    """All eigenvalues of the square rows by mpmath QR iteration.
-
-    Each entry is rounded to bits bits and QR runs at that precision.
-    Returns mpmath complex numbers in no particular order.  This is the
-    bought reference path; convergence failures surface as OracleError.
-    """
-    ctx, h = mp_rows(rows, bits)
-    try:
-        eigenvalues = ctx.eig(ctx.matrix(h), left=False, right=False)
-    except (RuntimeError, ZeroDivisionError) as exc:
-        raise OracleError(f"QR iteration failed: {exc}") from exc
-    return list(eigenvalues)
-
-
-def real_eigenvalues(rows, bits: int, imag_cut=None) -> list:
-    """Sorted real parts of eigenvalues whose imaginary part is tiny.
-
-    imag_cut defaults to 2^(-bits/2) * (1 + max |eigenvalue|); good enough
-    for test comparisons, carries no certificate (that is the point of the
-    rest of the package).
-    """
-    values = reference_eigensolve(rows, bits)
-    if imag_cut is None:
-        imag_cut = (1 + max((abs(v) for v in values), default=0)) / 2 ** (bits // 2)
-    return sorted(v.real for v in values if abs(v.imag) <= imag_cut)

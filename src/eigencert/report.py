@@ -1,17 +1,16 @@
 """The report: the JSON object of one run, built as a plain dict.
 
 Every rational (coefficients, centers, radii, interval ends, widths) is
-exact text ("p/q" or an integer) in both modes, so a report can be
-reloaded without losing the certificates' meaning; counts, rows and
-sources are ints, `contains_real` a bool, and `wall_time_seconds` the
-one float.  The key tuples below fix each object's keys and their
-order; `build_report` fills them, `to_json` writes them in that order
-and `from_json` checks a payload against them.  `bits` is always None:
-both modes read their input exactly.  The key stays because readers of
-the JSON report, such as certbench's checker, look it up.  A number with
-more digits than the interpreter converts to text is an input error that
-names its cause: the matrix entries, or --epsilon for the final
-intervals.
+exact text ("p/q" or an integer) in both modes, so a reader of the JSON
+loses none of the certificates' meaning; counts, rows and sources are
+ints, `contains_real` a bool, and `wall_time_seconds` the one float.
+The key tuples below fix each object's keys and their order;
+`build_report` fills them and `to_json` writes them in that order.
+`bits` is always None: both modes read their input exactly.  The key
+stays because readers of the JSON report, such as certbench's checker,
+look it up.  A number with more digits than the interpreter converts to
+text is an input error that names its cause: the matrix entries, or
+--epsilon for the final intervals.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ INTERVAL_KEYS = ("lo", "hi", "contains_real", "sigma_hq", "min_root_count", "sou
 FINAL_KEYS = ("lo", "hi", "width", "min_root_count", "sources")
 METRIC_KEYS = ("candidate_interval_count", "final_interval_count", "max_width",
                "average_width", "wall_time_seconds")
-RECORD_KEYS = {"disks": DISK_KEYS, "initial_intervals": INTERVAL_KEYS,
-               "final_intervals": FINAL_KEYS}
 
 
 def text_scalar(text: str) -> Fraction:
@@ -160,23 +157,3 @@ def to_json(report: dict) -> str:
             text = _SCALAR_TEXT[kind](value)
         fields.append(_encode(key) + ": " + text)
     return "{\n  " + ",\n  ".join(fields) + "\n}"
-
-
-def from_json(text: str) -> dict:
-    """The report in text, with every key of it and of its records checked."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise ParseError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not set(REPORT_KEYS) <= set(data):
-        raise ParseError(f"malformed report payload: need the keys {', '.join(REPORT_KEYS)}")
-    for name, keys in RECORD_KEYS.items():
-        records = data[name]
-        if not isinstance(records, list) or not all(
-            isinstance(r, dict) and r.keys() == set(keys) for r in records
-        ):
-            raise ParseError(
-                f"malformed report payload: each of {name} needs exactly the keys "
-                + ", ".join(keys)
-            )
-    return data

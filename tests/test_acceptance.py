@@ -29,7 +29,7 @@ from eigencert.refine import refine_all
 from eigencert.report import text_scalar
 from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value, random_rational_matrix
 
-# real eigenvalues of the worked matrix, frozen from the QR reference
+# real eigenvalues of the worked matrix, frozen from an mpmath QR eigensolve
 REAL_EIGENVALUES = (
     F("1.732946083034579"),
     F("2.934726733862349"),

@@ -17,5 +17,6 @@ def test_bench_kernels_runs():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json"):
+    for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json",
+                 "candidate_points", "candidate_points_columns"):
         assert case in done.stdout

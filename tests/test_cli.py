@@ -426,6 +426,29 @@ def test_module_entry_point_warns_nothing(tmp_path):
     assert done.stdout.startswith("5 x 5 matrix, exact mode")
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("m.csv", "1," + "1" * 700 + "\n1,1\n", []),
+    ("m.json", '{"matrix": [[1, "' + "1" * 700 + '"], [1, 1]]}', []),
+    ("m.csv", "1,2\n3,4\n", ["--epsilon", "0." + "1" * 700]),
+], ids=["csv-cell", "json-string", "epsilon"])
+def test_main_decimal_past_lowered_digit_limit_exit_2(tmp_path, name, text, argv):
+    # 700 digits are within MAX_DECIMAL_DIGITS but past the child's limit on
+    # str -> int conversion, which the environment lowers to 640
+    path = tmp_path / name
+    path.write_text(text)
+    src = str(Path(eigencert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONINTMAXSTRDIGITS": "640"}
+    done = subprocess.run(
+        [sys.executable, "-m", "eigencert.cli", str(path), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("eigencert: input error: decimal literal of ")
+    assert done.stderr.count("\n") == 1
+    assert "more digits than the interpreter converts (640)" in done.stderr
+
+
 # Run with mpmath unimportable: the CLI in both modes, and locate plus
 # refine_all on a float_backend(256) matrix, each against exact mode.
 STDLIB_ONLY = """

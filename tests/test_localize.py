@@ -12,7 +12,6 @@ from eigencert.localize import (
     POINT_EIGENVALUE,
     CertificationContext,
     Disk,
-    _intersect_segments,
     _merge_segments,
     candidate_points,
     certify_disk,
@@ -109,8 +108,6 @@ def test_certify_interval_rejects_impossible_drop(monkeypatch):
 
 def test_segment_helpers():
     assert _merge_segments([(3, 4), (0, 2), (1, F(5, 2))]) == [(0, F(5, 2)), (3, 4)]
-    assert _intersect_segments([(0, 5)], [(-1, 1), (2, 3), (6, 9)]) == [(0, 1), (2, 3)]
-    assert _intersect_segments([(0, 1)], [(2, 3)]) == []
 
 
 def test_candidate_points_worked(worked_exact):
@@ -125,6 +122,67 @@ def test_candidate_points_worked(worked_exact):
     ]
     # column disks clip the union and add the clip edges
     assert candidate_points(disks, yes, [(-6, 10)]) == [-6, -5, -4, 0, 4, 5, 8, 10]
+
+
+def _reference_candidate_points(disks, yes, column_segments=None):
+    """The breakpoints as first written: the union of yes, clipped to the
+    union of column_segments by a merge of the two sorted segment lists,
+    with the ends of the clipped segments added."""
+
+    def merge(segments):
+        out = []
+        for lo, hi in sorted(segments):
+            if out and lo <= out[-1][1]:
+                if hi > out[-1][1]:
+                    out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return out
+
+    def intersect(a, b):
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo = a[i][0] if a[i][0] > b[j][0] else b[j][0]
+            hi = a[i][1] if a[i][1] < b[j][1] else b[j][1]
+            if lo <= hi:
+                out.append((lo, hi))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return out
+
+    segments = merge([(lo, hi) for lo, _, hi in yes])
+    if column_segments is not None:
+        segments = intersect(segments, merge(column_segments))
+    points = {c for _, c, _ in yes}
+    for lo, _, hi in disks:
+        points.update((lo, hi))
+    for seg in segments:
+        points.update(seg)
+    return sorted(p for p in points if any(lo <= p <= hi for lo, hi in segments))
+
+
+# small ranges, so that nested, touching, disjoint and radius-0 disks are common
+DISK = st.builds(lambda c, r: (c - r, c, c + r), st.integers(-6, 6), st.integers(0, 4))
+SEGMENT = st.builds(lambda lo, w: (lo, lo + w), st.integers(-12, 12), st.integers(0, 8))
+
+
+@st.composite
+def disk_sets(draw):
+    """(disks, yes, column_segments): yes a non-empty subset of disks, and
+    column_segments None or any list of segments."""
+    disks = draw(st.lists(DISK, min_size=1, max_size=8))
+    keep = draw(st.lists(st.booleans(), min_size=len(disks), max_size=len(disks)))
+    yes = [d for d, k in zip(disks, keep) if k] or disks[:1]
+    return disks, yes, draw(st.none() | st.lists(SEGMENT, max_size=8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(disk_sets())
+def test_candidate_points_matches_union_intersection(case):
+    assert candidate_points(*case) == _reference_candidate_points(*case)
 
 
 def test_candidate_points_needs_certified_disk():

@@ -3,17 +3,15 @@ from fractions import Fraction as F
 import pytest
 
 from eigencert import kernels
-from eigencert.charpoly import SquareMatrix, faddeev_leverrier
+from eigencert.charpoly import SquareMatrix
 from eigencert.numerics import EXACT
 from eigencert.oracle import (
     naive_charpoly,
-    real_eigenvalues,
-    reference_eigensolve,
     sturm_count_closed,
     sturm_isolate_roots,
 )
 from eigencert.poly import Poly
-from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value
+from tests.conftest import WORKED_CHARPOLY
 
 
 def P(*coeffs):
@@ -66,23 +64,6 @@ def test_sturm_count_closed():
     assert sturm_count_closed(sq, 0, 3) == 1
     with pytest.raises(ValueError):
         sturm_count_closed(p, 3, 1)
-
-
-def test_reference_eigensolve_worked(worked_exact):
-    values = reference_eigensolve(WORKED_ROWS, 256)
-    assert len(values) == 5
-    reals = real_eigenvalues(WORKED_ROWS, 256)
-    assert len(reals) == 3
-    # each QR eigenvalue must land inside an independently isolated box
-    p = faddeev_leverrier(worked_exact)
-    boxes = sturm_isolate_roots(p, F(1, 2**40))
-    slack = F(1, 2**30)
-    for value, (lo, hi) in zip(reals, boxes):
-        assert lo - slack <= mpf_value(value) <= hi + slack
-
-
-def test_real_eigenvalues_rotation():
-    assert real_eigenvalues([["0", "1"], ["-1", "0"]], 128) == []
 
 
 def test_sturm_count_closed_shares_no_chain_kernel(monkeypatch):

@@ -4,7 +4,9 @@ Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
 loop of eigencert.refine; the breakpoints of locate on the Gershgorin
 disks of a seeded integer matrix, without and with its column disks, 50
-calls each; and the CLI's two text layers: the JSON text of the worked
+calls each; one whole locate on a seeded matrix of integers, of one-place
+decimals, and of one-place decimals in a repeated block diag(B, B), whose
+every root is double; and the CLI's two text layers: the JSON text of the worked
 5x5 example's report, and the parse of a seeded matrix of one-place
 decimals as CSV and as JSON text.  Prints the best of --repeat runs per
 kernel, in milliseconds.  Operands are fixed by --size (matrix order,
@@ -109,6 +111,22 @@ def build_cases(size: int):
     matrix_csv = "\n".join(",".join(row) for row in decimals) + "\n"
     matrix_json = json.dumps({"matrix": decimals})
 
+    # diag(B, B) with rows and columns permuted alike, B of one-place
+    # decimals, so every root is double; an odd order adds a 1 x 1 block
+    k = n // 2
+    block = [[f"{rng.randint(-99, 99) / 10:.1f}" for _ in range(k)] for _ in range(k)]
+    repeated = [["0"] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k):
+            repeated[i][j] = repeated[i + k][j + k] = block[i][j]
+    if n % 2:
+        repeated[-1][-1] = "0.5"
+    order = list(range(2 * k))
+    rng.shuffle(order)
+    order += range(2 * k, n)
+    repeated = [[repeated[i][j] for j in order] for i in order]
+    locate_inputs = [SquareMatrix.from_rows(rows, EXACT) for rows in (int_rows, decimals, repeated)]
+
     # the two charpoly kernels are timed on one matrix; they must agree on it
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
         raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
@@ -133,6 +151,9 @@ def build_cases(size: int):
         ("candidate_points_columns", lambda: [
             candidate_points(disks, yes, columns) for _ in range(50)
         ]),
+        ("locate_int", lambda: locate(locate_inputs[0])),
+        ("locate_decimal", lambda: locate(locate_inputs[1])),
+        ("locate_repeated", lambda: locate(locate_inputs[2])),
         ("report_json", lambda: to_json(report)),
         ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
         ("parse_matrix_json", lambda: parse_matrix_text(matrix_json, "exact")),

@@ -118,7 +118,10 @@ def load_matrix(path: str, mode: str) -> SquareMatrix:
 def run(path: str, *, mode: str = "exact", epsilon: str = "1e-7",
         column_disks: bool = False) -> dict:
     """Parse, localize, refine; returns the report as its JSON object."""
-    eps_exact = parse_decimal(epsilon)
+    try:
+        eps_exact = parse_decimal(epsilon)
+    except ParseError as exc:
+        raise ParseError(f"--epsilon: {exc}") from exc
     if not eps_exact > 0:
         raise ParseError(f"epsilon must be positive, got {epsilon!r}")
     matrix = load_matrix(path, mode)

@@ -6,7 +6,8 @@ Newton power sums, characteristic polynomials (division-free Berkowitz
 on integers, the pipeline's; Faddeev-Leverrier on integers, its
 cross-check; and La Budde on Hessenberg forms), the Hankel build of
 Hermite forms, symmetric inertia (rational LDL and fraction-free
-Bareiss), and primitive integer pseudo-remainders.
+Bareiss), primitive integer pseudo-remainders and exact integer
+polynomial division.
 
 Conventions shared by every kernel:
 
@@ -427,3 +428,28 @@ def int_prem_primitive(f, g):
         if not num:
             return []
     return int_content_strip(num)
+
+
+def int_divmod_exact(num, den):
+    """Quotient of integer polynomials by long division, and what is left.
+
+    Each step divides the leading coefficient by lc(den) and stops at the
+    first one that lc(den) does not divide, so the quotient has integer
+    coefficients and num = quot*den + rest.  rest is [] exactly when den
+    divides num with an integer quotient, which for a primitive den is
+    whenever it divides num over the rationals (Gauss's lemma).
+    """
+    rest = list(num)
+    dn = len(den) - 1
+    lead = den[dn]
+    quot = [0] * max(len(rest) - dn, 0)
+    for shift in range(len(rest) - 1 - dn, -1, -1):
+        q, r = divmod(rest[shift + dn], lead)
+        if r:
+            break
+        quot[shift] = q
+        for k in range(dn + 1):
+            rest[shift + k] -= q * den[k]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    return quot, rest

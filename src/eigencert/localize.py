@@ -19,25 +19,28 @@ whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b).  The
 context builds the negated primitive remainder sequence of the
 characteristic polynomial and its derivative once.  When it ends in a
 constant the polynomial is square-free and the sequence is its Sturm
-chain; otherwise it ends in gcd(p, p'), the polynomial is divided by it,
-and only then is a second chain built, on the square-free quotient.  V and
-the sign of p are memoised by the point's (numerator, denominator) pair,
-the integers that Horner evaluates on, so a breakpoint shared by two
-tests is evaluated once.
+chain; otherwise it ends in gcd(p, p'), the polynomial is divided by it
+exactly in integers, and only then is a second chain built, on the
+square-free quotient.  V and the sign of p are memoised by the point's
+(numerator, denominator) pair, the integers that Horner evaluates on, so
+a breakpoint shared by two tests is evaluated once.
 
 V only drops, and only at roots of p, which are few, so most points need
 no evaluation.  locate fills the memo by bisection over sorted points
-(CertificationContext.fill): the ends of every disk of nonzero radius
-before the disk tests, and the breakpoints before the candidate tests.
-Where V is equal at the two ends of a run, the points inside are
+(CertificationContext.fill_keys): the ends of every disk of nonzero
+radius before the disk tests, and the breakpoints before the candidate
+tests.  Where V is equal at the two ends of a run, the points inside are
 inferred; only runs where V drops are evaluated at their middle.  Every
 evaluated point is one a test reads.
 
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
 union, the breakpoints and each candidate's sources are int sums and
-compares.  Each radius R and breakpoint y of B becomes the Fraction R/D
-or y/D once, and the tests run in A's coordinates.
+compares.  The tests run in B's coordinates too: the context's chain is
+that of chi_B(y) = det(yI - B), whose roots are D times A's, so a disk
+end or breakpoint y of B is the integer point (y, 1) of the memo.  Each
+radius R and breakpoint y becomes the Fraction R/D or y/D once, for the
+records, which stay in A's coordinates.
 
 The whole pipeline is exact.  A matrix holds the exact values of its
 entries; one built on a float backend holds the values of its rounded
@@ -54,12 +57,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.numerics import EXACT, InternalConsistencyError
-from eigencert.poly import Poly, divmod_poly
+from eigencert.poly import Poly
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.poly import square_free_part
@@ -90,17 +93,26 @@ class CertifiedInterval:
 def int_sturm_chain(p: Poly) -> tuple:
     """Negated primitive remainder sequence of p and p', in integers.
 
-    f_0 is p with denominators cleared, f_1 is p' without its content and
-    f_{k+1} = -prem(f_{k-1}, f_k) made primitive, down to the last nonzero
-    member.  That member is a constant exactly when p is square-free, and
-    the sequence is then p's Sturm chain: each member is a positive
-    multiple of the textbook chain's, so every sign agrees.  Otherwise the
-    last member is gcd(p, p') up to a constant factor.
+    p's denominators are cleared by their lcm; remainder_sequence does the
+    rest.
     """
     scale = lcm(*(c.denominator for c in p.coeffs))
-    chain = [[int(c * scale) for c in p.coeffs]]
-    if len(chain[0]) > 1:
-        chain.append(kernels.int_content_strip([k * c for k, c in enumerate(chain[0])][1:]))
+    return remainder_sequence([c.numerator * (scale // c.denominator) for c in p.coeffs])
+
+
+def remainder_sequence(f: list) -> tuple:
+    """Negated primitive remainder sequence of the integer polynomial f and f'.
+
+    f_0 is f, f_1 is f' without its content and f_{k+1} = -prem(f_{k-1},
+    f_k) made primitive, down to the last nonzero member.  That member is
+    a constant exactly when f is square-free, and the sequence is then f's
+    Sturm chain: each member is a positive multiple of the textbook
+    chain's, so every sign agrees.  Otherwise the last member is gcd(f, f')
+    up to a constant factor.
+    """
+    chain = [f]
+    if len(f) > 1:
+        chain.append(kernels.int_content_strip([k * c for k, c in enumerate(f)][1:]))
     while len(chain[-1]) > 1:
         rem = kernels.int_prem_primitive(chain[-2], chain[-1])
         if not rem:
@@ -111,41 +123,89 @@ def int_sturm_chain(p: Poly) -> tuple:
 
 @dataclass
 class CertificationContext:
-    """The square-free p, its Sturm chain, and V and signs memoised by point.
+    """The Sturm chain of the square-free p in y = D*x, with V and signs memoised.
 
-    A memo entry is evaluated (integer Horner on every chain member) or
-    inferred by fill from two evaluated points with the same V around it.
-    Both are exact under the Sturm property V(a) - V(b) = #{roots in
-    (a, b]}, so the tests cannot tell them apart.
+    The chain is the primitive integer Sturm chain of the square-free part
+    of f(y) = D^n p(y / D).  For a context of a matrix A, D is the lcm of
+    its denominators and f is chi_B(y) = det(yI - B) with B = D*A, so f is
+    monic with integer coefficients and the disk ends and breakpoints of B
+    are integer points y.  Scaling by D > 0 keeps the order of points and
+    maps the roots of p onto those of f, so the chain's V(y) is V_A(y / D).
+
+    V and the sign of f are memoised by the reduced integer pair (num,
+    den) of y = num/den, the integers Horner evaluates on.  The methods on
+    such keys are the implementation; sign_at and sigma_q take points x
+    of A, map each to its key once and share the same memo.  A memo entry
+    is evaluated (integer Horner on every chain member) or inferred by
+    fill_keys from two evaluated points with the same V around it.  Both
+    are exact under the Sturm property V(a) - V(b) = #{roots in (a, b]},
+    so the tests cannot tell them apart.  original and poly are the
+    Fraction polynomials of the report and the tests; poly is built only
+    when read.
     """
 
-    poly: Poly  # monic and square-free
-    original: Poly  # characteristic polynomial before deflation
-    chain: tuple  # primitive integer Sturm chain of poly
-    # keyed by a point's (numerator, denominator): sign variations of the
-    # chain, and sign of poly
+    original: Poly  # monic characteristic polynomial, in x
+    chain: tuple  # primitive integer Sturm chain of the square-free part, in y
+    scale: int  # D: a point x is y = D*x in the chain's coordinates
+    # keyed by a point's reduced (numerator, denominator) in y: sign
+    # variations of the chain, and sign of its first member
     _variations: dict = field(default_factory=dict, repr=False, compare=False)
     _signs: dict = field(default_factory=dict, repr=False, compare=False)
     backend = EXACT  # not a field: every context is exact
 
     @classmethod
+    def _from_sequence(cls, original: Poly, sequence: tuple, scale: int) -> "CertificationContext":
+        """Context from the remainder sequence of f(y) = D^n original(y / D).
+
+        f may be any positive multiple of that polynomial.  If the sequence
+        ends in a constant it is the chain.  Otherwise its last member g is
+        gcd(f, f') and primitive, so f / g has integer coefficients (Gauss's
+        lemma) and is divided out exactly; the chain is built on the
+        quotient, which must then be square-free.
+        """
+        gcd_part = sequence[-1]
+        if len(gcd_part) > 1:
+            if gcd_part[-1] < 0:  # so the quotient keeps the sign of f
+                gcd_part = [-c for c in gcd_part]
+            quot, rem = kernels.int_divmod_exact(sequence[0], gcd_part)
+            sequence = remainder_sequence(quot)
+            if rem or len(sequence[-1]) > 1:
+                raise InternalConsistencyError(
+                    "gcd(p, p') does not divide p to a square-free part"
+                )
+        return cls(original, sequence, scale)
+
+    @classmethod
     def from_poly(cls, p: Poly) -> "CertificationContext":
-        """Context of the characteristic polynomial p, divided by gcd(p, p')
-        only if its remainder sequence ends in that instead of a constant."""
+        """Context of p in its own coordinates: D = 1, f = monic p cleared by an lcm."""
         original = p.monic()
-        chain = int_sturm_chain(original)
-        if len(chain[-1]) == 1:
-            return cls(original, original, chain)
-        quot, rem = divmod_poly(original, Poly.from_coeffs(chain[-1]))
-        deflated = quot.monic()
-        chain = int_sturm_chain(deflated)
-        if not rem.is_zero() or len(chain[-1]) > 1:
-            raise InternalConsistencyError("gcd(p, p') does not divide p to a square-free part")
-        return cls(deflated, original, chain)
+        return cls._from_sequence(original, int_sturm_chain(original), 1)
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":
-        return cls.from_poly(charpoly(m))
+        """Context of m's characteristic polynomial, with the chain of chi_B, B = D*A.
+
+        Coefficient k of chi_B is c_k D^(n-k), an integer, for coefficient
+        c_k of chi_A.
+        """
+        original = charpoly(m)
+        scale = m.cleared[1]
+        power = 1
+        coeffs = []
+        for c in reversed(original.coeffs):
+            coeffs.append(c.numerator * (power // c.denominator))
+            power *= scale
+        coeffs.reverse()
+        return cls._from_sequence(original, remainder_sequence(coeffs), scale)
+
+    @cached_property
+    def poly(self) -> Poly:
+        """The square-free part of original, monic, in x."""
+        f = self.chain[0]
+        lead, degree = f[-1], len(f) - 1
+        return Poly.from_coeffs(
+            [Fraction(c, lead * self.scale ** (degree - k)) for k, c in enumerate(f)]
+        )
 
     @cached_property
     def base_signature(self) -> int:
@@ -155,22 +215,25 @@ class CertificationContext:
         at_neg = [f[-1] if len(f) % 2 else -f[-1] for f in self.chain]
         return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
 
-    def sign_at(self, x) -> int:
-        """Sign of poly at x: -1, 0 or 1.
+    def key(self, x) -> tuple:
+        """The reduced (numerator, denominator) of y = D*x."""
+        den = x.denominator
+        g = gcd(self.scale, den)
+        return x.numerator * (self.scale // g), den // g
 
-        Evaluates the chain's first member by integer Horner, memoised by
-        point.
+    def sign_of(self, key) -> int:
+        """Sign of the chain's first member at the point key: -1, 0 or 1.
+
+        Evaluated by integer Horner, memoised by key.
         """
-        key = x.numerator, x.denominator
         sign = self._signs.get(key)
         if sign is None:
             value = kernels.horner_homogeneous(self.chain[0], *key)
             sign = self._signs[key] = (value > 0) - (value < 0)
         return sign
 
-    def variations(self, x) -> int:
-        """Sign variations V(x) of the Sturm chain at x, memoised by point."""
-        key = x.numerator, x.denominator
+    def variations_of(self, key) -> int:
+        """Sign variations V of the Sturm chain at the point key, memoised by key."""
         count = self._variations.get(key)
         if count is None:
             values = [kernels.horner_homogeneous(f, *key) for f in self.chain]
@@ -178,25 +241,24 @@ class CertificationContext:
             self._signs[key] = (values[0] > 0) - (values[0] < 0)
         return count
 
-    def fill(self, points) -> None:
-        """Memoise V and the sign of poly at sorted distinct points.
+    def fill_keys(self, keys) -> None:
+        """Memoise V and the sign at the keys of sorted distinct points.
 
         Evaluates the first and last point.  Where V is equal at the two
-        ends of a run, no root lies in (x_i, x_j], so every point inside
-        gets V(x_j) and the sign of poly at x_j; otherwise the middle point
-        is evaluated and both halves are filled.  Each dropping run costs
-        one evaluation per level, so m points take at most
+        ends of a run, no root lies in (y_i, y_j], so every point inside
+        gets V(y_j) and the sign at y_j; otherwise the middle point is
+        evaluated and both halves are filled.  Each dropping run costs one
+        evaluation per level, so m points take at most
         min(m, 2 + sigma(H_1) ceil(log2 m)) chain evaluations, none twice.
         """
-        keys = [(x.numerator, x.denominator) for x in points]
-        runs = [(0, len(points) - 1)] if points else []
+        runs = [(0, len(keys) - 1)] if keys else []
         while runs:
             i, j = runs.pop()
-            left, right = self.variations(points[i]), self.variations(points[j])
+            left, right = self.variations_of(keys[i]), self.variations_of(keys[j])
             if left < right:
                 raise InternalConsistencyError(
-                    f"sign variations rise from {left} at {points[i]} to {right} "
-                    f"at {points[j]}: the Sturm chain is faulty"
+                    f"sign variations rise from {left} at y = {keys[i][0]}/{keys[i][1]} "
+                    f"to {right} at y = {keys[j][0]}/{keys[j][1]}: the Sturm chain is faulty"
                 )
             if j - i < 2:
                 continue
@@ -209,16 +271,24 @@ class CertificationContext:
                 mid = (i + j) // 2
                 runs += [(i, mid), (mid, j)]
 
-    def sigma_q(self, lo, hi) -> int:
-        """sigma(H_q) for q = (x - lo)(x - hi), lo < hi.
+    def sigma_of(self, lo, hi) -> int:
+        """sigma(H_q) for q = (x - lo)(x - hi), with lo < hi given as keys.
 
         By TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}},
         with V(lo) - V(hi) = #{roots in (lo, hi]}.
         """
-        half_open = self.variations(lo) - self.variations(hi)
-        at_lo = self.sign_at(lo) == 0
-        at_hi = self.sign_at(hi) == 0
+        half_open = self.variations_of(lo) - self.variations_of(hi)
+        at_lo = self.sign_of(lo) == 0
+        at_hi = self.sign_of(hi) == 0
         return self.base_signature - 2 * (half_open - at_hi) - at_lo - at_hi
+
+    def sign_at(self, x) -> int:
+        """Sign of poly at x: -1, 0 or 1."""
+        return self.sign_of(self.key(x))
+
+    def sigma_q(self, lo, hi) -> int:
+        """sigma(H_q) for q = (x - lo)(x - hi), lo < hi."""
+        return self.sigma_of(self.key(lo), self.key(hi))
 
 
 def gershgorin_disks(rows) -> list:
@@ -240,10 +310,19 @@ def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
     c, r = disk.center, disk.radius
     if r == 0:
         return Disk(disk.row, c, r, POINT_EIGENVALUE)
-    # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r))
-    if ctx.sigma_q(c - r, c + r) != ctx.base_signature:
+    # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r)); the ends as keys, whose
+    # denominators are 1 when c and r are over the context's D
+    (a, b), (s, t) = ctx.key(c), ctx.key(r)
+    lo, hi = _key(a * t - s * b, b * t), _key(a * t + s * b, b * t)
+    if ctx.sigma_of(lo, hi) != ctx.base_signature:
         return Disk(disk.row, c, r, CONTAINS_REAL)
     return Disk(disk.row, c, r, EMPTY_REAL)
+
+
+def _key(num: int, den: int) -> tuple:
+    """num/den, den > 0, as a reduced (numerator, denominator) memo key."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> CertifiedInterval:
@@ -251,14 +330,17 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside, V(lo) - V(hi) less a root at hi.  p is
-    square-free, so the count is exact.
+    square-free, so the count is exact.  The record holds lo and hi; the
+    test reads their keys in the context's coordinates.
     """
     lo = EXACT.convert(lo)
     hi = EXACT.convert(hi)
-    if not lo < hi:
+    lo_key, hi_key = ctx.key(lo), ctx.key(hi)
+    if not lo_key[0] * hi_key[1] < hi_key[0] * lo_key[1]:
         raise ValueError("need lo < hi")
-    sigma_q = ctx.sigma_q(lo, hi)
-    inside = ctx.variations(lo) - ctx.variations(hi) - (ctx.sign_at(hi) == 0)
+    sigma_q = ctx.sigma_of(lo_key, hi_key)
+    inside = (ctx.variations_of(lo_key) - ctx.variations_of(hi_key)
+              - (ctx.sign_of(hi_key) == 0))
     # a Sturm chain's variations never rise from lo to hi
     if inside < 0:
         raise InternalConsistencyError(
@@ -330,16 +412,16 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     """Full initial localization of the real spectrum of m.
 
     Disks and candidates are found on B = D*A, the matrix with its
-    denominators cleared, and each radius and breakpoint becomes a
-    Fraction once, as R/D and y/D.  The memo is filled at the disk ends
-    before the disk tests and at the breakpoints before the candidate
-    tests.
+    denominators cleared, and the context's chain is in the same
+    coordinates, so every test reads the memo at integer points (y, 1).
+    The memo is filled at the disk ends before the disk tests and at the
+    breakpoints before the candidate tests.  Each radius and breakpoint
+    becomes a Fraction once, R/D or y/D, for the records.
     """
     ctx = CertificationContext.from_matrix(m)
     rows, denom = m.cleared
     disks = gershgorin_disks(rows)
-    value = {y: Fraction(y, denom) for lo, c, hi in disks if lo < c for y in (lo, hi)}
-    ctx.fill([value[y] for y in sorted(value)])
+    ctx.fill_keys([(y, 1) for y in sorted({y for lo, c, hi in disks if lo < c for y in (lo, hi)})])
     certified = [
         certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
         for i, (_, c, hi) in enumerate(disks)
@@ -353,8 +435,8 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
         if column_disks:
             col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        values = [value[y] if y in value else Fraction(y, denom) for y in breakpoints]
-        ctx.fill(values)
+        ctx.fill_keys([(y, 1) for y in breakpoints])
+        values = [Fraction(y, denom) for y in breakpoints]
         tested = [
             certify_interval(
                 ctx, values[k], values[k + 1],

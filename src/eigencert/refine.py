@@ -11,7 +11,9 @@ at most epsilon, by one of three steps:
   are put over one denominator q as left/q and (left + width)/q, each
   step doubles left and q and evaluates p at (left + width)/q by integer
   Horner, and left moves up by width when that sign equals p's sign at
-  lo, which the kept cell's left end always has.  A midpoint that is a
+  lo, which the kept cell's left end always has.  The loop runs in the
+  chain's coordinates y = D*x: the ends are mapped to y once, before it,
+  so the ends of a locate candidate are integers there.  A midpoint that is a
   root becomes the point interval [m, m] and ends the loop.  Only the
   cell returned becomes Fractions.
 - Endpoint step.  An interval with no root inside (min_root_count is
@@ -106,10 +108,11 @@ def _sign_bisect(ctx: CertificationContext, iv: CertifiedInterval, at_lo: int, s
     at_lo is the sign of p at iv.lo, and p(iv.hi) has the other sign.  A
     midpoint where p is 0 is returned as the point interval.
     """
-    lo, hi = iv.lo, iv.hi
-    q = math.lcm(lo.denominator, hi.denominator)
-    left = lo.numerator * (q // lo.denominator)
-    width = hi.numerator * (q // hi.denominator) - left
+    # the ends as left/q and (left + width)/q in the chain's y = D*x
+    (a, b), (c, d) = ctx.key(iv.lo), ctx.key(iv.hi)
+    q = math.lcm(b, d)
+    left = a * (q // b)
+    width = c * (q // d) - left
     f = ctx.chain[0]
     horner = kernels.horner_homogeneous
     positive_at_lo = at_lo > 0
@@ -118,10 +121,11 @@ def _sign_bisect(ctx: CertificationContext, iv: CertifiedInterval, at_lo: int, s
         q <<= 1
         value = horner(f, left + width, q)
         if value == 0:
-            point = Fraction(left + width, q)
+            point = Fraction(left + width, q * ctx.scale)
             return CertifiedInterval(point, point, True, None, 1, iv.sources)
         if (value > 0) == positive_at_lo:
             left += width
+    q *= ctx.scale
     return CertifiedInterval(Fraction(left, q), Fraction(left + width, q), True, None, 1, iv.sources)
 
 

@@ -99,3 +99,14 @@ def rational_rows(draw):
         i = draw(st.integers(0, n - 1))
         rows[i] = [v if j == i else Fraction(0) for j, v in enumerate(rows[i])]
     return rows
+
+
+def repeated_block(block, order):
+    """Rows of diag(B, B) with rows and columns permuted alike by order:
+    each eigenvalue of B is a double root of the characteristic polynomial."""
+    k = len(block)
+    rows = [[0] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][j] = rows[i + k][j + k] = block[i][j]
+    return [[rows[i][j] for j in order] for i in order]

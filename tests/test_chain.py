@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from eigencert import kernels, localize
+from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.localize import CONTAINS_REAL, CertificationContext, int_sturm_chain, locate
@@ -21,13 +21,12 @@ from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
 from eigencert.poly import (
     Poly,
-    divmod_poly,
     square_free_part,
     sturm_chain,
     sturm_count,
     sturm_count_all,
 )
-from tests.conftest import random_rational_matrix, rational_rows
+from tests.conftest import random_rational_matrix, rational_rows, repeated_block
 
 TINY = F(1, 10**9)
 
@@ -176,11 +175,20 @@ def test_int_sturm_chain_ends_in_gcd_on_repeated_roots():
 
 
 def test_from_poly_refuses_a_gcd_that_does_not_divide(monkeypatch):
-    def bad_divmod(num, den):
-        quot, _ = divmod_poly(num, den)
-        return quot, Poly.from_coeffs([1])
+    divide = kernels.int_divmod_exact
 
-    monkeypatch.setattr(localize, "divmod_poly", bad_divmod)
+    def bad_divide(num, den):
+        quot, _ = divide(num, den)
+        return quot, [1]
+
+    monkeypatch.setattr(kernels, "int_divmod_exact", bad_divide)
+    with pytest.raises(InternalConsistencyError, match="square-free"):
+        CertificationContext.from_poly(Poly.from_coeffs([1, -2, 1]))
+
+
+def test_from_poly_refuses_a_quotient_with_repeated_roots(monkeypatch):
+    # a forged division that leaves (x-1)^2 whole: its own chain ends in x - 1
+    monkeypatch.setattr(kernels, "int_divmod_exact", lambda num, den: (list(num), []))
     with pytest.raises(InternalConsistencyError, match="square-free"):
         CertificationContext.from_poly(Poly.from_coeffs([1, -2, 1]))
 
@@ -222,14 +230,7 @@ def test_one_remainder_sequence_gives_square_free_part_and_chain(p):
 
 
 def repeated_block_matrix(block, order):
-    """diag(B, B) with rows and columns permuted alike: each eigenvalue of B
-    is a double root of the characteristic polynomial."""
-    k = len(block)
-    rows = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][j] = rows[i + k][j + k] = block[i][j]
-    return SquareMatrix.from_rows([[rows[i][j] for j in order] for i in order], EXACT)
+    return SquareMatrix.from_rows(repeated_block(block, order), EXACT)
 
 
 def test_repeated_block_matrix_takes_the_division_path(monkeypatch):
@@ -237,15 +238,17 @@ def test_repeated_block_matrix_takes_the_division_path(monkeypatch):
     block = [[1, 0, 0, 0], [1, 2, 0, 0], [0, 3, 0, -1], [2, 0, 1, 0]]
     m = repeated_block_matrix(block, [5, 2, 7, 0, 3, 6, 1, 4])
     divisions = []
+    divide = kernels.int_divmod_exact
 
-    def counted_divmod(num, den):
+    def counted_divide(num, den):
         divisions.append(den)
-        return divmod_poly(num, den)
+        return divide(num, den)
 
-    monkeypatch.setattr(localize, "divmod_poly", counted_divmod)
+    monkeypatch.setattr(kernels, "int_divmod_exact", counted_divide)
     res = locate(m)
     ctx = res.context
-    assert len(divisions) == 1 and divisions[0].degree() == 4
+    assert len(divisions) == 1 and len(divisions[0]) - 1 == 4
+    assert ctx.scale == 1
     assert ctx.original == charpoly(m).monic()
     assert ctx.poly == square_free_part(ctx.original)
     assert ctx.poly.degree() == 4
@@ -303,9 +306,9 @@ def test_memo_matches_direct_evaluation(m, column_disks):
 def test_fill_refuses_rising_variations():
     p = Poly.from_coeffs([0, 1])
     # forged chain x, -1: V is 0 left of 0 and 1 right of it
-    ctx = CertificationContext(p, p, ([0, 1], [-1]))
+    ctx = CertificationContext(p, ([0, 1], [-1]), 1)
     with pytest.raises(InternalConsistencyError, match="rise"):
-        ctx.fill([F(-1), F(-1, 2), F(1, 2), F(1)])
+        ctx.fill_keys([(-1, 1), (-1, 2), (1, 2), (1, 1)])
 
 
 def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
@@ -320,15 +323,15 @@ def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
         return horner(*args)
 
     fills = []
-    fill = CertificationContext.fill
+    fill = CertificationContext.fill_keys
 
-    def logged(ctx, points):
+    def logged(ctx, keys):
         before = calls[0]
-        fill(ctx, points)
-        fills.append((len(points), calls[0] - before))
+        fill(ctx, keys)
+        fills.append((len(keys), calls[0] - before))
 
     monkeypatch.setattr(kernels, "horner_homogeneous", counted)
-    monkeypatch.setattr(CertificationContext, "fill", logged)
+    monkeypatch.setattr(CertificationContext, "fill_keys", logged)
     rng = random.Random(14)
     matrices = [worked_exact]
     for n in range(8, 16):
@@ -350,3 +353,63 @@ def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
                                                            d.center + d.radius)}
         read |= {x for iv in res.tested for x in (iv.lo, iv.hi)}
         assert calls[0] // members <= len(read), k
+
+
+@st.composite
+def decimal_repeated_blocks(draw):
+    """diag(B, B) permuted, B of one-place decimals: every root of the
+    characteristic polynomial is repeated, and D divides 10."""
+    k = draw(st.integers(1, 4))
+    block = [[F(draw(st.integers(-15, 15)), 10) if i >= j or draw(st.booleans()) else F(0)
+              for j in range(k)] for i in range(k)]
+    order = draw(st.permutations(range(2 * k)))
+    return repeated_block_matrix(block, order)
+
+
+def textbook_v_and_sign(chain, x):
+    """V of the Fraction Sturm chain at x, and the sign of its first member."""
+    values = [q.eval(x) for q in chain.polys]
+    return kernels.sign_variations(values), (values[0] > 0) - (values[0] < 0)
+
+
+def textbook_sigma(chain, base, lo, hi):
+    """sigma(H_q), q = (x - lo)(x - hi), by TaQ on the Fraction Sturm chain."""
+    (v_lo, s_lo), (v_hi, s_hi) = textbook_v_and_sign(chain, lo), textbook_v_and_sign(chain, hi)
+    return base - 2 * (v_lo - v_hi - (s_hi == 0)) - (s_lo == 0) - (s_hi == 0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(triangular_similar().map(lambda case: case[0]), constant_row_sum(),
+                 decimal_repeated_blocks()),
+       st.booleans())
+def test_scaled_chain_matches_fraction_chain(m, column_disks):
+    """The context's chain runs in y = D*x on chi_B; read back at x = y / D,
+    every memo entry and every test equals the textbook Fraction chain of
+    the square-free part of chi_A."""
+    res = locate(m, column_disks=column_disks)
+    ctx = res.context
+    p = charpoly(m)
+    square_free = square_free_part(p)
+    chain = sturm_chain(square_free)
+    base = sturm_count_all(chain)
+    assert ctx.scale == m.cleared[1]
+    assert ctx.original == p.monic()
+    assert ctx.poly == square_free
+    assert ctx.base_signature == base
+    assert set(ctx._signs) >= set(ctx._variations)
+    for (num, den), count in ctx._variations.items():
+        x = F(num, den * ctx.scale)
+        assert (count, ctx._signs[num, den]) == textbook_v_and_sign(chain, x), x
+    for (num, den), sign in ctx._signs.items():
+        assert sign == textbook_v_and_sign(chain, F(num, den * ctx.scale))[1]
+    for d in res.disks:
+        if d.radius:
+            c, r = d.center, d.radius
+            sigma = textbook_sigma(chain, base, c - r, c + r)
+            assert ctx.sigma_q(c - r, c + r) == sigma, d
+            assert (d.verdict == CONTAINS_REAL) == (sigma != base), d
+    for iv in res.tested:
+        assert iv.sigma == textbook_sigma(chain, base, iv.lo, iv.hi), (iv.lo, iv.hi)
+        (v_lo, _), (v_hi, s_hi) = (textbook_v_and_sign(chain, x) for x in (iv.lo, iv.hi))
+        assert iv.min_root_count == v_lo - v_hi - (s_hi == 0), (iv.lo, iv.hi)

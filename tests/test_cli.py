@@ -268,6 +268,11 @@ INPUT_ERROR_LINES = [
      "bare JSON number at row 2, column 2 overflows a double"),
     ("short-row", "m.csv", "1,2,3\n4,5\n6,7,8\n", [],
      "{path}: matrix must be square; row of length 2 in a matrix with 3 rows"),
+    ("bad-epsilon", "m.csv", "1,2\n3,4\n", ["--epsilon", "x"],
+     "--epsilon: not a decimal literal: 'x'"),
+    ("huge-exponent-epsilon", "m.csv", "1,2\n3,4\n", ["--epsilon", "1e-100000"],
+     "--epsilon: decimal literal of 9 characters has too many digits "
+     "(its exact value needs more than 4300)"),
 ]
 
 
@@ -426,12 +431,12 @@ def test_module_entry_point_warns_nothing(tmp_path):
     assert done.stdout.startswith("5 x 5 matrix, exact mode")
 
 
-@pytest.mark.parametrize("name, text, argv", [
-    ("m.csv", "1," + "1" * 700 + "\n1,1\n", []),
-    ("m.json", '{"matrix": [[1, "' + "1" * 700 + '"], [1, 1]]}', []),
-    ("m.csv", "1,2\n3,4\n", ["--epsilon", "0." + "1" * 700]),
+@pytest.mark.parametrize("name, text, argv, prefix", [
+    ("m.csv", "1," + "1" * 700 + "\n1,1\n", [], ""),
+    ("m.json", '{"matrix": [[1, "' + "1" * 700 + '"], [1, 1]]}', [], ""),
+    ("m.csv", "1,2\n3,4\n", ["--epsilon", "0." + "1" * 700], "--epsilon: "),
 ], ids=["csv-cell", "json-string", "epsilon"])
-def test_main_decimal_past_lowered_digit_limit_exit_2(tmp_path, name, text, argv):
+def test_main_decimal_past_lowered_digit_limit_exit_2(tmp_path, name, text, argv, prefix):
     # 700 digits are within MAX_DECIMAL_DIGITS but past the child's limit on
     # str -> int conversion, which the environment lowers to 640
     path = tmp_path / name
@@ -444,7 +449,7 @@ def test_main_decimal_past_lowered_digit_limit_exit_2(tmp_path, name, text, argv
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("eigencert: input error: decimal literal of ")
+    assert done.stderr.startswith(f"eigencert: input error: {prefix}decimal literal of ")
     assert done.stderr.count("\n") == 1
     assert "more digits than the interpreter converts (640)" in done.stderr
 

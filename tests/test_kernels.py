@@ -246,3 +246,20 @@ def test_int_prem_primitive_matches_field_remainder(K):
         ratio = Fraction(got[-1]) / want[-1]
         assert ratio > 0
         assert [Fraction(c) for c in got] == [ratio * c for c in want]
+
+
+def test_int_divmod_exact(K):
+    # (x^2 - 2)(3x + 1) by a primitive non-monic divisor, and by a monic one
+    assert K.int_divmod_exact([-2, -6, 1, 3], [1, 3]) == ([-2, 0, 1], [])
+    assert K.int_divmod_exact([-2, -6, 1, 3], [-2, 0, 1]) == ([1, 3], [])
+    # x^2 + 1 by x - 1: integer quotient, remainder 2
+    assert K.int_divmod_exact([1, 0, 1], [-1, 1]) == ([1, 1], [2])
+    # x^2 by 2x + 1: lc 2 does not divide the leading 1, nothing is taken
+    quot, rest = K.int_divmod_exact([0, 0, 1], [1, 2])
+    assert rest and quot == [0, 0]
+    rng = random.Random(21)
+    for _ in range(50):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-3, -1, 1, 2))]
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)]
+        f = (Poly.from_coeffs(g) * Poly.from_coeffs(h)).coeffs
+        assert K.int_divmod_exact([int(c) for c in f], g) == (h, [])

@@ -3,10 +3,13 @@ name.  Installing it on the program must find every name it patches, and
 removing it must put every original back."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
 from eigencert import cli
-from tests.conftest import WORKED_ROWS
+from tests.conftest import WORKED_ROWS, repeated_block
 
 TRACING = Path(__file__).resolve().parent.parent / "certbench" / "tracing.py"
 
@@ -59,3 +62,34 @@ def test_tracer_patches_resolve_and_restore(tmp_path):
     assert calls["poly.square_free"] == 0
     for span in HERMITE_SPANS:
         assert calls[span] == 0, f"float mode reached {span}"
+
+
+# B has eigenvalues 0.5 and 2.5 and a complex pair; D = 10
+REPEATED_BLOCK = repeated_block(
+    [["0.5", "0", "0", "0"], ["1", "2.5", "0", "0"], ["0", "0.3", "0", "-1"],
+     ["0.2", "0", "1", "0"]],
+    [5, 2, 7, 0, 3, 6, 1, 4],
+)
+
+
+@pytest.mark.parametrize("rows", [WORKED_ROWS, REPEATED_BLOCK], ids=["worked", "repeated-block"])
+def test_tracer_spine_counts_one_span_per_test(tmp_path, capsys, rows):
+    """certbench's per-layer times come from the spine's spans: one
+    charpoly per locate, one localize.disk per disk and one
+    localize.candidate per candidate of the report.  A locate that went
+    round these names would read 0 there instead of failing."""
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(",".join(map(str, row)) for row in rows) + "\n")
+    capsys.readouterr()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.main([str(path), "--format", "json", "--epsilon", "0.01"]) == 0
+    finally:
+        tracer.remove()
+    report = json.loads(capsys.readouterr().out)
+    calls = tracer.summary()["calls"]
+    assert calls["localize.locate"] == 1
+    assert calls["charpoly"] == 1
+    assert calls["localize.disk"] == len(report["disks"]) == len(rows)
+    assert calls["localize.candidate"] == len(report["initial_intervals"]) > 0

@@ -5,11 +5,12 @@ one of its isolated roots to 2^-300, which is integer Horner in the sign
 loop of eigencert.refine; the breakpoints of locate on the Gershgorin
 disks of a seeded integer matrix, without and with its column disks, 50
 calls each; one whole locate on a seeded matrix of integers, of one-place
-decimals, and of one-place decimals in a repeated block diag(B, B), whose
-every root is double; and the CLI's two text layers: the JSON text of the worked
-5x5 example's report, and the parse of a seeded matrix of one-place
-decimals as CSV and as JSON text.  Prints the best of --repeat runs per
-kernel, in milliseconds.  Operands are fixed by --size (matrix order,
+decimals, of one-place decimals in a repeated block diag(B, B), whose
+every root is double, and of integers with one entry the double 0.1,
+whose denominators clear to D = 2^55; and the CLI's two text layers:
+the JSON text of the worked 5x5 example's report, and the parse of a
+seeded matrix of one-place decimals as CSV and as JSON text.  Prints the
+best of --repeat runs per kernel, in milliseconds.  Operands are fixed by --size (matrix order,
 polynomial degree) and a constant seed, so figures from the same host
 are comparable across changes.
 
@@ -31,11 +32,11 @@ from eigencert.localize import (
     candidate_points,
     certify_interval,
     gershgorin_disks,
-    int_sturm_chain,
     locate,
+    remainder_sequence,
 )
-from eigencert.oracle import sturm_isolate_roots
-from eigencert.poly import Poly
+from eigencert.oracle import companion, sturm_isolate_roots
+from eigencert.poly import Poly, square_free_part
 from eigencert.refine import refine_all, refine_interval
 from eigencert.report import build_report, to_json
 
@@ -87,13 +88,14 @@ def build_cases(size: int):
     dyadic_x = Fraction(rng.getrandbits(90) | 1, 2**90)
     int_monic = [int(c) for c in monic]
 
-    # a random integer polynomial of degree n, square-free like almost all
-    chain_poly = Poly.from_coeffs([rng.randint(-9, 9) for _ in range(n)] + [1])
+    # a random monic integer polynomial of degree n, square-free like almost all
+    chain_coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
 
-    # a root of chain_poly alone in an interval with no root at either end
-    ctx = CertificationContext.from_poly(chain_poly)
+    # a root of it alone in an interval with no root at either end
+    ctx = CertificationContext.from_matrix(companion(Poly.from_coeffs(chain_coeffs)))
     isolated = next((
-        certify_interval(ctx, a, b) for a, b in sturm_isolate_roots(ctx.poly, 1)
+        certify_interval(ctx, a, b)
+        for a, b in sturm_isolate_roots(square_free_part(ctx.original), 1)
         if a < b and ctx.sign_at(a) * ctx.sign_at(b) < 0
     ), None)
     refine_eps = Fraction(1, 2**300)
@@ -125,7 +127,11 @@ def build_cases(size: int):
     rng.shuffle(order)
     order += range(2 * k, n)
     repeated = [[repeated[i][j] for j in order] for i in order]
-    locate_inputs = [SquareMatrix.from_rows(rows, EXACT) for rows in (int_rows, decimals, repeated)]
+    # integers in [-9, 9] and one off-diagonal double 0.1, so D = 2^55
+    one_double = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+    one_double[0][-1] = Fraction(0.1)
+    locate_inputs = [SquareMatrix.from_rows(rows, EXACT)
+                     for rows in (int_rows, decimals, repeated, one_double)]
 
     # the two charpoly kernels are timed on one matrix; they must agree on it
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
@@ -139,7 +145,7 @@ def build_cases(size: int):
             kernels.horner_homogeneous(int_monic, dyadic_x.numerator, dyadic_x.denominator)
             for _ in range(50)
         ]),
-        ("sturm_chain", lambda: int_sturm_chain(chain_poly)),
+        ("sturm_chain", lambda: remainder_sequence(chain_coeffs)),
         ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
         ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
         ("berkowitz_charpoly_int", lambda: kernels.berkowitz_charpoly_int(int_rows)),
@@ -154,6 +160,7 @@ def build_cases(size: int):
         ("locate_int", lambda: locate(locate_inputs[0])),
         ("locate_decimal", lambda: locate(locate_inputs[1])),
         ("locate_repeated", lambda: locate(locate_inputs[2])),
+        ("locate_one_double", lambda: locate(locate_inputs[3])),
         ("report_json", lambda: to_json(report)),
         ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
         ("parse_matrix_json", lambda: parse_matrix_text(matrix_json, "exact")),

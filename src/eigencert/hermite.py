@@ -17,10 +17,8 @@ real roots, and sigma(H_q) differs from it exactly when q takes negative
 values on some real root.
 
 Every form holds exact rationals, so its signature is a certificate.  It
-comes from the form's characteristic polynomial (Descartes' rule is
-exact for a symmetric matrix's spectrum), switching to fraction-free
-symmetric inertia above a degree threshold where big-integer
-Faddeev-Leverrier stops being economical.
+comes from fraction-free symmetric inertia (Bareiss elimination on the
+cleared integer form) at every size.
 
 The certificate stays sigma(H_q), but this module is no longer how the
 pipeline computes it: for q = (x-a)(x-b) and square-free p, sigma(H_q) =
@@ -36,15 +34,11 @@ from dataclasses import dataclass, field
 from eigencert import kernels
 from eigencert.charpoly import (
     SquareMatrix,
-    charpoly,  # unused here; certbench/tracing.py patches this name on this module
+    # unused here; certbench/tracing.py patches these names on this module
+    charpoly,
     faddeev_leverrier,
 )
 from eigencert.poly import Poly
-
-# Above this degree, exact signatures come from Bareiss inertia instead of
-# Descartes on an exact charpoly; both are certificates, the charpoly route
-# just grows a factor ~n faster in big-integer work.
-SIGNATURE_CHARPOLY_MAX_DEGREE = 12
 
 
 @dataclass
@@ -93,6 +87,7 @@ def hermite_weighted(base: HermiteForm, q: Poly) -> HermiteForm:
     return HermiteForm(p, q, SquareMatrix(tuple(tuple(r) for r in rows)))
 
 
+# no signature reads this; certbench/tracing.py patches the name on this module
 def descartes_signature(char: Poly) -> int:
     """V(p_H(x)) - V(p_H(-x)): #positive - #negative roots, all roots real."""
     return kernels.sign_variations(char.coeffs) - kernels.sign_variations(
@@ -111,12 +106,6 @@ def inertia(m: SquareMatrix):
 def signature(form: HermiteForm) -> int:
     """sigma(H_q) = (#positive - #negative eigenvalues), cached on the form."""
     if form._signature is None:
-        form._signature = _signature_of(form.matrix)
+        pos, neg, _ = inertia(form.matrix)
+        form._signature = pos - neg
     return form._signature
-
-
-def _signature_of(m: SquareMatrix) -> int:
-    if m.n <= SIGNATURE_CHARPOLY_MAX_DEGREE:
-        return descartes_signature(faddeev_leverrier(m))
-    pos, neg, _ = inertia(m)
-    return pos - neg

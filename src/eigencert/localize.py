@@ -21,9 +21,11 @@ characteristic polynomial and its derivative once.  When it ends in a
 constant the polynomial is square-free and the sequence is its Sturm
 chain; otherwise it ends in gcd(p, p'), the polynomial is divided by it
 exactly in integers, and only then is a second chain built, on the
-square-free quotient.  V and the sign of p are memoised by the point's
-(numerator, denominator) pair, the integers that Horner evaluates on, so
-a breakpoint shared by two tests is evaluated once.
+square-free quotient.  The memo holds one entry per point, V and the
+sign of p together, keyed by the point's (numerator, denominator) pair,
+the integers that Horner evaluates on.  An evaluation computes both, so
+a point shared by two tests, or read for its sign and then tested, is
+evaluated once.
 
 V only drops, and only at roots of p, which are few, so most points need
 no evaluation.  locate fills the memo by bisection over sorted points
@@ -57,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
+from math import gcd, inf
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
@@ -90,16 +92,6 @@ class CertifiedInterval:
     sources: tuple = ()
 
 
-def int_sturm_chain(p: Poly) -> tuple:
-    """Negated primitive remainder sequence of p and p', in integers.
-
-    p's denominators are cleared by their lcm; remainder_sequence does the
-    rest.
-    """
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return remainder_sequence([c.numerator * (scale // c.denominator) for c in p.coeffs])
-
-
 def remainder_sequence(f: list) -> tuple:
     """Negated primitive remainder sequence of the integer polynomial f and f'.
 
@@ -123,7 +115,7 @@ def remainder_sequence(f: list) -> tuple:
 
 @dataclass
 class CertificationContext:
-    """The Sturm chain of the square-free p in y = D*x, with V and signs memoised.
+    """The Sturm chain of the square-free p in y = D*x, with V and the sign memoised.
 
     The chain is the primitive integer Sturm chain of the square-free part
     of f(y) = D^n p(y / D).  For a context of a matrix A, D is the lcm of
@@ -131,62 +123,37 @@ class CertificationContext:
     monic with integer coefficients and the disk ends and breakpoints of B
     are integer points y.  Scaling by D > 0 keeps the order of points and
     maps the roots of p onto those of f, so the chain's V(y) is V_A(y / D).
+    A polynomial's context is that of its companion matrix.
 
-    V and the sign of f are memoised by the reduced integer pair (num,
-    den) of y = num/den, the integers Horner evaluates on.  The methods on
-    such keys are the implementation; sign_at and sigma_q take points x
-    of A, map each to its key once and share the same memo.  A memo entry
+    The memo holds one entry (V, sign of f) per point, keyed by the
+    reduced integer pair (num, den) of y = num/den, the integers Horner
+    evaluates on.  The methods on such keys are the implementation;
+    sign_at takes a point x of A and maps it to its key once.  An entry
     is evaluated (integer Horner on every chain member) or inferred by
     fill_keys from two evaluated points with the same V around it.  Both
     are exact under the Sturm property V(a) - V(b) = #{roots in (a, b]},
-    so the tests cannot tell them apart.  original and poly are the
-    Fraction polynomials of the report and the tests; poly is built only
-    when read.
+    so the tests cannot tell them apart.  original is the Fraction
+    polynomial of the report.
     """
 
     original: Poly  # monic characteristic polynomial, in x
     chain: tuple  # primitive integer Sturm chain of the square-free part, in y
     scale: int  # D: a point x is y = D*x in the chain's coordinates
-    # keyed by a point's reduced (numerator, denominator) in y: sign
-    # variations of the chain, and sign of its first member
-    _variations: dict = field(default_factory=dict, repr=False, compare=False)
-    _signs: dict = field(default_factory=dict, repr=False, compare=False)
+    # keyed by a point's reduced (numerator, denominator) in y: (sign
+    # variations of the chain, sign of its first member)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
     backend = EXACT  # not a field: every context is exact
-
-    @classmethod
-    def _from_sequence(cls, original: Poly, sequence: tuple, scale: int) -> "CertificationContext":
-        """Context from the remainder sequence of f(y) = D^n original(y / D).
-
-        f may be any positive multiple of that polynomial.  If the sequence
-        ends in a constant it is the chain.  Otherwise its last member g is
-        gcd(f, f') and primitive, so f / g has integer coefficients (Gauss's
-        lemma) and is divided out exactly; the chain is built on the
-        quotient, which must then be square-free.
-        """
-        gcd_part = sequence[-1]
-        if len(gcd_part) > 1:
-            if gcd_part[-1] < 0:  # so the quotient keeps the sign of f
-                gcd_part = [-c for c in gcd_part]
-            quot, rem = kernels.int_divmod_exact(sequence[0], gcd_part)
-            sequence = remainder_sequence(quot)
-            if rem or len(sequence[-1]) > 1:
-                raise InternalConsistencyError(
-                    "gcd(p, p') does not divide p to a square-free part"
-                )
-        return cls(original, sequence, scale)
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "CertificationContext":
-        """Context of p in its own coordinates: D = 1, f = monic p cleared by an lcm."""
-        original = p.monic()
-        return cls._from_sequence(original, int_sturm_chain(original), 1)
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":
         """Context of m's characteristic polynomial, with the chain of chi_B, B = D*A.
 
         Coefficient k of chi_B is c_k D^(n-k), an integer, for coefficient
-        c_k of chi_A.
+        c_k of chi_A.  If the remainder sequence of chi_B ends in a constant
+        it is the chain.  Otherwise its last member g is gcd(chi_B, chi_B')
+        and primitive, so chi_B / g has integer coefficients (Gauss's
+        lemma) and is divided out exactly; the chain is built on the
+        quotient, which must then be square-free.
         """
         original = charpoly(m)
         scale = m.cleared[1]
@@ -196,20 +163,22 @@ class CertificationContext:
             coeffs.append(c.numerator * (power // c.denominator))
             power *= scale
         coeffs.reverse()
-        return cls._from_sequence(original, remainder_sequence(coeffs), scale)
-
-    @cached_property
-    def poly(self) -> Poly:
-        """The square-free part of original, monic, in x."""
-        f = self.chain[0]
-        lead, degree = f[-1], len(f) - 1
-        return Poly.from_coeffs(
-            [Fraction(c, lead * self.scale ** (degree - k)) for k, c in enumerate(f)]
-        )
+        sequence = remainder_sequence(coeffs)
+        gcd_part = sequence[-1]
+        if len(gcd_part) > 1:
+            if gcd_part[-1] < 0:  # so the quotient keeps the sign of chi_B
+                gcd_part = [-c for c in gcd_part]
+            quot, rem = kernels.int_divmod_exact(coeffs, gcd_part)
+            sequence = remainder_sequence(quot)
+            if rem or len(sequence[-1]) > 1:
+                raise InternalConsistencyError(
+                    "gcd(p, p') does not divide p to a square-free part"
+                )
+        return cls(original, sequence, scale)
 
     @cached_property
     def base_signature(self) -> int:
-        """sigma(H_1), the number of distinct real roots of poly."""
+        """sigma(H_1), the number of distinct real roots of original."""
         # V(-inf) - V(+inf), from the leading coefficients
         at_pos = [f[-1] for f in self.chain]
         at_neg = [f[-1] if len(f) % 2 else -f[-1] for f in self.chain]
@@ -221,52 +190,42 @@ class CertificationContext:
         g = gcd(self.scale, den)
         return x.numerator * (self.scale // g), den // g
 
-    def sign_of(self, key) -> int:
-        """Sign of the chain's first member at the point key: -1, 0 or 1.
+    def entry(self, key) -> tuple:
+        """(V, sign of the chain's first member) at the point key.
 
-        Evaluated by integer Horner, memoised by key.
+        Evaluated by integer Horner on every chain member, memoised by key.
         """
-        sign = self._signs.get(key)
-        if sign is None:
-            value = kernels.horner_homogeneous(self.chain[0], *key)
-            sign = self._signs[key] = (value > 0) - (value < 0)
-        return sign
-
-    def variations_of(self, key) -> int:
-        """Sign variations V of the Sturm chain at the point key, memoised by key."""
-        count = self._variations.get(key)
-        if count is None:
+        entry = self._memo.get(key)
+        if entry is None:
             values = [kernels.horner_homogeneous(f, *key) for f in self.chain]
-            count = self._variations[key] = kernels.sign_variations(values)
-            self._signs[key] = (values[0] > 0) - (values[0] < 0)
-        return count
+            first = values[0]
+            entry = self._memo[key] = (kernels.sign_variations(values), (first > 0) - (first < 0))
+        return entry
 
     def fill_keys(self, keys) -> None:
         """Memoise V and the sign at the keys of sorted distinct points.
 
         Evaluates the first and last point.  Where V is equal at the two
         ends of a run, no root lies in (y_i, y_j], so every point inside
-        gets V(y_j) and the sign at y_j; otherwise the middle point is
-        evaluated and both halves are filled.  Each dropping run costs one
-        evaluation per level, so m points take at most
-        min(m, 2 + sigma(H_1) ceil(log2 m)) chain evaluations, none twice.
+        gets the entry of y_j; otherwise the middle point is evaluated and
+        both halves are filled.  Each dropping run costs one evaluation per
+        level, so m points take at most min(m, 2 + sigma(H_1) ceil(log2 m))
+        chain evaluations, none twice.
         """
         runs = [(0, len(keys) - 1)] if keys else []
         while runs:
             i, j = runs.pop()
-            left, right = self.variations_of(keys[i]), self.variations_of(keys[j])
-            if left < right:
+            left, right = self.entry(keys[i]), self.entry(keys[j])
+            if left[0] < right[0]:
                 raise InternalConsistencyError(
-                    f"sign variations rise from {left} at y = {keys[i][0]}/{keys[i][1]} "
-                    f"to {right} at y = {keys[j][0]}/{keys[j][1]}: the Sturm chain is faulty"
+                    f"sign variations rise from {left[0]} at y = {keys[i][0]}/{keys[i][1]} "
+                    f"to {right[0]} at y = {keys[j][0]}/{keys[j][1]}: the Sturm chain is faulty"
                 )
             if j - i < 2:
                 continue
-            if left == right:
-                sign = self._signs[keys[j]]
+            if left[0] == right[0]:
                 for key in keys[i + 1:j]:
-                    self._variations[key] = right
-                    self._signs[key] = sign
+                    self._memo[key] = right
             else:
                 mid = (i + j) // 2
                 runs += [(i, mid), (mid, j)]
@@ -277,18 +236,13 @@ class CertificationContext:
         By TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}},
         with V(lo) - V(hi) = #{roots in (lo, hi]}.
         """
-        half_open = self.variations_of(lo) - self.variations_of(hi)
-        at_lo = self.sign_of(lo) == 0
-        at_hi = self.sign_of(hi) == 0
-        return self.base_signature - 2 * (half_open - at_hi) - at_lo - at_hi
+        (v_lo, s_lo), (v_hi, s_hi) = self.entry(lo), self.entry(hi)
+        at_lo, at_hi = s_lo == 0, s_hi == 0
+        return self.base_signature - 2 * (v_lo - v_hi - at_hi) - at_lo - at_hi
 
     def sign_at(self, x) -> int:
-        """Sign of poly at x: -1, 0 or 1."""
-        return self.sign_of(self.key(x))
-
-    def sigma_q(self, lo, hi) -> int:
-        """sigma(H_q) for q = (x - lo)(x - hi), lo < hi."""
-        return self.sigma_of(self.key(lo), self.key(hi))
+        """Sign of the square-free part of original at x: -1, 0 or 1."""
+        return self.entry(self.key(x))[1]
 
 
 def gershgorin_disks(rows) -> list:
@@ -338,17 +292,17 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     lo_key, hi_key = ctx.key(lo), ctx.key(hi)
     if not lo_key[0] * hi_key[1] < hi_key[0] * lo_key[1]:
         raise ValueError("need lo < hi")
-    sigma_q = ctx.sigma_of(lo_key, hi_key)
-    inside = (ctx.variations_of(lo_key) - ctx.variations_of(hi_key)
-              - (ctx.sign_of(hi_key) == 0))
+    sigma = ctx.sigma_of(lo_key, hi_key)
+    (v_lo, _), (v_hi, s_hi) = ctx.entry(lo_key), ctx.entry(hi_key)
+    inside = v_lo - v_hi - (s_hi == 0)
     # a Sturm chain's variations never rise from lo to hi
     if inside < 0:
         raise InternalConsistencyError(
             f"signature drop on [{lo}, {hi}] counts {inside} roots inside: "
             "the Sturm chain is faulty"
         )
-    contains = sigma_q != ctx.base_signature
-    return CertifiedInterval(lo, hi, contains, sigma_q, inside, tuple(sources))
+    contains = sigma != ctx.base_signature
+    return CertifiedInterval(lo, hi, contains, sigma, inside, tuple(sources))
 
 
 def _merge_segments(segments):

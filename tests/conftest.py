@@ -8,7 +8,10 @@ import pytest
 from hypothesis import strategies as st
 
 from eigencert.charpoly import SquareMatrix
+from eigencert.localize import CertificationContext
 from eigencert.numerics import EXACT, float_backend
+from eigencert.oracle import companion
+from eigencert.poly import Poly
 
 # 5x5 example used throughout: three real eigenvalues (~1.733, ~2.935,
 # ~4.997) and one complex pair; its exact characteristic polynomial and
@@ -59,6 +62,15 @@ def random_rational_matrix(rng: random.Random, n: int, bound: int = 5, max_den: 
             row.append(Fraction(num, den))
         rows.append(row)
     return SquareMatrix.from_rows(rows, EXACT)
+
+
+def poly_context(p: Poly) -> CertificationContext:
+    """The context of p, built as the pipeline builds one: from a matrix.
+
+    The companion matrix of monic p has charpoly monic p exactly, and its
+    D is the lcm of p's denominators.
+    """
+    return CertificationContext.from_matrix(companion(p.monic()))
 
 
 def mpf_value(value) -> Fraction:

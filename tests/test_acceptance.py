@@ -24,7 +24,7 @@ from eigencert.localize import (
 )
 from eigencert.numerics import EXACT
 from eigencert.oracle import companion, dense_hermite, sturm_count_closed
-from eigencert.poly import Poly, sturm_chain, sturm_count_all
+from eigencert.poly import Poly, square_free_part, sturm_chain, sturm_count_all
 from eigencert.refine import refine_all
 from eigencert.report import text_scalar
 from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value, random_rational_matrix
@@ -142,6 +142,7 @@ def test_criterion_5_refined_pipeline(tmp_path):
 def test_criterion_6_exact_depth(worked_exact):
     with criterion(6, "exact refinement to width 1e-16 still yields 3 intervals"):
         res = locate(worked_exact)
+        square_free = square_free_part(res.context.original)
         eps = F(1, 10**16)
         pieces = refine_all(res.context, res.intervals, eps)
         assert len(pieces) == 3
@@ -150,7 +151,7 @@ def test_criterion_6_exact_depth(worked_exact):
         for piece, (ref_lo, ref_hi) in zip(pieces, REFERENCE_ENCLOSURES):
             assert piece.hi - piece.lo <= eps
             assert ref_lo <= piece.lo <= piece.hi <= ref_hi
-            assert sturm_count_closed(res.context.poly, piece.lo, piece.hi) == 1
+            assert sturm_count_closed(square_free, piece.lo, piece.hi) == 1
 
 
 def test_criterion_7_oracle_equivalence(corpus):
@@ -160,7 +161,8 @@ def test_criterion_7_oracle_equivalence(corpus):
         for m in corpus:
             res = locate(m)
             ctx = res.context
-            chain = sturm_chain(ctx.poly)
+            square_free = square_free_part(ctx.original)
+            chain = sturm_chain(square_free)
             total = sturm_count_all(chain)
             # (a) signature counts distinct real roots
             assert ctx.base_signature == total
@@ -171,14 +173,14 @@ def test_criterion_7_oracle_equivalence(corpus):
             # (b) certified output covers every real root: the disjoint
             # closure of the output accounts for all of them
             covered = sum(
-                sturm_count_closed(ctx.poly, lo, hi)
+                sturm_count_closed(square_free, lo, hi)
                 for lo, hi in _merge_segments(segments)
             )
             assert covered == total
 
             # (c) no certified interval is vacuous
             for iv in pieces:
-                assert sturm_count_closed(ctx.poly, iv.lo, iv.hi) >= 1
+                assert sturm_count_closed(square_free, iv.lo, iv.hi) >= 1
 
             # (d) signature drop = 2 x root count, on non-root endpoints
             for _ in range(10):
@@ -187,10 +189,10 @@ def test_criterion_7_oracle_equivalence(corpus):
                     b = F(rng.randint(-12, 12), rng.randint(1, 8))
                     if a > b:
                         a, b = b, a
-                    if a != b and ctx.poly.eval(a) != 0 and ctx.poly.eval(b) != 0:
+                    if a != b and square_free.eval(a) != 0 and square_free.eval(b) != 0:
                         break
                 iv = certify_interval(ctx, a, b)
-                inside = sturm_count_closed(ctx.poly, a, b)
+                inside = sturm_count_closed(square_free, a, b)
                 assert ctx.base_signature - iv.sigma == 2 * inside
         assert time.perf_counter() - started < 600.0
 

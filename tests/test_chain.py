@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.localize import CONTAINS_REAL, CertificationContext, int_sturm_chain, locate
+from eigencert.localize import (
+    CONTAINS_REAL,
+    CertificationContext,
+    certify_interval,
+    locate,
+    remainder_sequence,
+)
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
 from eigencert.poly import (
@@ -26,9 +32,14 @@ from eigencert.poly import (
     sturm_count,
     sturm_count_all,
 )
-from tests.conftest import random_rational_matrix, rational_rows, repeated_block
+from tests.conftest import poly_context, random_rational_matrix, rational_rows, repeated_block
 
 TINY = F(1, 10**9)
+
+
+def chain_poly(ctx):
+    """The chain's first member at y = D*x, monic, as a Poly in x."""
+    return Poly.from_coeffs([c * ctx.scale**k for k, c in enumerate(ctx.chain[0])]).monic()
 
 
 def hermite_sigma(base, a, b):
@@ -45,12 +56,13 @@ def check_pipeline_tests(m, roots=(), offsets=()):
     """
     res = locate(m)
     ctx = res.context
-    base = hermite_base(ctx.poly)
+    base = hermite_base(square_free_part(ctx.original))
     for d in res.disks:
         if d.radius:
             c, r = d.center, d.radius
             q = Poly.from_coeffs([c * c - r * r, -2 * c, 1])
-            assert ctx.sigma_q(c - r, c + r) == signature(hermite_weighted(base, q)), d
+            sigma = certify_interval(ctx, c - r, c + r).sigma
+            assert sigma == signature(hermite_weighted(base, q)), d
     for iv in res.tested:
         assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
     roots = sorted(set(roots))
@@ -58,7 +70,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
     points = sorted(set(roots) | {r + s for r in roots for s in offsets})
     pairs += [(a, b) for i, a in enumerate(points) for b in points[i + 1:i + 4]]
     for a, b in pairs:
-        assert ctx.sigma_q(a, b) == hermite_sigma(base, a, b), (a, b)
+        assert certify_interval(ctx, a, b).sigma == hermite_sigma(base, a, b), (a, b)
     assert ctx.base_signature == signature(base)
 
 
@@ -144,8 +156,9 @@ def rational_matrices(draw):
 def test_locate_on_cleared_matrix_matches_textbook(m, column_disks):
     res = locate(m, column_disks=column_disks)
     ctx = res.context
-    base = hermite_base(ctx.poly)
-    chain = sturm_chain(ctx.poly)
+    p = square_free_part(ctx.original)
+    base = hermite_base(p)
+    chain = sturm_chain(p)
     for d in res.disks:
         if d.radius:
             c, r = d.center, d.radius
@@ -155,26 +168,28 @@ def test_locate_on_cleared_matrix_matches_textbook(m, column_disks):
     for iv in res.tested:
         assert type(iv.lo) is F and type(iv.hi) is F
         assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
-        if ctx.poly.eval(iv.lo) and ctx.poly.eval(iv.hi):
+        if p.eval(iv.lo) and p.eval(iv.hi):
             inside = sturm_count(chain, iv.lo, iv.hi)
         else:
-            ends = (ctx.poly.eval(iv.lo) == 0) + (ctx.poly.eval(iv.hi) == 0)
-            inside = sturm_count_closed(ctx.poly, iv.lo, iv.hi) - ends
+            ends = (p.eval(iv.lo) == 0) + (p.eval(iv.hi) == 0)
+            inside = sturm_count_closed(p, iv.lo, iv.hi) - ends
         assert iv.min_root_count == inside, (iv.lo, iv.hi)
 
 
 def test_int_sturm_chain_ends_in_gcd_on_repeated_roots():
     p = Poly.from_coeffs([1, -2, 1])  # (x-1)^2
-    last = int_sturm_chain(p)[-1]
+    last = remainder_sequence([1, -2, 1])[-1]
     assert len(last) == 2 and last[0] == -last[1] != 0  # a multiple of x - 1
-    ctx = CertificationContext.from_poly(p)
-    assert ctx.poly == Poly.from_coeffs([-1, 1])
+    ctx = poly_context(p)
+    assert ctx.chain[0] == [-1, 1]
     assert ctx.original == p
     assert len(ctx.chain[-1]) == 1
     assert ctx.base_signature == 1
 
 
 def test_from_poly_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    """A polynomial's context, from its companion matrix, refuses a division
+    with a remainder."""
     divide = kernels.int_divmod_exact
 
     def bad_divide(num, den):
@@ -183,14 +198,16 @@ def test_from_poly_refuses_a_gcd_that_does_not_divide(monkeypatch):
 
     monkeypatch.setattr(kernels, "int_divmod_exact", bad_divide)
     with pytest.raises(InternalConsistencyError, match="square-free"):
-        CertificationContext.from_poly(Poly.from_coeffs([1, -2, 1]))
+        poly_context(Poly.from_coeffs([1, -2, 1]))
 
 
 def test_from_poly_refuses_a_quotient_with_repeated_roots(monkeypatch):
+    """A polynomial's context refuses a quotient whose own chain does not
+    end in a constant."""
     # a forged division that leaves (x-1)^2 whole: its own chain ends in x - 1
     monkeypatch.setattr(kernels, "int_divmod_exact", lambda num, den: (list(num), []))
     with pytest.raises(InternalConsistencyError, match="square-free"):
-        CertificationContext.from_poly(Poly.from_coeffs([1, -2, 1]))
+        poly_context(Poly.from_coeffs([1, -2, 1]))
 
 
 @st.composite
@@ -218,12 +235,12 @@ def test_one_remainder_sequence_gives_square_free_part_and_chain(p):
     prem = kernels.int_prem_primitive
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "int_prem_primitive", lambda f, g: calls.append(1) or prem(f, g))
-        ctx = CertificationContext.from_poly(p)
-    assert ctx.poly == square_free
+        ctx = poly_context(p)
+    assert chain_poly(ctx) == square_free
     assert ctx.original == p.monic()
-    assert ctx.chain == int_sturm_chain(ctx.poly)
+    assert ctx.chain == remainder_sequence(ctx.chain[0])
     assert len(ctx.chain[-1]) == 1
-    assert ctx.base_signature == sturm_count_all(sturm_chain(ctx.poly))
+    assert ctx.base_signature == sturm_count_all(sturm_chain(square_free))
     if square_free == p.monic():
         # one sequence: a pseudo-remainder per member after p and p'
         assert len(calls) == len(ctx.chain) - 2
@@ -250,18 +267,21 @@ def test_repeated_block_matrix_takes_the_division_path(monkeypatch):
     assert len(divisions) == 1 and len(divisions[0]) - 1 == 4
     assert ctx.scale == 1
     assert ctx.original == charpoly(m).monic()
-    assert ctx.poly == square_free_part(ctx.original)
-    assert ctx.poly.degree() == 4
-    assert ctx.chain == int_sturm_chain(ctx.poly)
+    assert chain_poly(ctx) == square_free_part(ctx.original)
+    assert len(ctx.chain[0]) - 1 == 4
+    assert ctx.chain == remainder_sequence(ctx.chain[0])
     assert ctx.base_signature == 2
     check_pipeline_tests(m, [F(1), F(2)], (-TINY, TINY))
 
 
 def test_int_sturm_chain_is_primitive_and_integer():
-    p = Poly.from_coeffs([F(-6, 4), F(11, 4), F(-6, 4), F(1, 4)])  # (x-1)(x-2)(x-3)/4
-    chain = int_sturm_chain(p)
-    assert chain[0] == [-6, 11, -6, 1]
-    assert chain[1] == [11, -12, 3]
+    # (x - 1/2)(x - 1)(x - 3/2)/4; made monic, its denominators clear to D = 4
+    p = Poly.from_coeffs([F(-3, 16), F(11, 16), F(-3, 4), F(1, 4)])
+    ctx = poly_context(p)
+    assert ctx.scale == 4
+    chain = ctx.chain
+    assert chain[0] == [-48, 44, -12, 1]  # (y-2)(y-4)(y-6)
+    assert chain[1] == [44, -24, 3]
     assert [len(f) for f in chain] == [4, 3, 2, 1]
     assert all(isinstance(c, int) for f in chain for c in f)
 
@@ -296,11 +316,10 @@ def constant_row_sum(draw):
 def test_memo_matches_direct_evaluation(m, column_disks):
     """Every V and sign locate memoised, evaluated or inferred, is the chain's."""
     ctx = locate(m, column_disks=column_disks).context
-    assert set(ctx._signs) == set(ctx._variations)
-    for key, count in ctx._variations.items():
+    for key, (count, sign) in ctx._memo.items():
         values = [kernels.horner_homogeneous(f, *key) for f in ctx.chain]
         assert count == kernels.sign_variations(values), key
-        assert ctx._signs[key] == (values[0] > 0) - (values[0] < 0), key
+        assert sign == (values[0] > 0) - (values[0] < 0), key
 
 
 def test_fill_refuses_rising_variations():
@@ -395,19 +414,16 @@ def test_scaled_chain_matches_fraction_chain(m, column_disks):
     base = sturm_count_all(chain)
     assert ctx.scale == m.cleared[1]
     assert ctx.original == p.monic()
-    assert ctx.poly == square_free
+    assert chain_poly(ctx) == square_free
     assert ctx.base_signature == base
-    assert set(ctx._signs) >= set(ctx._variations)
-    for (num, den), count in ctx._variations.items():
+    for (num, den), entry in ctx._memo.items():
         x = F(num, den * ctx.scale)
-        assert (count, ctx._signs[num, den]) == textbook_v_and_sign(chain, x), x
-    for (num, den), sign in ctx._signs.items():
-        assert sign == textbook_v_and_sign(chain, F(num, den * ctx.scale))[1]
+        assert entry == textbook_v_and_sign(chain, x), x
     for d in res.disks:
         if d.radius:
             c, r = d.center, d.radius
             sigma = textbook_sigma(chain, base, c - r, c + r)
-            assert ctx.sigma_q(c - r, c + r) == sigma, d
+            assert certify_interval(ctx, c - r, c + r).sigma == sigma, d
             assert (d.verdict == CONTAINS_REAL) == (sigma != base), d
     for iv in res.tested:
         assert iv.sigma == textbook_sigma(chain, base, iv.lo, iv.hi), (iv.lo, iv.hi)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eigencert
 from eigencert import cli
@@ -494,3 +497,71 @@ def test_import_does_not_load_mpmath(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0 and done.stdout == "0 0 True True\n", done.stderr
+
+
+# Cell text: valid decimals and near misses, non-ASCII digits among them.
+# Exponents stay small: a valid input with huge entries is slow, not wrong.
+VALID_CELL = st.integers(-9, 9).map(str) | st.sampled_from(
+    ["0.5", "-1.25", "1e2", "2E-3", "+3", ".5", "5.", "1e-30"])
+CELL_TEXT = st.one_of(
+    VALID_CELL,
+    st.sampled_from(["1e", "--1", "1.2.3", "", " ", "nan", "inf", "-Infinity", "1_0", "0x1F",
+                     "1/2", "٣", "１", "١.٥", "2\u00a0", "1e30"]),
+    st.text(alphabet="0123456789.-+ ٣１x", max_size=6),
+)
+JSON_ENTRY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), CELL_TEXT,
+              st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["matrix", "m"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """(file name, text), n <= 4: a valid CSV or JSON matrix with at most
+    one bad cell, or one of any cells, square or ragged, in the right or a
+    wrong shape; either may be cut short."""
+    n = draw(st.integers(1, 4))
+    as_json = draw(st.booleans())
+    if draw(st.integers(0, 2)):
+        rows = [draw(st.lists(VALID_CELL, min_size=n, max_size=n)) for _ in range(n)]
+        if draw(st.booleans()):
+            bad = JSON_ENTRY if as_json else CELL_TEXT
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(bad)
+    else:
+        cell = JSON_ENTRY if as_json else CELL_TEXT
+        rows = [draw(st.lists(cell, min_size=max(n - 1, 1), max_size=n + 1)) for _ in range(n)]
+    if as_json:
+        shape = draw(st.sampled_from(["object", "object", "bare-list", "nested"]))
+        data = {"object": {"matrix": rows}, "bare-list": rows,
+                "nested": {"matrix": [rows]}}[shape]
+        text = json.dumps(data, ensure_ascii=draw(st.booleans()))
+    else:
+        text = "\n".join(",".join(row) for row in rows) + "\n"
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return ("m.json" if as_json else "m.csv"), text
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(matrix_texts(), st.sampled_from(["exact", "float"]), st.sampled_from(["json", "text"]),
+       st.booleans(),
+       st.sampled_from(["1e-3", "1e-7"]) | st.sampled_from(
+           ["", "x", "0", "-1e-3", "nan", "inf", "1e", "1/1000", "1e-3e", "٣e-3"]))
+def test_main_fuzzed_input_exits_0_or_2(tmp_path, capsys, named_text, mode, fmt, columns,
+                                        epsilon):
+    """Malformed and near-valid input exits 0 or 2, with at most one line
+    on stderr and never a traceback."""
+    name, text = named_text
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    # the = form keeps argparse from taking a value such as -1e-3 for an option
+    argv = [str(path), "--mode", mode, "--format", fmt, f"--epsilon={epsilon}"]
+    code = cli.main(argv + ["--column-disks"] * columns)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+    assert "Traceback" not in err

@@ -22,11 +22,11 @@ from eigencert.localize import (
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import refine_all
-from tests.conftest import rational_rows
+from tests.conftest import poly_context, rational_rows
 
 
 def ctx_for(*coeffs):
-    return CertificationContext.from_poly(Poly.from_coeffs(coeffs))
+    return poly_context(Poly.from_coeffs(coeffs))
 
 
 WORKED_DISKS = [
@@ -101,7 +101,7 @@ def test_certify_interval_rejects_impossible_drop(monkeypatch):
     ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3: sigma(H_1) = 3
     # V(0) - V(4) = -1 gives sigma_q = 5, a negative drop.  The chain's
     # counts come in pairs, so an odd drop cannot be forced in exact mode.
-    monkeypatch.setattr(ctx, "variations_of", lambda key: int(key == (4, 1)))
+    monkeypatch.setattr(ctx, "entry", lambda key: (int(key == (4, 1)), 1))
     with pytest.raises(InternalConsistencyError, match="drop"):
         certify_interval(ctx, 0, 4)
 

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from eigencert import kernels
 from eigencert import refine as refine_mod
-from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval, locate
+from eigencert.localize import CertifiedInterval, certify_interval, locate
 from eigencert.numerics import InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
+from tests.conftest import poly_context
 
 
 def ctx_for(*coeffs):
-    return CertificationContext.from_poly(Poly.from_coeffs(coeffs))
+    return poly_context(Poly.from_coeffs(coeffs))
 
 
 TINY_STEP = F(1, 10**40)
@@ -95,6 +96,7 @@ def test_refine_midpoint_root_with_flanking_roots():
 
 def test_refine_keeps_split_roots_apart():
     ctx = ctx_for(F(15, 64), -1, 1)  # (x - 3/8)(x - 5/8); p(1/2) != 0
+    assert ctx.scale == 64
     iv = certify_interval(ctx, 0, 1)
     eps = F(1, 2)
     pieces = refine_interval(ctx, iv, eps)
@@ -231,7 +233,7 @@ def _ctx_with_roots(roots, quadratic):
     p = Poly.from_coeffs([quadratic, 0, 1])
     for r in roots:
         p = p * Poly.from_coeffs([-r.numerator, r.denominator])
-    return CertificationContext.from_poly(p)
+    return poly_context(p)
 
 
 @st.composite
@@ -281,9 +283,27 @@ def test_sign_loop_root_on_midpoint_is_point(case):
     assert refine_interval(ctx, iv, eps) == [CertifiedInterval(root, root, True, None, 1, (0,))]
 
 
+def test_hermite_step_evaluates_its_midpoint_once(monkeypatch):
+    """The midpoint is read for its sign and then shared by both halves'
+    tests: one chain evaluation, len(chain) Horner calls, all at it."""
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): both roots in [0, 8], none at 4
+    iv = certify_interval(ctx, 0, 8)
+    horner = kernels.horner_homogeneous
+    calls = []
+
+    def counted(coeffs, num, den):
+        calls.append((num, den))
+        return horner(coeffs, num, den)
+
+    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
+    pieces = refine_interval(ctx, iv, 4)
+    assert calls == [(4, 1)] * len(ctx.chain)
+    assert [(p.lo, p.hi, p.min_root_count) for p in pieces] == [(0, 4, 2)]
+
+
 def test_sign_loop_counts(monkeypatch):
-    """One Horner call per halving beyond the two end signs, no Hermite
-    test, and no memo entry but the ends."""
+    """One Horner call per halving beyond the ends' evaluations, no Hermite
+    test, and memo entries only at the two ends."""
     ctx = ctx_for(-2, 0, 1)  # x^2 - 2
     lo, hi = F(7, 5), F(3, 2) + F(1, 4 * 10**30)
     iv = CertifiedInterval(lo, hi, True, None, 1, ())
@@ -298,7 +318,6 @@ def test_sign_loop_counts(monkeypatch):
     monkeypatch.setattr(kernels, "horner_homogeneous", counted)
     monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
     [piece] = refine_interval(ctx, iv, eps)
-    assert len(calls) == 2 + _halvings(hi - lo, eps)
-    assert set(ctx._signs) == {(7, 5), (hi.numerator, hi.denominator)}
-    assert not ctx._variations
+    assert len(calls) == 2 * len(ctx.chain) + _halvings(hi - lo, eps)
+    assert set(ctx._memo) == {(7, 5), (hi.numerator, hi.denominator)}
     assert piece.hi - piece.lo <= eps and piece.lo ** 2 < 2 < piece.hi ** 2

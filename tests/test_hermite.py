@@ -6,6 +6,7 @@ import pytest
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly, faddeev_leverrier
 from eigencert.hermite import (
+    HermiteForm,
     descartes_signature,
     hermite_base,
     hermite_weighted,
@@ -143,11 +144,6 @@ def test_descartes_signature():
 def test_inertia_diagonal_cases():
     m = SquareMatrix.from_rows([[2, 0, 0], [0, -3, 0], [0, 0, 0]], EXACT)
     assert inertia(m) == (1, 1, 1)
-    # order 13: signature 7 - 4 = 3
-    diag = [1] * 7 + [-1] * 4 + [0] * 2
-    m = SquareMatrix.from_rows([[d if i == j else 0 for j in range(13)]
-                                for i, d in enumerate(diag)], EXACT)
-    assert inertia(m) == (7, 4, 2)
     with pytest.raises(ValueError):
         inertia(SquareMatrix.from_rows([[0, 1], [2, 0]], EXACT))
 
@@ -171,6 +167,17 @@ def test_signature_is_cached():
     first = signature(h)
     assert h._signature == first
     assert signature(h) == first
+
+
+def test_exact_signature_above_charpoly_threshold():
+    # order 13 lay above the degree where signatures once switched from
+    # Descartes on the charpoly to inertia; every order now takes inertia
+    diag = [1] * 7 + [-1] * 4 + [0] * 2
+    n = len(diag)
+    rows = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    form = HermiteForm(P(1), P(1), SquareMatrix.from_rows(rows, EXACT))
+    assert inertia(form.matrix) == (7, 4, 2)
+    assert signature(form) == 3
 
 
 def test_float_weighted_form_is_symmetric(worked_float):

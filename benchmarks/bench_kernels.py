@@ -2,7 +2,10 @@
 
 Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
-loop of eigencert.refine; the breakpoints of locate on the Gershgorin
+loop of eigencert.refine; refine_all to 1e-7 on ten seeded located
+matrices of order 3-7, integer and one-place decimal; 50 refinements of
+[0, 4] for the roots 1 and 2, whose midpoint root takes the Hermite step
+and an eps/4 nudge; the breakpoints of locate on the Gershgorin
 disks of a seeded integer matrix, without and with its column disks, 50
 calls each; one whole locate on a seeded matrix of integers, of one-place
 decimals, of one-place decimals in a repeated block diag(B, B), whose
@@ -96,7 +99,7 @@ def build_cases(size: int):
     isolated = next((
         certify_interval(ctx, a, b)
         for a, b in sturm_isolate_roots(square_free_part(ctx.original), 1)
-        if a < b and ctx.sign_at(a) * ctx.sign_at(b) < 0
+        if a < b and ctx.entry(ctx.key(a))[1] * ctx.entry(ctx.key(b))[1] < 0
     ), None)
     refine_eps = Fraction(1, 2**300)
 
@@ -167,6 +170,40 @@ def build_cases(size: int):
     ]
     if isolated is not None:  # an even-degree chain_poly can have no real root
         cases.append(("refine_isolated", lambda: refine_interval(ctx, isolated, refine_eps)))
+
+    # refine_all at 1e-7 on located matrices of order 3-7, integer and
+    # one-place decimal, the same at every --size; each run starts from
+    # the memo that locate left
+    batch_rng = random.Random(7)
+    batch = []
+    for k in range(10):
+        order = 3 + k % 5
+        if k % 2:
+            entries = [Fraction(batch_rng.randint(-99, 99), 10) for _ in range(order**2)]
+        else:
+            entries = [Fraction(batch_rng.randint(-9, 9)) for _ in range(order**2)]
+        rows = [entries[i:i + order] for i in range(0, order**2, order)]
+        located = locate(SquareMatrix.from_rows(rows, EXACT))
+        batch.append((located, dict(located.context._memo)))
+    batch_eps = Fraction(1, 10**7)
+
+    def refine_batch():
+        for located, memo in batch:
+            located.context._memo = dict(memo)
+            refine_all(located.context, located.intervals, batch_eps)
+
+    # roots 1 and 2 in [0, 4], whose midpoint 2 is a root: a Hermite step,
+    # a point cell and an eps/4 nudge on each side, then a sign loop; 50
+    # runs, each on an empty memo
+    two_roots = CertificationContext.from_matrix(companion(Poly.from_coeffs([2, -3, 1])))
+    shared = certify_interval(two_roots, 0, 4)
+
+    def refine_hermite():
+        for _ in range(50):
+            two_roots._memo = {}
+            refine_interval(two_roots, shared, batch_eps)
+
+    cases += [("refine_batch", refine_batch), ("refine_hermite", refine_hermite)]
     return cases
 
 

@@ -37,12 +37,17 @@ from eigencert.report import build_report, to_json
 from eigencert.svg import render_svg
 
 
+# JSON values that are no scalar, by their names in JSON
+_NOT_SCALARS = {bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
 def _convert_entry(value, mode: str, i: int, j: int) -> Fraction:
     """Entry (i, j) of the matrix, counted from 0, as an exact Fraction."""
     if value.__class__ is int:  # not bool, which is refused below
         return Fraction(value)
-    if isinstance(value, bool):
-        raise ParseError(f"boolean at {_where(i, j)} is not a matrix entry")
+    kind = _NOT_SCALARS.get(value.__class__)
+    if kind is not None:
+        raise ParseError(f"{kind} at {_where(i, j)} is not a matrix entry")
     if isinstance(value, float) and mode == "float":
         if not math.isfinite(value):
             raise ParseError(f"bare JSON number at {_where(i, j)} overflows a double")

@@ -127,8 +127,8 @@ class CertificationContext:
 
     The memo holds one entry (V, sign of f) per point, keyed by the
     reduced integer pair (num, den) of y = num/den, the integers Horner
-    evaluates on.  The methods on such keys are the implementation;
-    sign_at takes a point x of A and maps it to its key once.  An entry
+    evaluates on.  The methods on such keys are the implementation; key
+    maps a point x of A to its key, and interval maps keys back.  An entry
     is evaluated (integer Horner on every chain member) or inferred by
     fill_keys from two evaluated points with the same V around it.  Both
     are exact under the Sturm property V(a) - V(b) = #{roots in (a, b]},
@@ -185,10 +185,18 @@ class CertificationContext:
         return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
 
     def key(self, x) -> tuple:
-        """The reduced (numerator, denominator) of y = D*x."""
+        """The reduced (numerator, denominator) of y = D*x, x read exactly."""
+        x = EXACT.convert(x)
         den = x.denominator
         g = gcd(self.scale, den)
         return x.numerator * (self.scale // g), den // g
+
+    def width_key(self, eps) -> tuple:
+        """The key of the width D*eps in y, for eps > 0 read exactly."""
+        eps = EXACT.convert(eps)
+        if not eps > 0:
+            raise ValueError("epsilon must be positive")
+        return reduced_key(eps.numerator * self.scale, eps.denominator)
 
     def entry(self, key) -> tuple:
         """(V, sign of the chain's first member) at the point key.
@@ -230,19 +238,29 @@ class CertificationContext:
                 mid = (i + j) // 2
                 runs += [(i, mid), (mid, j)]
 
-    def sigma_of(self, lo, hi) -> int:
-        """sigma(H_q) for q = (x - lo)(x - hi), with lo < hi given as keys.
+    def sigma_inside(self, lo, hi) -> tuple:
+        """(sigma(H_q), #{roots in (lo, hi)}) for q = (x - lo)(x - hi), lo < hi as keys.
 
-        By TaQ: sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}},
-        with V(lo) - V(hi) = #{roots in (lo, hi]}.
+        V(lo) - V(hi) = #{roots in (lo, hi]}, less a root at hi, is the
+        exact count of the distinct roots strictly inside, and by TaQ
+        sigma(H_q) = sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}}.
         """
         (v_lo, s_lo), (v_hi, s_hi) = self.entry(lo), self.entry(hi)
-        at_lo, at_hi = s_lo == 0, s_hi == 0
-        return self.base_signature - 2 * (v_lo - v_hi - at_hi) - at_lo - at_hi
+        at_hi = s_hi == 0
+        inside = v_lo - v_hi - at_hi
+        # a Sturm chain's variations never rise from lo to hi
+        if inside < 0:
+            raise InternalConsistencyError(
+                f"signature drop on [y = {lo[0]}/{lo[1]}, y = {hi[0]}/{hi[1]}] counts "
+                f"{inside} roots inside: the Sturm chain is faulty"
+            )
+        return self.base_signature - 2 * inside - (s_lo == 0) - at_hi, inside
 
-    def sign_at(self, x) -> int:
-        """Sign of the square-free part of original at x: -1, 0 or 1."""
-        return self.entry(self.key(x))[1]
+    def interval(self, lo, hi, sigma, inside, sources) -> CertifiedInterval:
+        """The contains-real interval with ends x = num/(den*D) of the pairs lo <= hi."""
+        x_lo = Fraction(lo[0], lo[1] * self.scale)
+        x_hi = x_lo if lo is hi else Fraction(hi[0], hi[1] * self.scale)
+        return CertifiedInterval(x_lo, x_hi, True, sigma, inside, sources)
 
 
 def gershgorin_disks(rows) -> list:
@@ -267,13 +285,13 @@ def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
     # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r)); the ends as keys, whose
     # denominators are 1 when c and r are over the context's D
     (a, b), (s, t) = ctx.key(c), ctx.key(r)
-    lo, hi = _key(a * t - s * b, b * t), _key(a * t + s * b, b * t)
-    if ctx.sigma_of(lo, hi) != ctx.base_signature:
+    lo, hi = reduced_key(a * t - s * b, b * t), reduced_key(a * t + s * b, b * t)
+    if ctx.sigma_inside(lo, hi)[0] != ctx.base_signature:
         return Disk(disk.row, c, r, CONTAINS_REAL)
     return Disk(disk.row, c, r, EMPTY_REAL)
 
 
-def _key(num: int, den: int) -> tuple:
+def reduced_key(num: int, den: int) -> tuple:
     """num/den, den > 0, as a reduced (numerator, denominator) memo key."""
     g = gcd(num, den)
     return num // g, den // g
@@ -283,26 +301,17 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
     """Signature test for [lo, hi] with q = (x - lo)(x - hi).
 
     The verdict covers the closed interval; min_root_count counts the
-    distinct roots strictly inside, V(lo) - V(hi) less a root at hi.  p is
-    square-free, so the count is exact.  The record holds lo and hi; the
-    test reads their keys in the context's coordinates.
+    distinct roots strictly inside.  p is square-free, so the count is
+    exact.  The record holds lo and hi; the test is sigma_inside on their
+    keys in the context's coordinates.
     """
     lo = EXACT.convert(lo)
     hi = EXACT.convert(hi)
     lo_key, hi_key = ctx.key(lo), ctx.key(hi)
     if not lo_key[0] * hi_key[1] < hi_key[0] * lo_key[1]:
         raise ValueError("need lo < hi")
-    sigma = ctx.sigma_of(lo_key, hi_key)
-    (v_lo, _), (v_hi, s_hi) = ctx.entry(lo_key), ctx.entry(hi_key)
-    inside = v_lo - v_hi - (s_hi == 0)
-    # a Sturm chain's variations never rise from lo to hi
-    if inside < 0:
-        raise InternalConsistencyError(
-            f"signature drop on [{lo}, {hi}] counts {inside} roots inside: "
-            "the Sturm chain is faulty"
-        )
-    contains = sigma != ctx.base_signature
-    return CertifiedInterval(lo, hi, contains, sigma, inside, tuple(sources))
+    sigma, inside = ctx.sigma_inside(lo_key, hi_key)
+    return CertifiedInterval(lo, hi, sigma != ctx.base_signature, sigma, inside, tuple(sources))
 
 
 def _merge_segments(segments):

@@ -1,27 +1,28 @@
-"""Bisection refinement of certified intervals.
+"""Bisection refinement of certified intervals, on integer keys in y = D*x.
 
-Each contains-real interval is halved at its midpoint until its width is
-at most epsilon, by one of three steps:
+The ends of an input interval and epsilon are mapped once to the chain's
+coordinates y, as (num, den) keys of the context's memo, and every width
+test, halving count, midpoint and nudge after that is integer
+arithmetic.  Only the emitted cells become Fractions, x = num/(den*D).
+Each contains-real piece is halved at its midpoint until its width is at
+most epsilon, by one of three steps:
 
-- Sign loop.  Once an interval holds exactly one root (p is square-free,
-  so that root is simple) and neither endpoint is a root, p(lo) and p(hi)
-  have opposite signs, and each halving is one sign of p at the midpoint,
-  by the intermediate value theorem.  The number of halvings down to
+- Sign loop.  Once a piece holds exactly one root (p is square-free, so
+  that root is simple) and neither end is a root, p(lo) and p(hi) have
+  opposite signs, and each halving is one sign of p at the midpoint, by
+  the intermediate value theorem.  The number of halvings down to
   epsilon is known up front, so one integer loop runs them all: both ends
   are put over one denominator q as left/q and (left + width)/q, each
   step doubles left and q and evaluates p at (left + width)/q by integer
   Horner, and left moves up by width when that sign equals p's sign at
-  lo, which the kept cell's left end always has.  The loop runs in the
-  chain's coordinates y = D*x: the ends are mapped to y once, before it,
-  so the ends of a locate candidate are integers there.  A midpoint that is a
-  root becomes the point interval [m, m] and ends the loop.  Only the
-  cell returned becomes Fractions.
-- Endpoint step.  An interval with no root inside (min_root_count is
-  exact) holds roots only at the ends where p is 0.  Bisection would keep
-  the half at each such end until the width is at most epsilon, so the
-  final cells [lo, lo + w] and [hi - w, hi], with w the width halved that
-  many times, are emitted at once, with no test.
-- Hermite step.  Every other interval (several roots inside, or one root
+  lo, which the kept cell's left end always has.  A midpoint that is a
+  root becomes the point interval [m, m] and ends the loop.
+- Endpoint step.  A piece with no root inside (its count is exact) holds
+  roots only at the ends where p is 0.  Bisection would keep the half at
+  each such end until the width is at most epsilon, so the final cells
+  [lo, lo + w] and [hi - w, hi], with w the width halved that many times,
+  are emitted at once, with no test.
+- Hermite step.  Every other piece (several roots inside, or one root
   inside and a root at an end) re-certifies both halves and drops the
   empty ones.  That test reads two counts off the context's Sturm chain,
   and the midpoint the halves share is evaluated once.  A midpoint that
@@ -29,9 +30,8 @@ at most epsilon, by one of three steps:
   recursion continues on [lo, m - eps/4] and [m + eps/4, hi], so neither
   side inherits the root as an endpoint.
 
-The ends of every piece and the Hermite step's midpoints are read
-through the context, which memoises V and the sign of p by point; the
-sign loop's midpoints are each evaluated once and not memoised.
+The ends of every piece and the Hermite step's midpoints are memoised by
+key in the context; the sign loop's midpoints are evaluated once each.
 
 The pieces kept at any time are disjoint and each holds a root, so there
 are never more of them than sigma(H_1); more means the signatures are
@@ -41,76 +41,57 @@ ever emitted on numeric evidence alone.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from eigencert import kernels
-from eigencert.localize import CertificationContext, CertifiedInterval, certify_interval
-from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.localize import CertificationContext, CertifiedInterval, reduced_key
+# unused here; certbench/tracing.py patches this name on this module
+from eigencert.localize import certify_interval  # noqa: F401
+from eigencert.numerics import InternalConsistencyError
 
 
-@dataclass(frozen=True)
-class RefinementTask:
-    interval: CertifiedInterval
-    depth: int
+def _halvings(num: int, den: int) -> int:
+    """Smallest d >= 0 with num <= den * 2^d: the halvings that take a
+    width down to eps, for width / eps = num / den > 0."""
+    return (-(-num // den) - 1).bit_length()
 
 
-def _halvings(width, eps) -> int:
-    """Smallest d >= 0 with width <= eps * 2^d."""
-    return (math.ceil(width / eps) - 1).bit_length()
-
-
-def _depth_budget(width, eps) -> int:
+def _depth_budget(num: int, den: int) -> int:
     # the halvings down to eps, plus slack for the eps/4 nudges
-    return _halvings(width, eps) + 2
+    return _halvings(num, den) + 2
 
 
-def _isolated_ends(ctx: CertificationContext, iv: CertifiedInterval):
-    """Signs of p at (lo, hi) if iv holds one simple root and no endpoint root, else None.
-
-    p is square-free and min_root_count is the exact number of distinct
-    roots strictly inside.
-    """
-    if iv.min_root_count != 1:
-        return None
-    at_lo = ctx.sign_at(iv.lo)
-    at_hi = ctx.sign_at(iv.hi)
-    if at_lo == 0 or at_hi == 0:
-        return None
-    return at_lo, at_hi
-
-
-def _endpoint_cells(ctx: CertificationContext, iv: CertifiedInterval, eps) -> list:
+def _endpoint_cells(ctx: CertificationContext, lo, hi, width: int, den: int, steps: int) -> list:
     """Final cells of a contains-real piece with no root inside.
 
     Its roots are the ends where p is 0.  Each is the end of the cell that
-    bisection keeps beside it, and sigma(H_q) of that cell is
-    sigma(H_1) - 1 by TaQ: one endpoint root, none inside.
+    bisection keeps beside it, of width (width/den) / 2^steps, and
+    sigma(H_q) of that cell is sigma(H_1) - 1 by TaQ: one endpoint root,
+    none inside.
     """
-    cell = (iv.hi - iv.lo) / 2 ** _halvings(iv.hi - iv.lo, eps)
+    den <<= steps
     sigma = ctx.base_signature - 1
     cells = []
-    if ctx.sign_at(iv.lo) == 0:
-        cells.append(CertifiedInterval(iv.lo, iv.lo + cell, True, sigma, 0, iv.sources))
-    if ctx.sign_at(iv.hi) == 0:
-        cells.append(CertifiedInterval(iv.hi - cell, iv.hi, True, sigma, 0, iv.sources))
+    if ctx.entry(lo)[1] == 0:
+        cells.append((lo, (lo[0] * (den // lo[1]) + width, den), sigma, 0))
+    if ctx.entry(hi)[1] == 0:
+        cells.append(((hi[0] * (den // hi[1]) - width, den), hi, sigma, 0))
     if not cells:
         raise InternalConsistencyError(
-            f"[{iv.lo}, {iv.hi}] contains a root but has none inside or at an end"
+            f"[y = {lo[0]}/{lo[1]}, y = {hi[0]}/{hi[1]}] contains a root "
+            "but has none inside or at an end"
         )
     return cells
 
 
-def _sign_bisect(ctx: CertificationContext, iv: CertifiedInterval, at_lo: int, steps: int):
-    """The cell of iv around its one simple root after `steps` halvings.
+def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> tuple:
+    """The cell of [lo, hi] around its one simple root after `steps` halvings.
 
-    at_lo is the sign of p at iv.lo, and p(iv.hi) has the other sign.  A
+    at_lo is the sign of p at lo, and p(hi) has the other sign.  A
     midpoint where p is 0 is returned as the point interval.
     """
-    # the ends as left/q and (left + width)/q in the chain's y = D*x
-    (a, b), (c, d) = ctx.key(iv.lo), ctx.key(iv.hi)
-    q = math.lcm(b, d)
+    (a, b), (c, d) = lo, hi
+    q = lcm(b, d)
     left = a * (q // b)
     width = c * (q // d) - left
     f = ctx.chain[0]
@@ -121,67 +102,72 @@ def _sign_bisect(ctx: CertificationContext, iv: CertifiedInterval, at_lo: int, s
         q <<= 1
         value = horner(f, left + width, q)
         if value == 0:
-            point = Fraction(left + width, q * ctx.scale)
-            return CertifiedInterval(point, point, True, None, 1, iv.sources)
+            point = (left + width, q)
+            return point, point, None, 1
         if (value > 0) == positive_at_lo:
             left += width
-    q *= ctx.scale
-    return CertifiedInterval(Fraction(left, q), Fraction(left + width, q), True, None, 1, iv.sources)
+    return (left, q), (left + width, q), None, 1
 
 
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
     """Refine one certified interval to pieces of width <= eps."""
-    eps = EXACT.convert(eps)
-    if not eps > 0:
-        raise ValueError("epsilon must be positive")
+    e_num, e_den = ctx.width_key(eps)
     if not interval.contains_real:
         return []
-    interval = CertifiedInterval(EXACT.convert(interval.lo), EXACT.convert(interval.hi),
-                                 interval.contains_real, interval.sigma,
-                                 interval.min_root_count, interval.sources)
+    # a piece is (lo, hi, sigma, count inside, depth), its ends as keys
+    lo, hi = ctx.key(interval.lo), ctx.key(interval.hi)
+    stack = [(lo, hi, interval.sigma, interval.min_root_count, 0)]
+    budget = _depth_budget((hi[0] * lo[1] - lo[0] * hi[1]) * e_den, lo[1] * hi[1] * e_num)
+    base = ctx.base_signature  # sigma(H_1): a half with it holds no root
     out = []
-    budget = _depth_budget(interval.hi - interval.lo, eps)
-    stack = [RefinementTask(interval, 0)]
-    quarter = eps / 4
     while stack:
-        task = stack.pop()
-        iv = task.interval
-        if iv.hi - iv.lo <= eps:
-            out.append(iv)
+        lo, hi, sigma, inside, depth = stack.pop()
+        (a, b), (c, d) = lo, hi
+        # the width is width/den, and width/eps is width * e_den / (den * e_num)
+        width, den = c * b - a * d, b * d
+        if width * e_den <= den * e_num:
+            out.append((lo, hi, sigma, inside))
             continue
-        if task.depth > budget:
+        if depth > budget:
             raise InternalConsistencyError("bisection failed to converge")
-        if iv.min_root_count == 0:
-            out.extend(_endpoint_cells(ctx, iv, eps))
+        if inside == 0:
+            steps = _halvings(width * e_den, den * e_num)
+            out.extend(_endpoint_cells(ctx, lo, hi, width, den, steps))
             _check_piece_count(ctx, len(stack) + len(out))
             continue
-        ends = _isolated_ends(ctx, iv)
-        if ends is not None:
-            at_lo, at_hi = ends
-            if (at_lo > 0) == (at_hi > 0):
-                raise InternalConsistencyError(
-                    f"p has no sign change on [{iv.lo}, {iv.hi}], which holds one simple root"
-                )
-            steps = _halvings(iv.hi - iv.lo, eps)
-            if task.depth + steps > budget:
-                raise InternalConsistencyError("bisection failed to converge")
-            out.append(_sign_bisect(ctx, iv, at_lo, steps))
-            continue
-        mid = (iv.lo + iv.hi) / 2
-        if ctx.sign_at(mid) == 0:
-            out.append(CertifiedInterval(mid, mid, True, None, 1, iv.sources))
-            halves = ((iv.lo, mid - quarter), (mid + quarter, iv.hi))
-        else:
-            halves = ((iv.lo, mid), (mid, iv.hi))
-        for lo, hi in halves:
-            if not lo < hi:
+        if inside == 1:
+            at_lo, at_hi = ctx.entry(lo)[1], ctx.entry(hi)[1]
+            if at_lo and at_hi:
+                if at_lo == at_hi:
+                    raise InternalConsistencyError(
+                        f"p has no sign change on [y = {a}/{b}, y = {c}/{d}], "
+                        "which holds one simple root"
+                    )
+                steps = _halvings(width * e_den, den * e_num)
+                if depth + steps > budget:
+                    raise InternalConsistencyError("bisection failed to converge")
+                out.append(_sign_bisect(ctx, lo, hi, at_lo, steps))
                 continue
-            cert = certify_interval(ctx, lo, hi, iv.sources)
-            if cert.contains_real:
-                stack.append(RefinementTask(cert, task.depth + 1))
+        mid = reduced_key(a * d + c * b, 2 * den)
+        if ctx.entry(mid)[1] == 0:
+            out.append((mid, mid, None, 1))
+            # mid -/+ eps/4 = (m -/+ e_num * mid[1]) / n
+            m, n = mid[0] * 4 * e_den, mid[1] * 4 * e_den
+            nudge = e_num * mid[1]
+            halves = ((lo, reduced_key(m - nudge, n)), (reduced_key(m + nudge, n), hi))
+        else:
+            halves = ((lo, mid), (mid, hi))
+        for lo, hi in halves:
+            if not lo[0] * hi[1] < hi[0] * lo[1]:
+                continue
+            sigma, inside = ctx.sigma_inside(lo, hi)
+            if sigma != base:
+                stack.append((lo, hi, sigma, inside, depth + 1))
         _check_piece_count(ctx, len(stack) + len(out))
-    out.sort(key=lambda v: (v.lo, v.hi))
-    return out
+    cells = [ctx.interval(lo, hi, sigma, inside, interval.sources)
+             for lo, hi, sigma, inside in out]
+    cells.sort(key=lambda v: (v.lo, v.hi))
+    return cells
 
 
 def _check_piece_count(ctx: CertificationContext, pieces: int) -> None:

@@ -107,14 +107,15 @@ DIAGONAL = st.sampled_from([F(0), F(1), F(3), F(-2), F(1, 2), TINY, 3 + TINY])
 
 
 @st.composite
-def triangular_similar(draw, diagonal=DIAGONAL):
-    """(matrix, eigenvalues): a triangular matrix, conjugated by unimodular moves.
+def triangular_similar(draw, diagonal=DIAGONAL, max_n=12):
+    """(matrix, eigenvalues): a triangular matrix of order 2-max_n,
+    conjugated by unimodular moves.
 
     The triangle fixes the spectrum (its diagonal) and its rows put disk
     edges on eigenvalues often; the moves row_i += k row_j, col_j -= k col_i
     keep the spectrum and spread the entries.
     """
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_n))
     diag = draw(st.lists(diagonal, min_size=n, max_size=n))
     a = [[F(0)] * n for _ in range(n)]
     for i in range(n):

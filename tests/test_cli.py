@@ -221,7 +221,8 @@ MALFORMED = [
     # id, file name, text, extra arguments, part of the message
     ("empty-cell", "m.csv", "1,,2\n3,4,5\n6,7,8\n", [], "row 1, column 2"),
     ("fraction-syntax", "m.csv", "1/2,1\n1,1\n", [], "not a decimal literal: '1/2'"),
-    ("json-null", "m.json", '{"matrix": [[1, null], [1, 2]]}', [], "row 1, column 2"),
+    ("json-null", "m.json", '{"matrix": [[1, null], [1, 2]]}', [],
+     "null at row 1, column 2 is not a matrix entry"),
     ("object-entry", "m.json", '{"matrix": [[1, 2], [{"v": 3}, 4]]}', [], "row 2, column 1"),
     ("flat-matrix", "m.json", '{"matrix": [1, 2, 3, 4]}', [], "row 1 is not a list"),
     ("top-level-array", "m.json", "[[1, 2], [3, 4]]", [], 'an object with a "matrix" key'),
@@ -254,6 +255,7 @@ def test_main_malformed_input_exit_2(tmp_path, capsys, name, text, argv, fragmen
     err = capsys.readouterr().err
     assert err.startswith("eigencert: input error:") and err.count("\n") == 1
     assert fragment in err
+    assert "None" not in err  # JSON says null
 
 
 # the whole stderr line of an input error, {path} standing for the file
@@ -264,6 +266,12 @@ INPUT_ERROR_LINES = [
      "not a decimal literal: '2/3' (at row 1, column 2)"),
     ("json-true", "m.json", '{"matrix": [[1, 2], [true, 4]]}', [],
      "boolean at row 2, column 1 is not a matrix entry"),
+    ("json-null", "m.json", '{"matrix": [[1, null], [3, 4]]}', [],
+     "null at row 1, column 2 is not a matrix entry"),
+    ("json-object", "m.json", '{"matrix": [[1, 2], [{"m": 3}, 4]]}', [],
+     "object at row 2, column 1 is not a matrix entry"),
+    ("json-array", "m.json", '{"matrix": [[1, [2]], [3, 4]]}', [],
+     "array at row 1, column 2 is not a matrix entry"),
     ("bare-float-exact", "m.json", '{"matrix": [[1, 2.5], [3, 4]]}', [],
      "refusing binary float 2.5 in exact mode; pass a decimal string instead "
      "(at row 1, column 2)"),

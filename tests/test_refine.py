@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from eigencert import kernels
 from eigencert import refine as refine_mod
+from eigencert.charpoly import SquareMatrix
 from eigencert.localize import CertifiedInterval, certify_interval, locate
-from eigencert.numerics import InternalConsistencyError
+from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.oracle import sturm_count_closed
 from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
 from tests.conftest import poly_context
+from tests.test_chain import triangular_similar
 
 
 def ctx_for(*coeffs):
@@ -19,6 +22,11 @@ def ctx_for(*coeffs):
 
 
 TINY_STEP = F(1, 10**40)
+
+
+def _ratio(width, eps):
+    """width / eps as the (numerator, denominator) the integer helpers take."""
+    return width.numerator * eps.denominator, width.denominator * eps.numerator
 
 
 def _doubling_budget(width, eps):
@@ -32,16 +40,19 @@ def _doubling_budget(width, eps):
 
 
 def test_depth_budget():
-    assert _depth_budget(F(1, 8), F(1, 4)) == 2
-    assert _depth_budget(4, F(1, 4)) == 6
-    assert _depth_budget(F(1, 4), F(1, 4)) == 2
+    assert _depth_budget(*_ratio(F(1, 8), F(1, 4))) == 2
+    assert _depth_budget(*_ratio(F(4), F(1, 4))) == 6
+    assert _depth_budget(*_ratio(F(1, 4), F(1, 4))) == 2
+    # the ratio need not be reduced
+    assert _depth_budget(48, 3) == _depth_budget(16, 1) == 6
     for eps in (F("1e-7"), F("1e-30"), F(1, 2**20), F(3, 2**10)):
         widths = {F(2) ** k for k in range(-110, 12)}
         widths |= {eps * 2**k + d for k in range(0, 110, 7) for d in (-TINY_STEP, 0, TINY_STEP)}
         widths |= {eps * F(k, 7) for k in range(1, 50)}
         for width in widths:
             if width > 0:
-                assert _depth_budget(width, eps) == _doubling_budget(width, eps), (width, eps)
+                assert _depth_budget(*_ratio(width, eps)) == _doubling_budget(width, eps), \
+                    (width, eps)
 
 
 def test_refine_requires_positive_eps(worked_exact):
@@ -109,7 +120,7 @@ def test_refine_budget_exhaustion(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # roots in both halves of [0, 4]
     iv = certify_interval(ctx, 0, 4)
     monkeypatch.setattr(refine_mod, "_depth_budget", lambda w, e: 0)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="converge"):
         refine_interval(ctx, iv, F(1, 64))
 
 
@@ -131,14 +142,14 @@ def test_refine_epsilon_sweep(worked_exact):
 
 
 def _no_hermite_test(*args, **kwargs):
-    raise AssertionError("certify_interval called on an isolated interval")
+    raise AssertionError("Hermite test run on an isolated interval")
 
 
 def test_refine_isolated_root_by_sign(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
     at_mid = certify_interval(ctx, 0, 2)  # 1 is the first midpoint
     off_grid = certify_interval(ctx, 0, F(5, 2))  # 1 is no midpoint of it
-    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
     eps = F(1, 2**40)
     assert refine_interval(ctx, at_mid, eps) == [CertifiedInterval(1, 1, True, None, 1, ())]
     # bisection keeps the dyadic cell [j*w, (j+1)*w] of [0, 5/2] around 1
@@ -171,7 +182,7 @@ def test_refine_converts_int_endpoints():
 def test_refine_isolated_budget_exhaustion(monkeypatch):
     ctx = ctx_for(3, -4, 1)
     iv = certify_interval(ctx, 0, F(5, 2))
-    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
     monkeypatch.setattr(refine_mod, "_depth_budget", lambda w, e: 0)
     with pytest.raises(InternalConsistencyError, match="converge"):
         refine_interval(ctx, iv, F(1, 64))
@@ -181,13 +192,12 @@ def test_refine_more_pieces_than_roots_raises(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # two real roots, both in [0, 4]
     iv = certify_interval(ctx, 0, 8)
 
-    def certify_every_half(ctx, lo, hi, sources=()):
+    def every_half_holds_two(lo, hi):
         # a count of 0 would send the half to the endpoint step, which
         # refuses a piece with no root at an end before the count check
-        cert = certify_interval(ctx, lo, hi, sources)
-        return replace(cert, contains_real=True, min_root_count=2)
+        return ctx.base_signature - 4, 2
 
-    monkeypatch.setattr(refine_mod, "certify_interval", certify_every_half)
+    monkeypatch.setattr(ctx, "sigma_inside", every_half_holds_two)
     with pytest.raises(InternalConsistencyError, match="pieces"):
         refine_interval(ctx, iv, F(1, 64))
 
@@ -214,7 +224,7 @@ def test_refine_endpoint_only_piece_without_test(monkeypatch, lo, hi, roots):
             certify_interval(ctx, *_bisection_cell(lo, hi, root, eps), (0, 2)) for root in roots
         ]
         with monkeypatch.context() as patch:
-            patch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+            patch.setattr(ctx, "sigma_inside", _no_hermite_test)
             assert refine_interval(ctx, iv, eps) == expected
 
 
@@ -252,7 +262,7 @@ def isolated_cases(draw, on_midpoint):
     lo = F(y, den) + draw(st.sampled_from((0, 1))) * eps / 4
     hi = F(y + gap, den) - draw(st.sampled_from((0, 1))) * eps / 4
     if on_midpoint:
-        k = draw(st.integers(1, _halvings(hi - lo, eps)))
+        k = draw(st.integers(1, _halvings(*_ratio(hi - lo, eps))))
         j = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
         root = lo + (hi - lo) * F(j, 2**k)
     else:
@@ -316,8 +326,65 @@ def test_sign_loop_counts(monkeypatch):
         return horner(coeffs, num, den)
 
     monkeypatch.setattr(kernels, "horner_homogeneous", counted)
-    monkeypatch.setattr(refine_mod, "certify_interval", _no_hermite_test)
+    monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
     [piece] = refine_interval(ctx, iv, eps)
-    assert len(calls) == 2 * len(ctx.chain) + _halvings(hi - lo, eps)
+    assert len(calls) == 2 * len(ctx.chain) + _halvings(*_ratio(hi - lo, eps))
     assert set(ctx._memo) == {(7, 5), (hi.numerator, hi.denominator)}
     assert piece.hi - piece.lo <= eps and piece.lo ** 2 < 2 < piece.hi ** 2
+
+
+def test_refine_maps_only_the_input_ends_to_keys(monkeypatch):
+    """Every step runs on keys in y: ctx.key is called on each input
+    interval's two ends and never per step."""
+    ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3
+    hermite = certify_interval(ctx, 0, 4)  # 2 is its midpoint: a nudge, then two sign loops
+    endpoint = certify_interval(ctx, 3, F(7, 2))  # 3 at an end, no root inside
+    assert hermite.min_root_count == 3 and endpoint.min_root_count == 0
+    key = ctx.key
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return key(x)
+
+    monkeypatch.setattr(ctx, "key", counted)
+    eps = F(1, 10**7)
+    pieces = refine_all(ctx, [hermite, endpoint], eps)
+    assert calls == [0, 4, 3, F(7, 2)]
+    # [0, 4] is cut at its root 2 into [0, 2 - eps/4] and [2 + eps/4, 4]
+    cells = [_bisection_cell(0, 2 - eps / 4, 1, eps), _bisection_cell(2 + eps / 4, 4, 3, eps),
+             _bisection_cell(3, F(7, 2), 3, eps)]
+    assert [(p.lo, p.hi) for p in pieces] == sorted([*cells, (2, 2)])
+
+
+@st.composite
+def one_place_decimal_matrices(draw):
+    """(matrix, None): n = 2-5, entries k/10 with |k| <= 99."""
+    n = draw(st.integers(2, 5))
+    entries = st.integers(-99, 99).map(lambda k: F(k, 10))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return SquareMatrix.from_rows(rows, EXACT), None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(triangular_similar(max_n=5), one_place_decimal_matrices()),
+       st.sampled_from((F("1e-3"), F("1e-7"), F("1e-30"))))
+def test_final_cells_against_sturm_counts(case, eps):
+    """Each final cell is at most eps wide, lies in its input interval and
+    holds a root, and its count is the number of roots strictly inside,
+    all by Sturm counts on the characteristic polynomial."""
+    m, _ = case
+    located = locate(m)
+    p = located.context.original
+    for iv in located.intervals:
+        for cell in refine_interval(located.context, iv, eps):
+            assert cell.hi - cell.lo <= eps
+            assert iv.lo <= cell.lo <= cell.hi <= iv.hi
+            closed = sturm_count_closed(p, cell.lo, cell.hi)
+            assert closed >= 1
+            if cell.lo == cell.hi:
+                assert cell.min_root_count == closed == 1
+            else:
+                at_ends = (p.eval(cell.lo) == 0) + (p.eval(cell.hi) == 0)
+                assert cell.min_root_count == closed - at_ends

@@ -2,10 +2,12 @@
 
 Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
-loop of eigencert.refine; refine_all to 1e-7 on ten seeded located
-matrices of order 3-7, integer and one-place decimal; 50 refinements of
-[0, 4] for the roots 1 and 2, whose midpoint root takes the Hermite step
-and an eps/4 nudge; the breakpoints of locate on the Gershgorin
+loop and quadratic steps of eigencert.refine; refine_all to 1e-7 on ten
+seeded located matrices of order 3-7, integer and one-place decimal; 50
+refinements of [0, 4] for the roots 1 and 2, whose midpoint root takes
+the Hermite step and an eps/4 nudge; refine_all to 1e-1000 on the
+located 2x2 [[1, 2], [3, 4]], whose two roots are each about 3,330
+halvings deep; the breakpoints of locate on the Gershgorin
 disks of a seeded integer matrix, without and with its column disks, 50
 calls each; one whole locate on a seeded matrix of integers, of one-place
 decimals, of one-place decimals in a repeated block diag(B, B), whose
@@ -203,7 +205,18 @@ def build_cases(size: int):
             two_roots._memo = {}
             refine_interval(two_roots, shared, batch_eps)
 
-    cases += [("refine_batch", refine_batch), ("refine_hermite", refine_hermite)]
+    # two roots, each about 3,330 halvings deep at 1e-1000, from the memo
+    # that locate left
+    tiny = locate(SquareMatrix.from_rows([[1, 2], [3, 4]], EXACT))
+    tiny_memo = dict(tiny.context._memo)
+    tiny_eps = Fraction(1, 10**1000)
+
+    def refine_tiny_eps():
+        tiny.context._memo = dict(tiny_memo)
+        refine_all(tiny.context, tiny.intervals, tiny_eps)
+
+    cases += [("refine_batch", refine_batch), ("refine_hermite", refine_hermite),
+              ("refine_tiny_eps", refine_tiny_eps)]
     return cases
 
 

@@ -128,7 +128,7 @@ def run(path: str, *, mode: str = "exact", epsilon: str = "1e-7",
     except ParseError as exc:
         raise ParseError(f"--epsilon: {exc}") from exc
     if not eps_exact > 0:
-        raise ParseError(f"epsilon must be positive, got {epsilon!r}")
+        raise ParseError(f"--epsilon: must be positive, got {epsilon!r}")
     matrix = load_matrix(path, mode)
     started = time.perf_counter()
     located = locate(matrix, column_disks=column_disks)

@@ -1,22 +1,29 @@
-"""Bisection refinement of certified intervals, on integer keys in y = D*x.
+"""Refinement of certified intervals, on integer keys in y = D*x.
 
 The ends of an input interval and epsilon are mapped once to the chain's
 coordinates y, as (num, den) keys of the context's memo, and every width
 test, halving count, midpoint and nudge after that is integer
 arithmetic.  Only the emitted cells become Fractions, x = num/(den*D).
-Each contains-real piece is halved at its midpoint until its width is at
-most epsilon, by one of three steps:
+Each contains-real piece ends as the cells that halving it at midpoints
+down to width epsilon keeps, reached by one of three steps:
 
 - Sign loop.  Once a piece holds exactly one root (p is square-free, so
   that root is simple) and neither end is a root, p(lo) and p(hi) have
-  opposite signs, and each halving is one sign of p at the midpoint, by
-  the intermediate value theorem.  The number of halvings down to
-  epsilon is known up front, so one integer loop runs them all: both ends
-  are put over one denominator q as left/q and (left + width)/q, each
-  step doubles left and q and evaluates p at (left + width)/q by integer
-  Horner, and left moves up by width when that sign equals p's sign at
-  lo, which the kept cell's left end always has.  A midpoint that is a
-  root becomes the point interval [m, m] and ends the loop.
+  opposite signs, and a sign of p at a point inside tells which side
+  holds the root, by the intermediate value theorem.  The number of
+  halvings down to epsilon is known up front, and with it the cell that
+  halving ends on: both ends are put over one denominator q as left/q
+  and (left + width)/q, and each halving doubles left and q and takes
+  the sign of p at (left + width)/q by integer Horner.  A run of fewer
+  than 16 halvings does exactly that.  A longer run halves 7 times and
+  then takes quadratic interval refinement steps on the same dyadic
+  grid: the secant root of the cell's end values, rounded to a grid
+  point, and its neighbour toward the root, with 2^t sub-cells and t
+  doubling on every hit, so once the secant is close the Horner calls
+  grow with log log(w/eps).
+  Every kept cell holds the root strictly inside, so both routes end on
+  the same cell.  A grid point that is a root becomes the point
+  interval [m, m] and ends the loop.
 - Endpoint step.  A piece with no root inside (its count is exact) holds
   roots only at the ends where p is 0.  Bisection would keep the half at
   each such end until the width is at most epsilon, so the final cells
@@ -31,7 +38,7 @@ most epsilon, by one of three steps:
   side inherits the root as an endpoint.
 
 The ends of every piece and the Hermite step's midpoints are memoised by
-key in the context; the sign loop's midpoints are evaluated once each.
+key in the context; the sign loop's points are evaluated once each.
 
 The pieces kept at any time are disjoint and each holds a root, so there
 are never more of them than sigma(H_1); more means the signatures are
@@ -87,8 +94,11 @@ def _endpoint_cells(ctx: CertificationContext, lo, hi, width: int, den: int, ste
 def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> tuple:
     """The cell of [lo, hi] around its one simple root after `steps` halvings.
 
-    at_lo is the sign of p at lo, and p(hi) has the other sign.  A
-    midpoint where p is 0 is returned as the point interval.
+    at_lo is the sign of p at lo, and p(hi) has the other sign.  A grid
+    point of level <= steps where p is 0 is returned as the point interval.
+    A run of fewer than 16 halvings halves at every midpoint; a longer one
+    halves 7 times and then takes quadratic steps on the same grid, which
+    end on the same cell.
     """
     (a, b), (c, d) = lo, hi
     q = lcm(b, d)
@@ -97,7 +107,8 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
     f = ctx.chain[0]
     horner = kernels.horner_homogeneous
     positive_at_lo = at_lo > 0
-    for _ in range(steps):
+    halvings = steps if steps < 16 else 7
+    for _ in range(halvings):
         left <<= 1
         q <<= 1
         value = horner(f, left + width, q)
@@ -106,7 +117,89 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
             return point, point, None, 1
         if (value > 0) == positive_at_lo:
             left += width
-    return (left, q), (left + width, q), None, 1
+    if halvings == steps:
+        return (left, q), (left + width, q), None, 1
+    # the last midpoint is one end of the cell; evaluate the other
+    if (value > 0) == positive_at_lo:
+        ends = value, horner(f, left + width, q)
+    else:
+        ends = horner(f, left, q), value
+    return _quadratic_steps(f, left, width, q, ends, positive_at_lo, steps - halvings)
+
+
+def _quadratic_steps(f, left, width, q, ends, positive_at_lo: bool, rest: int) -> tuple:
+    """Quadratic interval refinement of [left/q, (left + width)/q], `rest`
+    halvings deep (J. Abbott, "Quadratic Interval Refinement for Real
+    Roots", 2006).
+
+    Grid point k of level L is (left 2^L + k width) / (q 2^L), a midpoint
+    that halving would reach after L more steps.  The cell is the span
+    [i, j] of level L, and p at its ends is kept as the Horner values over
+    (q 2^L)^deg.  A step moves to level L + t, t <= rest - L, rounds the
+    secant root of the end values to the nearest grid point m and
+    evaluates p at m and at its neighbour toward the root.  If the root
+    lies between them the cell is that one unit and t doubles; otherwise
+    the cell is the side the signs point to, halved once at its middle
+    grid point, and t halves.  Every cell keeps the root strictly inside,
+    so the unit cell of level `rest` that ends the loop is the one halving
+    keeps, and a root at a grid point is returned as the point interval.
+    """
+    deg = len(f) - 1
+    horner = kernels.horner_homogeneous
+    at_i, at_j = ends
+    level, i, j, t = 0, 0, 1, 8
+
+    def grid(k):
+        return (left << level) + k * width, q << level
+
+    def point(k):
+        key = grid(k)
+        return key, key, None, 1
+
+    def value_at(k):
+        if k == i:
+            return at_i
+        if k == j:
+            return at_j
+        return horner(f, *grid(k))
+
+    while True:
+        t = min(t, rest - level)
+        if t == 0 and j - i == 1:
+            break
+        level += t
+        i, j = i << t, j << t
+        at_i, at_j = at_i << deg * t, at_j << deg * t
+        # the grid point nearest the secant root i + (j - i) x / (x + y)
+        x, y = abs(at_i), abs(at_j)
+        m = i + (2 * (j - i) * x + x + y) // (2 * (x + y))
+        at_m = value_at(m)
+        if at_m == 0:
+            return point(m)
+        up = (at_m > 0) == positive_at_lo  # the root is above m
+        n = m + 1 if up else m - 1
+        at_n = value_at(n)
+        if at_n == 0:
+            return point(n)
+        if ((at_n > 0) == positive_at_lo) != up:
+            i, j, at_i, at_j = (m, n, at_m, at_n) if up else (n, m, at_n, at_m)
+            t *= 2
+            continue
+        if up:
+            i, at_i = n, at_n
+        else:
+            j, at_j = n, at_n
+        t = max(1, t // 2)
+        if j - i > 1:
+            mid = (i + j) // 2
+            at_mid = value_at(mid)
+            if at_mid == 0:
+                return point(mid)
+            if (at_mid > 0) == positive_at_lo:
+                i, at_i = mid, at_mid
+            else:
+                j, at_j = mid, at_mid
+    return grid(i), grid(j), None, 1
 
 
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:

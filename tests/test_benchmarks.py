@@ -20,5 +20,5 @@ def test_bench_kernels_runs():
     for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json",
                  "candidate_points", "candidate_points_columns", "locate_int",
                  "locate_decimal", "locate_repeated", "locate_one_double", "refine_batch",
-                 "refine_hermite"):
+                 "refine_hermite", "refine_tiny_eps"):
         assert case in done.stdout

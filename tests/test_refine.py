@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -203,10 +204,19 @@ def test_refine_more_pieces_than_roots_raises(monkeypatch):
 
 
 def _bisection_cell(lo, hi, root, eps):
-    """The cell around root that halving [lo, hi] down to width eps keeps."""
+    """The cell around root that halving [lo, hi] down to width eps keeps.
+
+    root is a number, or a Poly with one simple root in (lo, hi), none at
+    lo, to halve by its signs.
+    """
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if root <= mid else (mid, hi)
+        if isinstance(root, Poly):
+            at_mid = root.eval(mid)
+            left = at_mid == 0 or (at_mid < 0) != (root.eval(lo) < 0)
+        else:
+            left = root <= mid
+        lo, hi = (lo, mid) if left else (mid, hi)
     return lo, hi
 
 
@@ -293,11 +303,9 @@ def test_sign_loop_root_on_midpoint_is_point(case):
     assert refine_interval(ctx, iv, eps) == [CertifiedInterval(root, root, True, None, 1, (0,))]
 
 
-def test_hermite_step_evaluates_its_midpoint_once(monkeypatch):
-    """The midpoint is read for its sign and then shared by both halves'
-    tests: one chain evaluation, len(chain) Horner calls, all at it."""
-    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): both roots in [0, 8], none at 4
-    iv = certify_interval(ctx, 0, 8)
+@contextmanager
+def horner_calls():
+    """The (num, den) of every integer Horner call made inside the block."""
     horner = kernels.horner_homogeneous
     calls = []
 
@@ -305,30 +313,39 @@ def test_hermite_step_evaluates_its_midpoint_once(monkeypatch):
         calls.append((num, den))
         return horner(coeffs, num, den)
 
-    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
-    pieces = refine_interval(ctx, iv, 4)
+    kernels.horner_homogeneous = counted
+    try:
+        yield calls
+    finally:
+        kernels.horner_homogeneous = horner
+
+
+def test_hermite_step_evaluates_its_midpoint_once():
+    """The midpoint is read for its sign and then shared by both halves'
+    tests: one chain evaluation, len(chain) Horner calls, all at it."""
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): both roots in [0, 8], none at 4
+    iv = certify_interval(ctx, 0, 8)
+    with horner_calls() as calls:
+        pieces = refine_interval(ctx, iv, 4)
     assert calls == [(4, 1)] * len(ctx.chain)
     assert [(p.lo, p.hi, p.min_root_count) for p in pieces] == [(0, 4, 2)]
 
 
 def test_sign_loop_counts(monkeypatch):
-    """One Horner call per halving beyond the ends' evaluations, no Hermite
-    test, and memo entries only at the two ends."""
+    """16 Horner calls for 97 halvings beyond the ends' evaluations, no
+    Hermite test, and memo entries only at the two ends."""
     ctx = ctx_for(-2, 0, 1)  # x^2 - 2
     lo, hi = F(7, 5), F(3, 2) + F(1, 4 * 10**30)
     iv = CertifiedInterval(lo, hi, True, None, 1, ())
     eps = F(1, 10**30)
-    horner = kernels.horner_homogeneous
-    calls = []
-
-    def counted(coeffs, num, den):
-        calls.append((num, den))
-        return horner(coeffs, num, den)
-
-    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
     monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
-    [piece] = refine_interval(ctx, iv, eps)
-    assert len(calls) == 2 * len(ctx.chain) + _halvings(*_ratio(hi - lo, eps))
+    with horner_calls() as calls:
+        [piece] = refine_interval(ctx, iv, eps)
+    halvings = _halvings(*_ratio(hi - lo, eps))
+    assert halvings == 97
+    # 7 halvings, the cell's other end, then quadratic steps of 8, 16, 32, 34 levels
+    assert len(calls) == 2 * len(ctx.chain) + 16
+    assert 3 * 16 < halvings
     assert set(ctx._memo) == {(7, 5), (hi.numerator, hi.denominator)}
     assert piece.hi - piece.lo <= eps and piece.lo ** 2 < 2 < piece.hi ** 2
 
@@ -388,3 +405,61 @@ def test_final_cells_against_sturm_counts(case, eps):
             else:
                 at_ends = (p.eval(cell.lo) == 0) + (p.eval(cell.hi) == 0)
                 assert cell.min_root_count == closed - at_ends
+
+
+@st.composite
+def hard_isolated_cases(draw):
+    """(ctx, certified [lo, hi] holding one root, the root or its Poly, eps,
+    whether the root is a grid point of level <= steps).
+
+    Inputs that make the secant guess miss: a second root 10^-k outside
+    the cell, the flat x^15 - 2^-40 on [0, 4], a root within 1e-6 of an
+    end of [0, 1000]; and dyadic roots at level steps and steps + 1 of the
+    halving grid, at epsilon down to 1e-300.
+    """
+    eps = draw(st.sampled_from((F("1e-7"), F("1e-30"), F("1e-100"), F("1e-300"))))
+    kind = draw(st.sampled_from(("near-root", "flat", "near-end", "level-steps", "past-steps")))
+    if kind == "flat":
+        p = Poly.from_coeffs([-F(1, 2**40)] + [0] * 14 + [1])
+        ctx = poly_context(p)
+        return ctx, certify_interval(ctx, 0, 4, (0,)), p, eps, False
+    if kind == "near-end":
+        lo, hi = F(0), F(1000)
+        offset = F(draw(st.integers(1, 10**6)), 10**12)
+        root = draw(st.sampled_from((lo + offset, hi - offset)))
+        others = []
+    else:
+        y = draw(st.integers(-300, 300))
+        lo, hi = F(y, 10), F(y + draw(st.integers(1, 300)), 10)
+        steps = _halvings(*_ratio(hi - lo, eps))
+        if kind == "near-root":
+            n = draw(st.sampled_from((3, 7, 101, 65537)))
+            root = lo + (hi - lo) * F(draw(st.integers(1, n - 1)), n)
+            gap = F(1, 10 ** draw(st.sampled_from((3, 10, 30))))
+            others = [draw(st.sampled_from((lo - gap, hi + gap)))]
+        else:
+            level = steps if kind == "level-steps" else steps + 1
+            j = 2 * draw(st.integers(0, 2 ** (level - 1) - 1)) + 1
+            root = lo + (hi - lo) * F(j, 2**level)
+            others = []
+    ctx = _ctx_with_roots([root, *others], draw(st.sampled_from((1, 7))))
+    iv = certify_interval(ctx, lo, hi, (0,))
+    assert iv.contains_real and iv.min_root_count == 1
+    return ctx, iv, root, eps, kind == "level-steps"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hard_isolated_cases())
+def test_quadratic_steps_match_fraction_bisection(case):
+    """The cell is the halving loop's, by at most 2 Horner calls a halving."""
+    ctx, iv, root, eps, is_point = case
+    steps = _halvings(*_ratio(iv.hi - iv.lo, eps))
+    with horner_calls() as calls:
+        pieces = refine_interval(ctx, iv, eps)
+    if is_point:
+        assert pieces == [CertifiedInterval(root, root, True, None, 1, (0,))]
+    else:
+        lo, hi = _bisection_cell(iv.lo, iv.hi, root, eps)
+        assert pieces == [CertifiedInterval(lo, hi, True, None, 1, (0,))]
+    assert len(calls) <= 2 * steps + 2 * len(ctx.chain)

@@ -2,8 +2,8 @@
 
 Also times the Sturm chain of a seeded polynomial and the refinement of
 one of its isolated roots to 2^-300, which is integer Horner in the sign
-loop and quadratic steps of eigencert.refine; refine_all to 1e-7 on ten
-seeded located matrices of order 3-7, integer and one-place decimal; 50
+loop and quadratic steps of eigencert.refine; locate, and refine_all to
+1e-7, on ten seeded matrices of order 3-7, integer and one-place decimal; 50
 refinements of [0, 4] for the roots 1 and 2, whose midpoint root takes
 the Hermite step and an eps/4 nudge; refine_all to 1e-1000 on the
 located 2x2 [[1, 2], [3, 4]], whose two roots are each about 3,330
@@ -173,11 +173,11 @@ def build_cases(size: int):
     if isolated is not None:  # an even-degree chain_poly can have no real root
         cases.append(("refine_isolated", lambda: refine_interval(ctx, isolated, refine_eps)))
 
-    # refine_all at 1e-7 on located matrices of order 3-7, integer and
-    # one-place decimal, the same at every --size; each run starts from
-    # the memo that locate left
+    # locate, and refine_all at 1e-7, on matrices of order 3-7, integer and
+    # one-place decimal, the same at every --size; each refine_all run
+    # starts from the memo that locate left
     batch_rng = random.Random(7)
-    batch = []
+    batch_matrices = []
     for k in range(10):
         order = 3 + k % 5
         if k % 2:
@@ -185,9 +185,16 @@ def build_cases(size: int):
         else:
             entries = [Fraction(batch_rng.randint(-9, 9)) for _ in range(order**2)]
         rows = [entries[i:i + order] for i in range(0, order**2, order)]
-        located = locate(SquareMatrix.from_rows(rows, EXACT))
+        batch_matrices.append(SquareMatrix.from_rows(rows, EXACT))
+    batch = []
+    for m in batch_matrices:
+        located = locate(m)
         batch.append((located, dict(located.context._memo)))
     batch_eps = Fraction(1, 10**7)
+
+    def locate_batch():
+        for m in batch_matrices:
+            locate(m)
 
     def refine_batch():
         for located, memo in batch:
@@ -215,8 +222,8 @@ def build_cases(size: int):
         tiny.context._memo = dict(tiny_memo)
         refine_all(tiny.context, tiny.intervals, tiny_eps)
 
-    cases += [("refine_batch", refine_batch), ("refine_hermite", refine_hermite),
-              ("refine_tiny_eps", refine_tiny_eps)]
+    cases += [("locate_batch", locate_batch), ("refine_batch", refine_batch),
+              ("refine_hermite", refine_hermite), ("refine_tiny_eps", refine_tiny_eps)]
     return cases
 
 

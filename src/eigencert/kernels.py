@@ -1,13 +1,13 @@
 """Pure-Python arithmetic kernels.
 
 These are the inner loops of the package: polynomial evaluation (over a
-field, and homogeneous integer Horner at rational points) and division,
-Newton power sums, characteristic polynomials (division-free Berkowitz
-on integers, the pipeline's; Faddeev-Leverrier on integers, its
-cross-check; and La Budde on Hessenberg forms), the Hankel build of
-Hermite forms, symmetric inertia (rational LDL and fraction-free
-Bareiss), primitive integer pseudo-remainders and exact integer
-polynomial division.
+field, and integer Horner at rational points: homogeneous, or plain at
+integer points) and division, Newton power sums, characteristic
+polynomials (division-free Berkowitz on integers, the pipeline's;
+Faddeev-Leverrier on integers, its cross-check; and La Budde on
+Hessenberg forms), the Hankel build of Hermite forms, symmetric inertia
+(rational LDL and fraction-free Bareiss), primitive integer
+pseudo-remainders and exact integer polynomial division.
 
 Conventions shared by every kernel:
 
@@ -42,8 +42,14 @@ def horner_homogeneous(coeffs, num, den):
     """den^deg * f(num/den) for integer coefficients, exactly.
 
     deg is len(coeffs) - 1.  Integer arithmetic only; with den > 0 the
-    result has the sign of f at num/den.
+    result has the sign of f at num/den.  An integer point (den == 1) is
+    plain Horner, with no powers of den to carry.
     """
+    if den == 1:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * num + c
+        return acc
     acc = coeffs[-1]
     scale = 1
     for k in range(len(coeffs) - 2, -1, -1):

@@ -38,11 +38,14 @@ evaluated point is one a test reads.
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
 union, the breakpoints and each candidate's sources are int sums and
-compares.  The tests run in B's coordinates too: the context's chain is
-that of chi_B(y) = det(yI - B), whose roots are D times A's, so a disk
-end or breakpoint y of B is the integer point (y, 1) of the memo.  Each
-radius R and breakpoint y becomes the Fraction R/D or y/D once, for the
-records, which stay in A's coordinates.
+compares; the sources take one pass over the contains-real disks, each
+placed among the sorted breakpoints by bisection.  The tests run in B's
+coordinates too: the context's chain is that of chi_B(y) = det(yI - B),
+whose roots are D times A's, so a disk end or breakpoint y of B is the
+integer point (y, 1) of the memo, which Horner evaluates without powers
+of a denominator.  Each radius R and breakpoint y becomes the Fraction
+R/D or y/D once, for the records, which stay in A's coordinates.  The
+records, Disk and CertifiedInterval, are immutable named tuples.
 
 The whole pipeline is exact.  A matrix holds the exact values of its
 entries; one built on a float backend holds the values of its rounded
@@ -60,6 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
+from typing import NamedTuple
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix, charpoly
@@ -74,16 +78,14 @@ EMPTY_REAL = "empty-of-real-eigenvalues"
 POINT_EIGENVALUE = "point-eigenvalue"
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(NamedTuple):
     row: int
     center: object
     radius: object
     verdict: str | None = None
 
 
-@dataclass(frozen=True)
-class CertifiedInterval:
+class CertifiedInterval(NamedTuple):
     lo: object
     hi: object
     contains_real: bool
@@ -185,8 +187,12 @@ class CertificationContext:
         return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
 
     def key(self, x) -> tuple:
-        """The reduced (numerator, denominator) of y = D*x, x read exactly."""
-        x = EXACT.convert(x)
+        """The reduced (numerator, denominator) of y = D*x.
+
+        A Fraction x is taken as it is; anything else is read exactly.
+        """
+        if not isinstance(x, Fraction):
+            x = EXACT.convert(x)
         den = x.denominator
         g = gcd(self.scale, den)
         return x.numerator * (self.scale // g), den // g
@@ -302,8 +308,8 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside.  p is square-free, so the count is
-    exact.  The record holds lo and hi; the test is sigma_inside on their
-    keys in the context's coordinates.
+    exact.  The record holds lo and hi, each read exactly once; the test
+    is sigma_inside on their keys in the context's coordinates.
     """
     lo = EXACT.convert(lo)
     hi = EXACT.convert(hi)
@@ -362,6 +368,25 @@ def candidate_points(disks, yes, column_segments=None) -> list:
     return sorted(points)
 
 
+def candidate_sources(points, yes) -> list:
+    """The rows of the contains-real disks whose interior meets each candidate.
+
+    points are the sorted breakpoints of candidate_points, and candidate k
+    is [points[k], points[k + 1]].  yes holds ((c - r, c, c + r), row) per
+    contains-real disk, in row order.  A disk (lo, hi) meets the candidates
+    from the one whose upper end passes lo, found by bisection, up to the
+    last that starts below hi; each candidate gets its rows in yes order.
+    """
+    last = len(points) - 1
+    sources = [[] for _ in range(last)]
+    for (lo, _, hi), row in yes:
+        k = max(bisect_right(points, lo) - 1, 0)
+        while k < last and points[k] < hi:
+            sources[k].append(row)
+            k += 1
+    return [tuple(rows) for rows in sources]
+
+
 @dataclass(frozen=True)
 class LocateResult:
     context: CertificationContext
@@ -401,11 +426,8 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
         ctx.fill_keys([(y, 1) for y in breakpoints])
         values = [Fraction(y, denom) for y in breakpoints]
         tested = [
-            certify_interval(
-                ctx, values[k], values[k + 1],
-                tuple(row for (a, _, b), row in yes if a < hi and lo < b),
-            )
-            for k, (lo, hi) in enumerate(zip(breakpoints, breakpoints[1:]))
+            certify_interval(ctx, values[k], values[k + 1], sources)
+            for k, sources in enumerate(candidate_sources(breakpoints, yes))
         ]
     intervals = tuple(t for t in tested if t.contains_real)
     return LocateResult(ctx, tuple(certified), points, tuple(tested), intervals)

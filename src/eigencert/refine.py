@@ -98,7 +98,9 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
     point of level <= steps where p is 0 is returned as the point interval.
     A run of fewer than 16 halvings halves at every midpoint; a longer one
     halves 7 times and then takes quadratic steps on the same grid, which
-    end on the same cell.
+    end on the same cell.  The quadratic steps start from the values p
+    took at the cell's ends during the halvings; only an end that is
+    still an input end is evaluated again.
     """
     (a, b), (c, d) = lo, hi
     q = lcm(b, d)
@@ -107,8 +109,21 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
     f = ctx.chain[0]
     horner = kernels.horner_homogeneous
     positive_at_lo = at_lo > 0
-    halvings = steps if steps < 16 else 7
-    for _ in range(halvings):
+    if steps < 16:
+        for _ in range(steps):
+            left <<= 1
+            q <<= 1
+            value = horner(f, left + width, q)
+            if value == 0:
+                point = (left + width, q)
+                return point, point, None, 1
+            if (value > 0) == positive_at_lo:
+                left += width
+        return (left, q), (left + width, q), None, 1
+    # 7 halvings, keeping the last midpoint value on each side and the
+    # halving that took it; later halvings scale it by 2^deg each
+    at_left = at_right = None
+    for k in range(7):
         left <<= 1
         q <<= 1
         value = horner(f, left + width, q)
@@ -117,14 +132,14 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
             return point, point, None, 1
         if (value > 0) == positive_at_lo:
             left += width
-    if halvings == steps:
-        return (left, q), (left + width, q), None, 1
-    # the last midpoint is one end of the cell; evaluate the other
-    if (value > 0) == positive_at_lo:
-        ends = value, horner(f, left + width, q)
-    else:
-        ends = horner(f, left, q), value
-    return _quadratic_steps(f, left, width, q, ends, positive_at_lo, steps - halvings)
+            at_left, k_left = value, k
+        else:
+            at_right, k_right = value, k
+    # an end that no midpoint reached is an input end: evaluate it
+    deg = len(f) - 1
+    ends = (horner(f, left, q) if at_left is None else at_left << deg * (6 - k_left),
+            horner(f, left + width, q) if at_right is None else at_right << deg * (6 - k_right))
+    return _quadratic_steps(f, left, width, q, ends, positive_at_lo, steps - 7)
 
 
 def _quadratic_steps(f, left, width, q, ends, positive_at_lo: bool, rest: int) -> tuple:

@@ -19,6 +19,6 @@ def test_bench_kernels_runs():
     assert done.returncode == 0, done.stderr
     for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json",
                  "candidate_points", "candidate_points_columns", "locate_int",
-                 "locate_decimal", "locate_repeated", "locate_one_double", "refine_batch",
-                 "refine_hermite", "refine_tiny_eps"):
+                 "locate_decimal", "locate_repeated", "locate_one_double", "locate_batch",
+                 "refine_batch", "refine_hermite", "refine_tiny_eps"):
         assert case in done.stdout

@@ -28,10 +28,12 @@ def test_horner_eval(K):
 
 def test_horner_homogeneous(K):
     rng = random.Random(90)
-    den = 2**90
-    for _ in range(20):
+    # integer points (plain Horner), small denominators and dyadic ones as
+    # deep as refinement's
+    for den in [1] * 20 + [rng.randint(2, 12) for _ in range(20)] + [2**90] * 20:
         coeffs = [rng.randint(-10**12, 10**12) for _ in range(rng.randint(1, 25))]
-        num = rng.randint(-(2**95), 2**95) | 1  # odd, so num/den is in lowest terms
+        bound = 2**95 if rng.random() < 0.5 else 999
+        num = rng.randint(-bound, bound)
         want = K.horner_eval([Fraction(c) for c in coeffs], Fraction(num, den))
         got = K.horner_homogeneous(coeffs, num, den)
         assert isinstance(got, int)

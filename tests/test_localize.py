@@ -14,6 +14,7 @@ from eigencert.localize import (
     Disk,
     _merge_segments,
     candidate_points,
+    candidate_sources,
     certify_disk,
     certify_interval,
     gershgorin_disks,
@@ -183,6 +184,30 @@ def disk_sets(draw):
 @given(disk_sets())
 def test_candidate_points_matches_union_intersection(case):
     assert candidate_points(*case) == _reference_candidate_points(*case)
+
+
+@st.composite
+def sourced_disk_sets(draw):
+    """(breakpoints, yes): yes pairs each contains-real disk with its row,
+    in row order, and the breakpoints are candidate_points', with or
+    without column segments."""
+    disks = draw(st.lists(DISK, min_size=1, max_size=8))
+    keep = draw(st.lists(st.booleans(), min_size=len(disks), max_size=len(disks)))
+    yes = [(d, row) for row, (d, k) in enumerate(zip(disks, keep)) if k] or [(disks[0], 0)]
+    columns = draw(st.none() | st.lists(SEGMENT, max_size=8))
+    return candidate_points(disks, [d for d, _ in yes], columns), yes
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(sourced_disk_sets())
+def test_candidate_sources_matches_every_disk_scan(case):
+    """The one-pass sources equal the scan of every contains-real disk per
+    candidate that locate made before: the rows whose disk meets the
+    candidate's interior."""
+    points, yes = case
+    want = [tuple(row for (a, _, b), row in yes if a < hi and lo < b)
+            for lo, hi in zip(points, points[1:])]
+    assert candidate_sources(points, yes) == want
 
 
 def test_candidate_points_needs_certified_disk():

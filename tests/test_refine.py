@@ -1,5 +1,4 @@
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -176,7 +175,7 @@ def test_refine_converts_int_endpoints():
         assert refine_interval(ctx, ints, eps) == refine_interval(ctx, fractions, eps)
     off_grid = CertifiedInterval(0, F(5, 2), True, None, 1, ())
     pieces = refine_interval(ctx, off_grid, F(1, 64))
-    assert pieces == refine_interval(ctx, replace(off_grid, lo=F(0)), F(1, 64))
+    assert pieces == refine_interval(ctx, off_grid._replace(lo=F(0)), F(1, 64))
     assert all(isinstance(v, F) for piece in pieces for v in (piece.lo, piece.hi))
 
 
@@ -332,7 +331,7 @@ def test_hermite_step_evaluates_its_midpoint_once():
 
 
 def test_sign_loop_counts(monkeypatch):
-    """16 Horner calls for 97 halvings beyond the ends' evaluations, no
+    """15 Horner calls for 97 halvings beyond the ends' evaluations, no
     Hermite test, and memo entries only at the two ends."""
     ctx = ctx_for(-2, 0, 1)  # x^2 - 2
     lo, hi = F(7, 5), F(3, 2) + F(1, 4 * 10**30)
@@ -343,9 +342,10 @@ def test_sign_loop_counts(monkeypatch):
         [piece] = refine_interval(ctx, iv, eps)
     halvings = _halvings(*_ratio(hi - lo, eps))
     assert halvings == 97
-    # 7 halvings, the cell's other end, then quadratic steps of 8, 16, 32, 34 levels
-    assert len(calls) == 2 * len(ctx.chain) + 16
-    assert 3 * 16 < halvings
+    # 7 halvings, both of which ends moved, then quadratic steps of 8, 16,
+    # 32, 34 levels; the ends' values come from the halvings
+    assert len(calls) == 2 * len(ctx.chain) + 15
+    assert 3 * 15 < halvings
     assert set(ctx._memo) == {(7, 5), (hi.numerator, hi.denominator)}
     assert piece.hi - piece.lo <= eps and piece.lo ** 2 < 2 < piece.hi ** 2
 

@@ -187,10 +187,9 @@ class CertificationContext:
         return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
 
     def key(self, x) -> tuple:
-        """The reduced (numerator, denominator) of y = D*x.
-
-        A Fraction x is taken as it is; anything else is read exactly.
-        """
+        """The reduced (numerator, denominator) of y = D*x, x read exactly."""
+        # EXACT.convert's first case, inlined: certify_interval passes the
+        # Fractions it has just read
         if not isinstance(x, Fraction):
             x = EXACT.convert(x)
         den = x.denominator
@@ -308,8 +307,8 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside.  p is square-free, so the count is
-    exact.  The record holds lo and hi, each read exactly once; the test
-    is sigma_inside on their keys in the context's coordinates.
+    exact.  The record holds lo and hi; the test is sigma_inside on their
+    keys in the context's coordinates.
     """
     lo = EXACT.convert(lo)
     hi = EXACT.convert(hi)

@@ -109,21 +109,10 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
     f = ctx.chain[0]
     horner = kernels.horner_homogeneous
     positive_at_lo = at_lo > 0
-    if steps < 16:
-        for _ in range(steps):
-            left <<= 1
-            q <<= 1
-            value = horner(f, left + width, q)
-            if value == 0:
-                point = (left + width, q)
-                return point, point, None, 1
-            if (value > 0) == positive_at_lo:
-                left += width
-        return (left, q), (left + width, q), None, 1
-    # 7 halvings, keeping the last midpoint value on each side and the
-    # halving that took it; later halvings scale it by 2^deg each
+    halvings = steps if steps < 16 else 7
+    # the last midpoint value on each side, and the halving that took it
     at_left = at_right = None
-    for k in range(7):
+    for k in range(halvings):
         left <<= 1
         q <<= 1
         value = horner(f, left + width, q)
@@ -135,11 +124,15 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
             at_left, k_left = value, k
         else:
             at_right, k_right = value, k
-    # an end that no midpoint reached is an input end: evaluate it
+    if halvings == steps:
+        return (left, q), (left + width, q), None, 1
+    # each later halving scales a value by 2^deg; an end that no midpoint
+    # reached is an input end, and is evaluated
     deg = len(f) - 1
-    ends = (horner(f, left, q) if at_left is None else at_left << deg * (6 - k_left),
-            horner(f, left + width, q) if at_right is None else at_right << deg * (6 - k_right))
-    return _quadratic_steps(f, left, width, q, ends, positive_at_lo, steps - 7)
+    last = halvings - 1
+    ends = (horner(f, left, q) if at_left is None else at_left << deg * (last - k_left),
+            horner(f, left + width, q) if at_right is None else at_right << deg * (last - k_right))
+    return _quadratic_steps(f, left, width, q, ends, positive_at_lo, steps - halvings)
 
 
 def _quadratic_steps(f, left, width, q, ends, positive_at_lo: bool, rest: int) -> tuple:

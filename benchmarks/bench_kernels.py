@@ -12,10 +12,12 @@ disks of a seeded integer matrix, without and with its column disks, 50
 calls each; one whole locate on a seeded matrix of integers, of one-place
 decimals, of one-place decimals in a repeated block diag(B, B), whose
 every root is double, and of integers with one entry the double 0.1,
-whose denominators clear to D = 2^55; and the CLI's two text layers:
+whose denominators clear to D = 2^55; the two memo fills of the locate on
+integers, from an emptied memo; and the CLI's two text layers:
 the JSON text of the worked 5x5 example's report, and the parse of a
-seeded matrix of one-place decimals as CSV and as JSON text.  Prints the
-best of --repeat runs per kernel, in milliseconds.  Operands are fixed by --size (matrix order,
+seeded matrix of one-place decimals as CSV and as JSON text.  Runs every
+case once per round, --repeat rounds, and prints each case's best run, in
+milliseconds.  Operands are fixed by --size (matrix order,
 polynomial degree) and a constant seed, so figures from the same host
 are comparable across changes.
 
@@ -27,6 +29,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import inf
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
@@ -53,15 +56,6 @@ WORKED_ROWS = [
     ["0", "0", "1", "3", "0"],
     ["0", "0", "0", "0.5", "5"],
 ]
-
-
-def best_of(fn, repeat):
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
 
 
 def build_cases(size: int):
@@ -142,6 +136,22 @@ def build_cases(size: int):
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
         raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
 
+    # the two memo fills of locate on the integer matrix, as locate made
+    # them, run in order from an emptied memo
+    fills = []
+    fill = CertificationContext.fill_keys
+    CertificationContext.fill_keys = lambda ctx, *args: (fills.append((ctx, args)),
+                                                         fill(ctx, *args))
+    try:
+        locate(locate_inputs[0])
+    finally:
+        CertificationContext.fill_keys = fill
+
+    def locate_fills():
+        fills[0][0]._memo = {}
+        for ctx, args in fills:
+            ctx.fill_keys(*args)
+
     cases = [
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
@@ -166,6 +176,7 @@ def build_cases(size: int):
         ("locate_decimal", lambda: locate(locate_inputs[1])),
         ("locate_repeated", lambda: locate(locate_inputs[2])),
         ("locate_one_double", lambda: locate(locate_inputs[3])),
+        ("locate_fills", locate_fills),
         ("report_json", lambda: to_json(report)),
         ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
         ("parse_matrix_json", lambda: parse_matrix_text(matrix_json, "exact")),
@@ -233,9 +244,16 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=20, help="matrix/polynomial size")
     args = parser.parse_args()
 
+    cases = build_cases(args.size)
+    best = [inf] * len(cases)
+    # round-robin, so a drift in the host's speed reaches every case alike
+    for _ in range(args.repeat):
+        for k, (_, runner) in enumerate(cases):
+            t0 = time.perf_counter()
+            runner()
+            best[k] = min(best[k], time.perf_counter() - t0)
     print(f"{'kernel':<24}{'time (ms)':>12}")
-    for name, runner in build_cases(args.size):
-        elapsed = best_of(runner, args.repeat)
+    for (name, _), elapsed in zip(cases, best):
         print(f"{name:<24}{elapsed * 1e3:>12.3f}")
     return 0
 

@@ -28,12 +28,17 @@ a point shared by two tests, or read for its sign and then tested, is
 evaluated once.
 
 V only drops, and only at roots of p, which are few, so most points need
-no evaluation.  locate fills the memo by bisection over sorted points
-(CertificationContext.fill_keys): the ends of every disk of nonzero
-radius before the disk tests, and the breakpoints before the candidate
-tests.  Where V is equal at the two ends of a run, the points inside are
-inferred; only runs where V drops are evaluated at their middle.  Every
-evaluated point is one a test reads.
+no evaluation of the whole chain.  locate fills the memo by bisection
+over sorted points (CertificationContext.fill_keys): the ends of every
+disk of nonzero radius before the disk tests, and the breakpoints before
+the candidate tests.  Where V is equal at the two ends of a run, the
+points inside are inferred.  Where it drops by one, the run holds one
+simple root, and the sign of p at its middle tells which half holds it,
+so that point costs one Horner call on p alone.  Only runs where V drops
+by two or more are evaluated at their middle.  The hull [L, R] of the
+row disks holds every root, so a point at or beyond it takes V(-inf) or
+V(+inf), read off the chain's leading coefficients, and only p's sign.
+Every point read is one a test reads.
 
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
@@ -131,11 +136,13 @@ class CertificationContext:
     reduced integer pair (num, den) of y = num/den, the integers Horner
     evaluates on.  The methods on such keys are the implementation; key
     maps a point x of A to its key, and interval maps keys back.  An entry
-    is evaluated (integer Horner on every chain member) or inferred by
-    fill_keys from two evaluated points with the same V around it.  Both
-    are exact under the Sturm property V(a) - V(b) = #{roots in (a, b]},
-    so the tests cannot tell them apart.  original is the Fraction
-    polynomial of the report.
+    is evaluated (integer Horner on every chain member), inferred by
+    fill_keys from two points with the same V around it, or sign-read by
+    fill_keys: one Horner call on the first member, with V placed by
+    that sign in a run holding one root or taken from V(-inf) or V(+inf)
+    outside the roots' hull.  All are exact under the Sturm property
+    V(a) - V(b) = #{roots in (a, b]}, so the tests cannot tell them apart.
+    original is the Fraction polynomial of the report.
     """
 
     original: Poly  # monic characteristic polynomial, in x
@@ -179,12 +186,17 @@ class CertificationContext:
         return cls(original, sequence, scale)
 
     @cached_property
-    def base_signature(self) -> int:
-        """sigma(H_1), the number of distinct real roots of original."""
-        # V(-inf) - V(+inf), from the leading coefficients
+    def variations_at_infinity(self) -> tuple:
+        """(V(-inf), V(+inf)), from the signs of the chain's leading coefficients."""
         at_pos = [f[-1] for f in self.chain]
         at_neg = [f[-1] if len(f) % 2 else -f[-1] for f in self.chain]
-        return kernels.sign_variations(at_neg) - kernels.sign_variations(at_pos)
+        return kernels.sign_variations(at_neg), kernels.sign_variations(at_pos)
+
+    @cached_property
+    def base_signature(self) -> int:
+        """sigma(H_1) = V(-inf) - V(+inf), the number of distinct real roots of original."""
+        at_neg, at_pos = self.variations_at_infinity
+        return at_neg - at_pos
 
     def key(self, x) -> tuple:
         """The reduced (numerator, denominator) of y = D*x, x read exactly."""
@@ -215,33 +227,80 @@ class CertificationContext:
             entry = self._memo[key] = (kernels.sign_variations(values), (first > 0) - (first < 0))
         return entry
 
-    def fill_keys(self, keys) -> None:
+    def fill_keys(self, keys, hull) -> None:
         """Memoise V and the sign at the keys of sorted distinct points.
 
-        Evaluates the first and last point.  Where V is equal at the two
-        ends of a run, no root lies in (y_i, y_j], so every point inside
-        gets the entry of y_j; otherwise the middle point is evaluated and
-        both halves are filled.  Each dropping run costs one evaluation per
-        level, so m points take at most min(m, 2 + sigma(H_1) ceil(log2 m))
-        chain evaluations, none twice.
+        Each entry is evaluated (integer Horner on every chain member),
+        inferred (none) or sign-read (chain[0] alone), all exact by the
+        Sturm property.  hull = (L, R), integers in y, bounds every real
+        root, so one read of p's sign at a point y <= L gives the entry
+        (V(-inf) - [p(y) = 0], sign), and at y >= R (V(+inf), sign).  The
+        first and last points are read so, or evaluated.  A run (y_i, y_j)
+        between two filled points is then split at its middle point y:
+        - V(y_i) = V(y_j): no root lies in (y_i, y_j], so every point
+          inside gets the entry of y_j;
+        - V(y_i) - V(y_j) = 1: one root lies in (y_i, y_j], simple since
+          p is square-free, so p changes sign there and its sign s at y
+          places it: V(y) is V(y_j) if p(y) = 0 or s equals p's sign at
+          y_j, and V(y_i) if p(y_j) = 0 or s differs;
+        - a larger drop: y is evaluated.
+        A level has at most sigma(H_1) dropping runs, at most sigma / 2 of
+        them by two or more, so m points take at most min(m, 2 + max(sigma
+        - 1, 0) ceil(log2 m)) chain evaluations and 2 + sigma ceil(log2 m)
+        sign reads, no point twice.
         """
-        runs = [(0, len(keys) - 1)] if keys else []
+        memo, first = self._memo, self.chain[0]
+        left, right = hull
+        at_neg, at_pos = self.variations_at_infinity
+
+        def sign_at(key):
+            value = kernels.horner_homogeneous(first, *key)
+            return (value > 0) - (value < 0)
+
+        def read(key):
+            """Memoise key's entry, from p's sign alone outside the open hull."""
+            if key not in memo:
+                num, den = key
+                if left * den < num < right * den:
+                    self.entry(key)
+                else:
+                    sign = sign_at(key)
+                    memo[key] = (at_pos if num > left * den else at_neg - (sign == 0), sign)
+
+        runs = []
+        if keys:
+            read(keys[0])
+            read(keys[-1])
+            runs.append((0, len(keys) - 1))
         while runs:
             i, j = runs.pop()
-            left, right = self.entry(keys[i]), self.entry(keys[j])
-            if left[0] < right[0]:
+            v_i, s_i = memo[keys[i]]
+            v_j, s_j = right_entry = memo[keys[j]]
+            if v_i < v_j:
                 raise InternalConsistencyError(
-                    f"sign variations rise from {left[0]} at y = {keys[i][0]}/{keys[i][1]} "
-                    f"to {right[0]} at y = {keys[j][0]}/{keys[j][1]}: the Sturm chain is faulty"
+                    f"sign variations rise from {v_i} at y = {keys[i][0]}/{keys[i][1]} "
+                    f"to {v_j} at y = {keys[j][0]}/{keys[j][1]}: the Sturm chain is faulty"
+                )
+            if v_i - v_j == 1 and s_i == s_j != 0:
+                raise InternalConsistencyError(
+                    f"p has sign {s_i} at y = {keys[i][0]}/{keys[i][1]} and at "
+                    f"y = {keys[j][0]}/{keys[j][1]}, between which V counts one root: "
+                    f"the Sturm chain is faulty"
                 )
             if j - i < 2:
                 continue
-            if left[0] == right[0]:
+            if v_i == v_j:
                 for key in keys[i + 1:j]:
-                    self._memo[key] = right
-            else:
-                mid = (i + j) // 2
-                runs += [(i, mid), (mid, j)]
+                    memo[key] = right_entry
+                continue
+            mid = (i + j) // 2
+            key = keys[mid]
+            if v_i - v_j > 1:
+                read(key)
+            elif key not in memo:
+                sign = sign_at(key)
+                memo[key] = (v_j if sign == s_j or not sign else v_i, sign)
+            runs += [(i, mid), (mid, j)]
 
     def sigma_inside(self, lo, hi) -> tuple:
         """(sigma(H_q), #{roots in (lo, hi)}) for q = (x - lo)(x - hi), lo < hi as keys.
@@ -408,7 +467,10 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     ctx = CertificationContext.from_matrix(m)
     rows, denom = m.cleared
     disks = gershgorin_disks(rows)
-    ctx.fill_keys([(y, 1) for y in sorted({y for lo, c, hi in disks if lo < c for y in (lo, hi)})])
+    # every eigenvalue lies in the union of the row disks, radius zero included
+    hull = (min(lo for lo, _, _ in disks), max(hi for _, _, hi in disks))
+    ctx.fill_keys([(y, 1) for y in sorted({y for lo, c, hi in disks if lo < c for y in (lo, hi)})],
+                  hull)
     certified = [
         certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
         for i, (_, c, hi) in enumerate(disks)
@@ -422,7 +484,7 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
         if column_disks:
             col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        ctx.fill_keys([(y, 1) for y in breakpoints])
+        ctx.fill_keys([(y, 1) for y in breakpoints], hull)
         values = [Fraction(y, denom) for y in breakpoints]
         tested = [
             certify_interval(ctx, values[k], values[k + 1], sources)

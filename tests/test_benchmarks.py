@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,6 +20,24 @@ def test_bench_kernels_runs():
     assert done.returncode == 0, done.stderr
     for case in ("refine_isolated", "report_json", "parse_matrix_csv", "parse_matrix_json",
                  "candidate_points", "candidate_points_columns", "locate_int",
-                 "locate_decimal", "locate_repeated", "locate_one_double", "locate_batch",
+                 "locate_decimal", "locate_repeated", "locate_one_double", "locate_fills",
+                 "locate_batch",
                  "refine_batch", "refine_hermite", "refine_tiny_eps"):
         assert case in done.stdout
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "benchmarks" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutants_are_named_once_and_apply():
+    """Every mutant has its own name and edits text that is in the tree exactly once."""
+    mutants = load_mutants()
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names))
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.old != m.new, m.name

@@ -20,6 +20,7 @@ from eigencert.localize import (
     CONTAINS_REAL,
     CertificationContext,
     certify_interval,
+    gershgorin_disks,
     locate,
     remainder_sequence,
 )
@@ -315,12 +316,51 @@ def constant_row_sum(draw):
 @given(st.one_of(triangular_similar().map(lambda case: case[0]), constant_row_sum()),
        st.booleans())
 def test_memo_matches_direct_evaluation(m, column_disks):
-    """Every V and sign locate memoised, evaluated or inferred, is the chain's."""
-    ctx = locate(m, column_disks=column_disks).context
+    """Every V and sign locate memoised, evaluated, inferred or sign-read, is the chain's."""
+    assert_memo_is_direct(locate(m, column_disks=column_disks).context)
+
+
+def assert_memo_is_direct(ctx):
     for key, (count, sign) in ctx._memo.items():
         values = [kernels.horner_homogeneous(f, *key) for f in ctx.chain]
         assert count == kernels.sign_variations(values), key
         assert sign == (values[0] > 0) - (values[0] < 0), key
+
+
+@pytest.mark.parametrize("rows", [
+    [[10, 0], [1, 0]],  # the point eigenvalue 10 lies right of every other disk
+    [[-10, 0, 0], [1, 0, 1], [0, 1, 0]],  # and -10 left of them
+    [[1, 1], [1, 1]],  # roots 0 and 2 at both ends of the hull
+    [[1, 1], [0, 2]],  # roots on the centre 1 and on the end 2 of one disk
+    [[2, 1, 1], [1, 2, 1], [1, 1, 2]],  # 4 at the right end, double 1 inside
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]],  # 4 roots on breakpoints
+])
+@pytest.mark.parametrize("column_disks", [False, True])
+def test_memo_matches_direct_evaluation_at_hull_and_run_ends(rows, column_disks):
+    """Points read from the hull ends and by p's sign are the chain's too,
+    where a hull over the nonzero-radius disks alone would miss a root."""
+    assert_memo_is_direct(locate(SquareMatrix.from_rows(rows, EXACT),
+                                 column_disks=column_disks).context)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True),
+       st.booleans(), st.integers(0, 3), st.integers(0, 3),
+       st.lists(st.integers(-24, 24), min_size=1, max_size=30, unique=True))
+def test_fill_keys_matches_direct_evaluation(roots, complex_pair, below, above, halves):
+    """fill_keys alone, on distinct integer roots (and maybe x^2 + 1) and
+    points y/2 that often hit a root, a run end or a hull end, given a hull
+    that reaches exactly to the roots or past them: every entry is the chain's."""
+    p = Poly.from_coeffs([1])
+    for r in roots:
+        p = p * Poly.from_coeffs([-r, 1])
+    if complex_pair:
+        p = p * Poly.from_coeffs([1, 0, 1])
+    ctx = poly_context(p)
+    keys = [(y // 2, 1) if y % 2 == 0 else (y, 2) for y in sorted(halves)]
+    ctx.fill_keys(keys, (min(roots) - below, max(roots) + above))
+    assert set(ctx._memo) == set(keys)
+    assert_memo_is_direct(ctx)
 
 
 def test_fill_refuses_rising_variations():
@@ -328,27 +368,42 @@ def test_fill_refuses_rising_variations():
     # forged chain x, -1: V is 0 left of 0 and 1 right of it
     ctx = CertificationContext(p, ([0, 1], [-1]), 1)
     with pytest.raises(InternalConsistencyError, match="rise"):
-        ctx.fill_keys([(-1, 1), (-1, 2), (1, 2), (1, 1)])
+        ctx.fill_keys([(-1, 1), (-1, 2), (1, 2), (1, 1)], (-2, 2))
+
+
+def test_fill_refuses_one_root_without_a_sign_change():
+    p = Poly.from_coeffs([1, 0, 1])
+    # forged chain x^2 + 1, x: V drops by one from -1 to 1, where p is positive
+    ctx = CertificationContext(p, ([1, 0, 1], [0, 1]), 1)
+    with pytest.raises(InternalConsistencyError, match="counts one root"):
+        ctx.fill_keys([(-1, 1), (0, 1), (1, 1)], (-2, 2))
 
 
 def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
-    """Chain evaluations per fill stay within min(m, 2 + sigma(H_1) ceil(log2 m)),
-    no test evaluates outside a fill, and no point is evaluated that the
-    disk and candidate tests do not read."""
-    calls = [0]
+    """Per fill of m points, full chain evaluations stay within
+    min(m, 2 + max(sigma - 1, 0) ceil(log2 m)), reads of p's sign alone
+    within 2 + sigma ceil(log2 m), and all Horner calls within
+    members * min(m, 2 + sigma ceil(log2 m)); no test evaluates outside a
+    fill, and no point is evaluated that the disk and candidate tests do
+    not read.  With sigma(H_1) = 1 and the first fill from one hull end to
+    the other, locate evaluates the whole chain nowhere."""
+    calls = []  # the polynomial of every Horner call
     horner = kernels.horner_homogeneous
 
-    def counted(*args):
-        calls[0] += 1
-        return horner(*args)
+    def counted(f, *args):
+        calls.append(f)
+        return horner(f, *args)
 
-    fills = []
+    fills = []  # (points, full evaluations, sign reads, first and last point)
     fill = CertificationContext.fill_keys
 
-    def logged(ctx, keys):
-        before = calls[0]
-        fill(ctx, keys)
-        fills.append((len(keys), calls[0] - before))
+    def logged(ctx, keys, hull):
+        before = len(calls)
+        fill(ctx, keys, hull)
+        spent = calls[before:]
+        full = sum(f is ctx.chain[-1] for f in spent)
+        fills.append((len(keys), full, len(spent) - len(ctx.chain) * full,
+                      keys[:1] + keys[-1:]))
 
     monkeypatch.setattr(kernels, "horner_homogeneous", counted)
     monkeypatch.setattr(CertificationContext, "fill_keys", logged)
@@ -358,21 +413,37 @@ def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
         matrices.append(SquareMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], EXACT))
         matrices.append(random_rational_matrix(rng, n))
+    for n in range(2, 9):
+        for _ in range(6):
+            matrices.append(SquareMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], EXACT))
+    unevaluated = 0
     for k, m in enumerate(matrices):
-        calls[0] = 0
+        calls.clear()
         fills.clear()
         res = locate(m, column_disks=bool(k % 2))
         ctx = res.context
         sigma, members = ctx.base_signature, len(ctx.chain)
-        assert calls[0] == sum(spent for _, spent in fills), k
-        for size, spent in fills:
-            assert spent % members == 0
-            bound = min(size, 2 + sigma * (size - 1).bit_length()) if size else 0
-            assert spent // members <= bound, (k, size, spent // members, sigma)
+        assert sum(f is ctx.chain[0] for f in calls) == sum(
+            full + reads for _, full, reads, _ in fills), k
+        assert len(calls) == sum(members * full + reads for _, full, reads, _ in fills), k
+        for size, full, reads, _ in fills:
+            levels = (size - 1).bit_length()
+            assert members * full + reads <= members * min(
+                size, 2 + sigma * levels), (k, size, full, reads, sigma)
+            assert full <= min(size, 2 + max(sigma - 1, 0) * levels), (k, size, full, sigma)
+            assert reads <= 2 + sigma * levels, (k, size, reads, sigma)
         read = {x for d in res.disks if d.radius for x in (d.center - d.radius,
                                                            d.center + d.radius)}
         read |= {x for iv in res.tested for x in (iv.lo, iv.hi)}
-        assert calls[0] // members <= len(read), k
+        assert sum(full + reads for _, full, reads, _ in fills) <= len(read), k
+        disks = gershgorin_disks(m.cleared[0])
+        hull = [(min(lo for lo, _, _ in disks), 1), (max(hi for _, _, hi in disks), 1)]
+        # without column disks, the breakpoints' ends are disk ends, memoised already
+        if sigma == 1 and not k % 2 and fills[0][3] == hull:
+            assert all(full == 0 for _, full, _, _ in fills), k
+            unevaluated += 1
+    assert unevaluated >= 3
 
 
 @st.composite
@@ -384,6 +455,13 @@ def decimal_repeated_blocks(draw):
               for j in range(k)] for i in range(k)]
     order = draw(st.permutations(range(2 * k)))
     return repeated_block_matrix(block, order)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(decimal_repeated_blocks(), st.booleans())
+def test_memo_matches_direct_evaluation_on_repeated_roots(m, column_disks):
+    assert_memo_is_direct(locate(m, column_disks=column_disks).context)
 
 
 def textbook_v_and_sign(chain, x):

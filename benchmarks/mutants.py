@@ -11,17 +11,16 @@ survived when they pass, and stale when its old text is not in the tree
 exactly once (the code moved; rewrite the mutant for it).  The tree is
 first run with no mutant, which must pass.  An equivalent
 mutant changes no result, so its survival is no finding.  Mutants run one
-after another, never in parallel, each in at most 2 GiB of address space;
-Hypothesis reports a failing example without shrinking it.  The exit code
-is 1 when a mutant that is not equivalent survives or is stale, and 2 when
-the unmutated tree fails.
+after another, never in parallel, each within 90 s and 2 GiB of address
+space; Hypothesis reports a failing example without shrinking it.  The
+exit code is 1 when a mutant that is not equivalent survives or is stale,
+and 2 when the unmutated tree fails.
 
-    python3 benchmarks/mutants.py [--only NAME ...] [--timeout SECONDS]
+    python3 benchmarks/mutants.py
 
 The list covers src/eigencert/localize.py.
 """
 
-import argparse
 import os
 import resource
 import shutil
@@ -47,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 MEMORY_BYTES = 2 << 30  # address space of each test run
+TIMEOUT_S = 90  # wall time of each test run
 
 LOCALIZE = "src/eigencert/localize.py"
 
@@ -144,7 +144,7 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run_one(mutant: Mutant | None, timeout: float) -> str:
+def run_one(mutant: Mutant | None) -> str:
     """The outcome of the tests on a copy with mutant applied, or with none."""
     with tempfile.TemporaryDirectory(prefix="eigencert-mutant-") as tmp:
         root = Path(tmp)
@@ -160,7 +160,7 @@ def run_one(mutant: Mutant | None, timeout: float) -> str:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                  "-p", "mutant_profile", *TESTS],
-                cwd=root, env=env, capture_output=True, timeout=timeout,
+                cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S,
                 preexec_fn=limit_memory)
         except subprocess.TimeoutExpired:
             return "timeout"
@@ -168,28 +168,20 @@ def run_one(mutant: Mutant | None, timeout: float) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants alone")
-    parser.add_argument("--timeout", type=float, default=90, help="seconds per mutant")
-    args = parser.parse_args()
-
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.only and len(chosen) != len(set(args.only)):
-        parser.error(f"unknown mutant in {args.only}")
-    control = run_one(None, args.timeout)
+    control = run_one(None)
     print(f"{'(no mutant)':<44}{control}", flush=True)
     if control != "survived":
         print("the tests fail on the unmutated tree; no mutant was run")
         return 2
     findings = 0
-    for m in chosen:
+    for m in MUTANTS:
         started = time.perf_counter()
-        outcome = run_one(m, args.timeout)
+        outcome = run_one(m)
         finding = outcome in ("survived", "stale") and not m.equivalent
         findings += finding
         note = " (equivalent)" if m.equivalent else ""
         print(f"{m.name:<44}{outcome}{note}  {time.perf_counter() - started:.1f} s", flush=True)
-    print(f"{len(chosen)} mutants, {findings} survived or stale")
+    print(f"{len(MUTANTS)} mutants, {findings} survived or stale")
     return 1 if findings else 0
 
 

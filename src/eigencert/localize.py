@@ -248,6 +248,12 @@ class CertificationContext:
         them by two or more, so m points take at most min(m, 2 + max(sigma
         - 1, 0) ceil(log2 m)) chain evaluations and 2 + sigma ceil(log2 m)
         sign reads, no point twice.
+
+        A run whose V rises, or drops by one while p has the same nonzero
+        sign at both ends, raises InternalConsistencyError.  A sign-read V
+        is made to fit its run, so the rise check tests the chain only
+        where both ends were evaluated: where sigma(H_1) = 1 and the ends
+        lie on the hull, no point is, and only the sign check is left.
         """
         memo, first = self._memo, self.chain[0]
         left, right = hull

@@ -12,14 +12,17 @@ disks of a seeded integer matrix, without and with its column disks, 50
 calls each; one whole locate on a seeded matrix of integers, of one-place
 decimals, of one-place decimals in a repeated block diag(B, B), whose
 every root is double, and of integers with one entry the double 0.1,
-whose denominators clear to D = 2^55; the two memo fills of the locate on
+whose denominators clear to D = 2^55; the memo fill of the locate on
 integers, from an emptied memo; and the CLI's two text layers:
 the JSON text of the worked 5x5 example's report, and the parse of a
 seeded matrix of one-place decimals as CSV and as JSON text.  Runs every
 case once per round, --repeat rounds, and prints each case's best run, in
-milliseconds.  Operands are fixed by --size (matrix order,
-polynomial degree) and a constant seed, so figures from the same host
-are comparable across changes.
+milliseconds, and its ratio to the best run of the reference: fixed
+pure-Python integer work in this file, which no change to eigencert
+touches.  The host's speed drifts between processes, and the reference
+drifts with it, so ratios from two processes compare where times do not.
+Operands are fixed by --size (matrix order, polynomial degree) and a
+constant seed.
 
     python3 benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
@@ -136,23 +139,24 @@ def build_cases(size: int):
     if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
         raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
 
-    # the two memo fills of locate on the integer matrix, as locate made
-    # them, run in order from an emptied memo
+    # the memo fill of locate on the integer matrix, as locate made it,
+    # run from an emptied memo
     fills = []
     fill = CertificationContext.fill_keys
-    CertificationContext.fill_keys = lambda ctx, *args: (fills.append((ctx, args)),
-                                                         fill(ctx, *args))
+    CertificationContext.fill_keys = lambda ctx, keys: (fills.append((ctx, keys)),
+                                                        fill(ctx, keys))
     try:
         locate(locate_inputs[0])
     finally:
         CertificationContext.fill_keys = fill
+    (fill_ctx, fill_keys), = fills
 
     def locate_fills():
-        fills[0][0]._memo = {}
-        for ctx, args in fills:
-            ctx.fill_keys(*args)
+        fill_ctx._memo = {}
+        fill_ctx.fill_keys(fill_keys)
 
     cases = [
+        ("reference", reference),
         ("sign_variations", lambda: kernels.sign_variations(signs)),
         ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
         ("horner_dyadic", lambda: [kernels.horner_eval(monic, dyadic_x) for _ in range(50)]),
@@ -238,6 +242,14 @@ def build_cases(size: int):
     return cases
 
 
+def reference() -> int:
+    """Fixed pure-Python integer work: a 300-digit linear congruence."""
+    value, modulus = 1, 10**300 + 7
+    for k in range(20000):
+        value = (value * 1103515245 + k) % modulus
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="best-of repetitions")
@@ -252,9 +264,9 @@ def main() -> int:
             t0 = time.perf_counter()
             runner()
             best[k] = min(best[k], time.perf_counter() - t0)
-    print(f"{'kernel':<24}{'time (ms)':>12}")
+    print(f"{'kernel':<24}{'time (ms)':>12}{'/ reference':>14}")
     for (name, _), elapsed in zip(cases, best):
-        print(f"{name:<24}{elapsed * 1e3:>12.3f}")
+        print(f"{name:<24}{elapsed * 1e3:>12.3f}{elapsed / best[0]:>14.3f}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 A mutant is one edit of a file under src/eigencert: (name, file, exact old
 text, new text, equivalent).  Each is applied alone to a temporary copy of
-src/ and tests/, and the copy runs
+src/ and tests/, with certbench/tracing.py copied read-only beside them for
+tests/test_tracing.py, and the copy runs
 
     python -m pytest -x -q -p no:cacheprovider -p mutant_profile TESTS
 
@@ -18,7 +19,9 @@ and 2 when the unmutated tree fails.
 
     python3 benchmarks/mutants.py
 
-The list covers src/eigencert/localize.py.
+The list covers src/eigencert/localize.py, and the integer arithmetic of
+src/eigencert/kernels.py and src/eigencert/charpoly.py that the chain is
+built from; the mutants of src/eigencert/refine.py are still to come.
 """
 
 import os
@@ -34,7 +37,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 TESTS = ("tests/test_localize.py", "tests/test_refine.py", "tests/test_chain.py",
-         "tests/test_charpoly.py", "tests/test_kernels.py", "tests/test_root_accounting.py")
+         "tests/test_charpoly.py", "tests/test_kernels.py", "tests/test_root_accounting.py",
+         "tests/test_tracing.py")
+TRACING = "certbench/tracing.py"  # what tests/test_tracing.py installs
 
 
 class Mutant(NamedTuple):
@@ -49,22 +54,31 @@ MEMORY_BYTES = 2 << 30  # address space of each test run
 TIMEOUT_S = 90  # wall time of each test run
 
 LOCALIZE = "src/eigencert/localize.py"
+KERNELS = "src/eigencert/kernels.py"
+CHARPOLY = "src/eigencert/charpoly.py"
 
 MUTANTS = (
-    # the one-root and hull reads of CertificationContext.fill_keys
+    # the one fill of locate, and the one-root and end reads of
+    # CertificationContext.fill_keys
     Mutant("fill-sign-comparison-flipped", LOCALIZE,
            "(v_j if sign == s_j or not sign else v_i, sign)",
            "(v_j if sign != s_j or not sign else v_i, sign)"),
     Mutant("fill-root-at-run-end-read-as-same-sign", LOCALIZE,
            "(v_j if sign == s_j or not sign else v_i, sign)",
            "(v_j if sign * s_j >= 0 else v_i, sign)"),
-    Mutant("hull-over-nonzero-radius-disks", LOCALIZE,
-           "hull = (min(lo for lo, _, _ in disks), max(hi for _, _, hi in disks))",
-           "hull = (min((lo for lo, c, _ in disks if lo < c), default=0),\n"
-           "            max((hi for _, c, hi in disks if c < hi), default=0))"),
-    Mutant("hull-left-end-root-not-counted", LOCALIZE,
-           "else at_neg - (sign == 0), sign)",
-           "else at_neg, sign)"),
+    Mutant("fill-without-radius-zero-disks", LOCALIZE,
+           "fill = {y for disk in disks for y in disk}",
+           "fill = {y for disk in disks if disk[0] < disk[2] for y in disk}"),
+    Mutant("fill-first-point-root-not-counted", LOCALIZE,
+           "memo[keys[0]] = (at_neg - (sign == 0), sign)",
+           "memo[keys[0]] = (at_neg, sign)"),
+    Mutant("fill-last-point-read-as-minus-infinity", LOCALIZE,
+           "memo[keys[last]] = (at_pos, sign)",
+           "memo[keys[last]] = (at_neg, sign)"),
+    Mutant("fill-column-ends-outside-hull", LOCALIZE,
+           "fill.update(y for seg in col_segments for y in seg if left <= y <= right)",
+           "fill.update(y for seg in col_segments for y in seg)",
+           equivalent=True),  # column disks bound the roots too; only the memo grows
     Mutant("fill-drop-2-run-read-by-sign", LOCALIZE,
            "            if v_i - v_j > 1:\n",
            "            if v_i - v_j > 2:\n"),
@@ -117,6 +131,28 @@ MUTANTS = (
     Mutant("sources-through-upper-end", LOCALIZE,
            "while k < last and points[k] < hi:",
            "while k < last and points[k] <= hi:"),
+    # the spine that certbench's tracer wraps: a default binds the
+    # unwrapped certify_disk, so the disk tests go round the tracer
+    Mutant("locate-bypasses-certify-disk", LOCALIZE,
+           "def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:",
+           "def locate(m: SquareMatrix, *, column_disks: bool = False,\n"
+           "           certify_disk=certify_disk) -> LocateResult:"),
+    # integer kernels of the chain and the characteristic polynomial
+    Mutant("horner-integer-point-off-past-1e30", KERNELS,
+           "            acc = acc * num + c\n        return acc\n",
+           "            acc = acc * num + c\n        return acc + (abs(acc) > 10**30)\n"),
+    Mutant("prem-ignores-negative-leading-coefficient", KERNELS,
+           "neg_lead = lg < 0",
+           "neg_lead = False"),
+    Mutant("divmod-exact-past-an-inexact-step", KERNELS,
+           "        q, r = divmod(rest[shift + dn], lead)\n        if r:\n            break\n",
+           "        q, r = divmod(rest[shift + dn], lead)\n"),
+    Mutant("berkowitz-diagonal-sign-flipped", KERNELS,
+           "first = [1, -s[r]]",
+           "first = [1, s[r]]"),
+    Mutant("cleared-charpoly-one-power-of-d-more", CHARPOLY,
+           "denom ** (n - k)",
+           "denom ** (n - k + 1)"),
 )
 
 
@@ -151,6 +187,9 @@ def run_one(mutant: Mutant | None) -> str:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        (root / TRACING).parent.mkdir()
+        shutil.copy(ROOT / TRACING, root / TRACING)
+        (root / TRACING).chmod(0o444)
         if mutant is not None and not apply(mutant, root):
             return "stale"
         (root / "mutant_profile.py").write_text(NO_SHRINK, encoding="utf-8")

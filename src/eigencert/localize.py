@@ -28,17 +28,19 @@ a point shared by two tests, or read for its sign and then tested, is
 evaluated once.
 
 V only drops, and only at roots of p, which are few, so most points need
-no evaluation of the whole chain.  locate fills the memo by bisection
-over sorted points (CertificationContext.fill_keys): the ends of every
-disk of nonzero radius before the disk tests, and the breakpoints before
-the candidate tests.  Where V is equal at the two ends of a run, the
-points inside are inferred.  Where it drops by one, the run holds one
-simple root, and the sign of p at its middle tells which half holds it,
-so that point costs one Horner call on p alone.  Only runs where V drops
-by two or more are evaluated at their middle.  The hull [L, R] of the
-row disks holds every root, so a point at or beyond it takes V(-inf) or
-V(+inf), read off the chain's leading coefficients, and only p's sign.
-Every point read is one a test reads.
+no evaluation of the whole chain.  locate fills the memo once, before
+the disk tests, by bisection over sorted points
+(CertificationContext.fill_keys): the ends and centre of every row disk
+and, with column disks, the column disks' ends in the hull [L, R] of the
+row disks.  Every point a disk or candidate test reads is among them.
+The hull holds every root, and L and R are disk ends, so they are the
+first and last points, and take V(-inf) and V(+inf), read off the
+chain's leading coefficients, and only p's sign.  Where V is equal at
+the two ends of a run, the points inside are inferred.  Where it drops
+by one, the run holds one simple root, and the sign of p at its middle
+tells which half holds it, so that point costs one Horner call on p
+alone.  Only runs where V drops by two or more are evaluated at their
+middle.
 
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
@@ -140,9 +142,10 @@ class CertificationContext:
     fill_keys from two points with the same V around it, or sign-read by
     fill_keys: one Horner call on the first member, with V placed by
     that sign in a run holding one root or taken from V(-inf) or V(+inf)
-    outside the roots' hull.  All are exact under the Sturm property
-    V(a) - V(b) = #{roots in (a, b]}, so the tests cannot tell them apart.
-    original is the Fraction polynomial of the report.
+    at the fill's first or last point, which bound the roots.  All are
+    exact under the Sturm property V(a) - V(b) = #{roots in (a, b]}, so
+    the tests cannot tell them apart.  original is the Fraction
+    polynomial of the report.
     """
 
     original: Poly  # monic characteristic polynomial, in x
@@ -227,16 +230,16 @@ class CertificationContext:
             entry = self._memo[key] = (kernels.sign_variations(values), (first > 0) - (first < 0))
         return entry
 
-    def fill_keys(self, keys, hull) -> None:
+    def fill_keys(self, keys) -> None:
         """Memoise V and the sign at the keys of sorted distinct points.
 
-        Each entry is evaluated (integer Horner on every chain member),
-        inferred (none) or sign-read (chain[0] alone), all exact by the
-        Sturm property.  hull = (L, R), integers in y, bounds every real
-        root, so one read of p's sign at a point y <= L gives the entry
-        (V(-inf) - [p(y) = 0], sign), and at y >= R (V(+inf), sign).  The
-        first and last points are read so, or evaluated.  A run (y_i, y_j)
-        between two filled points is then split at its middle point y:
+        The first and last points, L and R, must bound every real root:
+        then one read of p's sign gives the entry at L, (V(-inf) - [p(L) =
+        0], sign), and at R, (V(+inf), sign).  Every other entry is
+        evaluated (integer Horner on every chain member), inferred (none)
+        or sign-read (chain[0] alone), all exact by the Sturm property.  A
+        run (y_i, y_j) between two filled points is split at its middle
+        point y:
         - V(y_i) = V(y_j): no root lies in (y_i, y_j], so every point
           inside gets the entry of y_j;
         - V(y_i) - V(y_j) = 1: one root lies in (y_i, y_j], simple since
@@ -245,39 +248,30 @@ class CertificationContext:
           y_j, and V(y_i) if p(y_j) = 0 or s differs;
         - a larger drop: y is evaluated.
         A level has at most sigma(H_1) dropping runs, at most sigma / 2 of
-        them by two or more, so m points take at most min(m, 2 + max(sigma
-        - 1, 0) ceil(log2 m)) chain evaluations and 2 + sigma ceil(log2 m)
-        sign reads, no point twice.
+        them by two or more, so m points take at most max(sigma - 1, 0)
+        ceil(log2 m) chain evaluations and 2 + sigma ceil(log2 m) sign
+        reads, no point twice.
 
         A run whose V rises, or drops by one while p has the same nonzero
         sign at both ends, raises InternalConsistencyError.  A sign-read V
         is made to fit its run, so the rise check tests the chain only
-        where both ends were evaluated: where sigma(H_1) = 1 and the ends
-        lie on the hull, no point is, and only the sign check is left.
+        where both ends were evaluated: where sigma(H_1) = 1, no point is,
+        and only the sign check is left.
         """
         memo, first = self._memo, self.chain[0]
-        left, right = hull
         at_neg, at_pos = self.variations_at_infinity
 
         def sign_at(key):
             value = kernels.horner_homogeneous(first, *key)
             return (value > 0) - (value < 0)
 
-        def read(key):
-            """Memoise key's entry, from p's sign alone outside the open hull."""
-            if key not in memo:
-                num, den = key
-                if left * den < num < right * den:
-                    self.entry(key)
-                else:
-                    sign = sign_at(key)
-                    memo[key] = (at_pos if num > left * den else at_neg - (sign == 0), sign)
-
-        runs = []
-        if keys:
-            read(keys[0])
-            read(keys[-1])
-            runs.append((0, len(keys) - 1))
+        last = len(keys) - 1
+        sign = sign_at(keys[last])
+        memo[keys[last]] = (at_pos, sign)
+        if last:
+            sign = sign_at(keys[0])
+            memo[keys[0]] = (at_neg - (sign == 0), sign)
+        runs = [(0, last)]
         while runs:
             i, j = runs.pop()
             v_i, s_i = memo[keys[i]]
@@ -302,7 +296,7 @@ class CertificationContext:
             mid = (i + j) // 2
             key = keys[mid]
             if v_i - v_j > 1:
-                read(key)
+                self.entry(key)
             elif key not in memo:
                 sign = sign_at(key)
                 memo[key] = (v_j if sign == s_j or not sign else v_i, sign)
@@ -466,17 +460,23 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     Disks and candidates are found on B = D*A, the matrix with its
     denominators cleared, and the context's chain is in the same
     coordinates, so every test reads the memo at integer points (y, 1).
-    The memo is filled at the disk ends before the disk tests and at the
-    breakpoints before the candidate tests.  Each radius and breakpoint
-    becomes a Fraction once, R/D or y/D, for the records.
+    The memo is filled once, before the disk tests, at the end and centre
+    of every row disk and, with column_disks, at the column disks' ends
+    in the row disks' hull [L, R]: a superset of the points the tests
+    read, whose first and last points are L and R.  Each radius and
+    breakpoint becomes a Fraction once, R/D or y/D, for the records.
     """
     ctx = CertificationContext.from_matrix(m)
     rows, denom = m.cleared
     disks = gershgorin_disks(rows)
-    # every eigenvalue lies in the union of the row disks, radius zero included
-    hull = (min(lo for lo, _, _ in disks), max(hi for _, _, hi in disks))
-    ctx.fill_keys([(y, 1) for y in sorted({y for lo, c, hi in disks if lo < c for y in (lo, hi)})],
-                  hull)
+    # every eigenvalue lies in the hull of the row disks, radius zero included
+    fill = {y for disk in disks for y in disk}
+    col_segments = None
+    if column_disks:
+        col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
+        left, right = min(fill), max(fill)
+        fill.update(y for seg in col_segments for y in seg if left <= y <= right)
+    ctx.fill_keys([(y, 1) for y in sorted(fill)])
     certified = [
         certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
         for i, (_, c, hi) in enumerate(disks)
@@ -486,11 +486,7 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     yes = [(disk, d.row) for disk, d in zip(disks, certified) if d.verdict == CONTAINS_REAL]
     tested: list = []
     if yes:
-        col_segments = None
-        if column_disks:
-            col_segments = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*rows)))]
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        ctx.fill_keys([(y, 1) for y in breakpoints], hull)
         values = [Fraction(y, denom) for y in breakpoints]
         tested = [
             certify_interval(ctx, values[k], values[k + 1], sources)

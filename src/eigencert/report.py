@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from eigencert.numerics import ParseError
 
@@ -107,16 +108,12 @@ def _list_text(values: list, pad: str) -> str:
     return f"[{sep[1:]}{sep.join([_SCALAR_TEXT[v.__class__](v) for v in values])}\n{pad}]"
 
 
+@cache
 def _template(keys: tuple, pad: str) -> str:
     """The %-template of a record with these keys, opened at indent pad."""
     inner = pad + "  "
     lines = [_encode(key).replace("%", "%%") + ": %s" for key in keys]
     return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + "}"
-
-
-# the templates of the report's own records, at the indents it holds them
-_TEMPLATES = {(keys, pad): _template(keys, pad) for keys, pad in (
-    (DISK_KEYS, "    "), (INTERVAL_KEYS, "    "), (FINAL_KEYS, "    "), (METRIC_KEYS, "  "))}
 
 
 def _record_texts(records: list, pad: str) -> list:
@@ -125,9 +122,7 @@ def _record_texts(records: list, pad: str) -> list:
     inner = pad + "  "
     texts = []
     for record in records:
-        keys = tuple(record)
-        template = _TEMPLATES.get((keys, pad)) or _template(keys, pad)
-        texts.append(template % tuple([
+        texts.append(_template(tuple(record), pad) % tuple([
             _list_text(v, inner) if v.__class__ is list else _SCALAR_TEXT[v.__class__](v)
             for v in record.values()
         ]))

@@ -338,7 +338,7 @@ def assert_memo_is_direct(ctx):
 @pytest.mark.parametrize("column_disks", [False, True])
 def test_memo_matches_direct_evaluation_at_hull_and_run_ends(rows, column_disks):
     """Points read from the hull ends and by p's sign are the chain's too,
-    where a hull over the nonzero-radius disks alone would miss a root."""
+    where a fill over the nonzero-radius disks alone would miss a root."""
     assert_memo_is_direct(locate(SquareMatrix.from_rows(rows, EXACT),
                                  column_disks=column_disks).context)
 
@@ -349,16 +349,19 @@ def test_memo_matches_direct_evaluation_at_hull_and_run_ends(rows, column_disks)
        st.lists(st.integers(-24, 24), min_size=1, max_size=30, unique=True))
 def test_fill_keys_matches_direct_evaluation(roots, complex_pair, below, above, halves):
     """fill_keys alone, on distinct integer roots (and maybe x^2 + 1) and
-    points y/2 that often hit a root, a run end or a hull end, given a hull
-    that reaches exactly to the roots or past them: every entry is the chain's."""
+    points y/2 that often hit a root or a run end, between first and last
+    points that lie on the extreme roots or past them: every entry is the
+    chain's."""
     p = Poly.from_coeffs([1])
     for r in roots:
         p = p * Poly.from_coeffs([-r, 1])
     if complex_pair:
         p = p * Poly.from_coeffs([1, 0, 1])
     ctx = poly_context(p)
-    keys = [(y // 2, 1) if y % 2 == 0 else (y, 2) for y in sorted(halves)]
-    ctx.fill_keys(keys, (min(roots) - below, max(roots) + above))
+    left, right = min(roots) - below, max(roots) + above
+    inside = {F(y, 2) for y in halves if left < F(y, 2) < right}
+    keys = [(x.numerator, x.denominator) for x in sorted(inside | {F(left), F(right)})]
+    ctx.fill_keys(keys)
     assert set(ctx._memo) == set(keys)
     assert_memo_is_direct(ctx)
 
@@ -368,7 +371,7 @@ def test_fill_refuses_rising_variations():
     # forged chain x, -1: V is 0 left of 0 and 1 right of it
     ctx = CertificationContext(p, ([0, 1], [-1]), 1)
     with pytest.raises(InternalConsistencyError, match="rise"):
-        ctx.fill_keys([(-1, 1), (-1, 2), (1, 2), (1, 1)], (-2, 2))
+        ctx.fill_keys([(-2, 1), (-1, 1), (-1, 2), (1, 2), (1, 1), (2, 1)])
 
 
 def test_fill_refuses_one_root_without_a_sign_change():
@@ -376,17 +379,17 @@ def test_fill_refuses_one_root_without_a_sign_change():
     # forged chain x^2 + 1, x: V drops by one from -1 to 1, where p is positive
     ctx = CertificationContext(p, ([1, 0, 1], [0, 1]), 1)
     with pytest.raises(InternalConsistencyError, match="counts one root"):
-        ctx.fill_keys([(-1, 1), (0, 1), (1, 1)], (-2, 2))
+        ctx.fill_keys([(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)])
 
 
 def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
-    """Per fill of m points, full chain evaluations stay within
-    min(m, 2 + max(sigma - 1, 0) ceil(log2 m)), reads of p's sign alone
-    within 2 + sigma ceil(log2 m), and all Horner calls within
-    members * min(m, 2 + sigma ceil(log2 m)); no test evaluates outside a
-    fill, and no point is evaluated that the disk and candidate tests do
-    not read.  With sigma(H_1) = 1 and the first fill from one hull end to
-    the other, locate evaluates the whole chain nowhere."""
+    """locate fills the memo once, at every row disk's ends and centre and
+    the column disks' ends in the row disks' hull.  For m points, full
+    chain evaluations stay within max(sigma - 1, 0) ceil(log2 m), reads of
+    p's sign alone within 2 + sigma ceil(log2 m), and all Horner calls
+    within members * min(m, 2 + sigma ceil(log2 m)); no test evaluates
+    outside the fill.  With sigma(H_1) = 1, locate evaluates the whole
+    chain nowhere."""
     calls = []  # the polynomial of every Horner call
     horner = kernels.horner_homogeneous
 
@@ -394,16 +397,15 @@ def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
         calls.append(f)
         return horner(f, *args)
 
-    fills = []  # (points, full evaluations, sign reads, first and last point)
+    fills = []  # (points, full evaluations, sign reads)
     fill = CertificationContext.fill_keys
 
-    def logged(ctx, keys, hull):
+    def logged(ctx, keys):
         before = len(calls)
-        fill(ctx, keys, hull)
+        fill(ctx, keys)
         spent = calls[before:]
         full = sum(f is ctx.chain[-1] for f in spent)
-        fills.append((len(keys), full, len(spent) - len(ctx.chain) * full,
-                      keys[:1] + keys[-1:]))
+        fills.append((keys, full, len(spent) - len(ctx.chain) * full))
 
     monkeypatch.setattr(kernels, "horner_homogeneous", counted)
     monkeypatch.setattr(CertificationContext, "fill_keys", logged)
@@ -421,29 +423,31 @@ def test_locate_evaluates_within_the_bisection_bound(monkeypatch, worked_exact):
     for k, m in enumerate(matrices):
         calls.clear()
         fills.clear()
-        res = locate(m, column_disks=bool(k % 2))
+        column_disks = bool(k % 2)
+        res = locate(m, column_disks=column_disks)
         ctx = res.context
         sigma, members = ctx.base_signature, len(ctx.chain)
-        assert sum(f is ctx.chain[0] for f in calls) == sum(
-            full + reads for _, full, reads, _ in fills), k
-        assert len(calls) == sum(members * full + reads for _, full, reads, _ in fills), k
-        for size, full, reads, _ in fills:
-            levels = (size - 1).bit_length()
-            assert members * full + reads <= members * min(
-                size, 2 + sigma * levels), (k, size, full, reads, sigma)
-            assert full <= min(size, 2 + max(sigma - 1, 0) * levels), (k, size, full, sigma)
-            assert reads <= 2 + sigma * levels, (k, size, reads, sigma)
-        read = {x for d in res.disks if d.radius for x in (d.center - d.radius,
-                                                           d.center + d.radius)}
-        read |= {x for iv in res.tested for x in (iv.lo, iv.hi)}
-        assert sum(full + reads for _, full, reads, _ in fills) <= len(read), k
+        assert len(fills) == 1, k
+        keys, full, reads = fills[0]
+        # no disk or candidate test evaluates outside the fill
+        assert sum(f is ctx.chain[0] for f in calls) == full + reads, k
+        assert len(calls) == members * full + reads, k
+        size = len(keys)
+        levels = (size - 1).bit_length()
+        assert members * full + reads <= members * min(size, 2 + sigma * levels), (k, size)
+        assert full <= max(sigma - 1, 0) * levels, (k, size, full, sigma)
+        assert reads <= 2 + sigma * levels, (k, size, reads, sigma)
         disks = gershgorin_disks(m.cleared[0])
-        hull = [(min(lo for lo, _, _ in disks), 1), (max(hi for _, _, hi in disks), 1)]
-        # without column disks, the breakpoints' ends are disk ends, memoised already
-        if sigma == 1 and not k % 2 and fills[0][3] == hull:
-            assert all(full == 0 for _, full, _, _ in fills), k
+        points = {y for disk in disks for y in disk}
+        if column_disks:
+            left, right = min(points), max(points)
+            points |= {y for lo, _, hi in gershgorin_disks(list(zip(*m.cleared[0])))
+                       for y in (lo, hi) if left <= y <= right}
+        assert keys == [(y, 1) for y in sorted(points)], k
+        if sigma == 1:
+            assert full == 0, k
             unevaluated += 1
-    assert unevaluated >= 3
+    assert unevaluated >= 10
 
 
 @st.composite

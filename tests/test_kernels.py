@@ -259,6 +259,8 @@ def test_int_divmod_exact(K):
     # x^2 by 2x + 1: lc 2 does not divide the leading 1, nothing is taken
     quot, rest = K.int_divmod_exact([0, 0, 1], [1, 2])
     assert rest and quot == [0, 0]
+    # 3x^2 by 2x + 1: lc 2 does not divide 3, so the division stops at once
+    assert K.int_divmod_exact([0, 0, 3], [1, 2]) == ([0, 0], [0, 0, 3])
     rng = random.Random(21)
     for _ in range(50):
         g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-3, -1, 1, 2))]

@@ -93,12 +93,14 @@ def build_cases(size: int):
     # a random monic integer polynomial of degree n, square-free like almost all
     chain_coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
 
-    # a root of it alone in an interval with no root at either end
+    # a root of it alone in an interval with no root at either end, the
+    # ends as memo keys
     ctx = CertificationContext.from_matrix(companion(Poly.from_coeffs(chain_coeffs)))
+    keys = [(ctx.key(a), ctx.key(b))
+            for a, b in sturm_isolate_roots(square_free_part(ctx.original), 1)]
     isolated = next((
-        certify_interval(ctx, a, b)
-        for a, b in sturm_isolate_roots(square_free_part(ctx.original), 1)
-        if a < b and ctx.entry(ctx.key(a))[1] * ctx.entry(ctx.key(b))[1] < 0
+        certify_interval(ctx, lo, hi) for lo, hi in keys
+        if lo != hi and ctx.entry(lo)[1] * ctx.entry(hi)[1] < 0
     ), None)
     refine_eps = Fraction(1, 2**300)
 
@@ -220,7 +222,7 @@ def build_cases(size: int):
     # a point cell and an eps/4 nudge on each side, then a sign loop; 50
     # runs, each on an empty memo
     two_roots = CertificationContext.from_matrix(companion(Poly.from_coeffs([2, -3, 1])))
-    shared = certify_interval(two_roots, 0, 4)
+    shared = certify_interval(two_roots, (0, 1), (4, 1))  # D = 1: the key of x is (x, 1)
 
     def refine_hermite():
         for _ in range(50):

@@ -109,12 +109,16 @@ MUTANTS = (
            "            if gcd_part[-1] < 0:  # so the quotient keeps the sign of chi_B\n"
            "                gcd_part = [-c for c in gcd_part]\n",
            ""),
+    # the disk and candidate tests on keys
     Mutant("disk-right-end-at-centre", LOCALIZE,
-           "reduced_key(a * t + s * b, b * t)",
-           "reduced_key(a * t, b * t)"),
+           "ctx.sigma_inside((lo, 1), (hi, 1))",
+           "ctx.sigma_inside((lo, 1), (c, 1))"),
     Mutant("interval-compare-without-denominators", LOCALIZE,
-           "if not lo_key[0] * hi_key[1] < hi_key[0] * lo_key[1]:",
-           "if not lo_key[0] < hi_key[0]:"),
+           "if not lo[0] * hi[1] < hi[0] * lo[1]:",
+           "if not lo[0] < hi[0]:"),
+    Mutant("interval-verdict-always-contains", LOCALIZE,
+           "CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma,",
+           "CertifiedInterval(x_lo, x_hi, True, sigma,"),
     # breakpoints and sources
     Mutant("column-union-ends-not-breakpoints", LOCALIZE,
            "            points.update(seg)\n",

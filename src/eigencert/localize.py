@@ -50,9 +50,10 @@ placed among the sorted breakpoints by bisection.  The tests run in B's
 coordinates too: the context's chain is that of chi_B(y) = det(yI - B),
 whose roots are D times A's, so a disk end or breakpoint y of B is the
 integer point (y, 1) of the memo, which Horner evaluates without powers
-of a denominator.  Each radius R and breakpoint y becomes the Fraction
-R/D or y/D once, for the records, which stay in A's coordinates.  The
-records, Disk and CertifiedInterval, are immutable named tuples.
+of a denominator.  The tests take those keys, and only the records, in
+A's coordinates, hold Fractions: a disk's c/D and R/D, and an interval's
+ends, made by CertificationContext.interval.  Disk and CertifiedInterval
+are immutable named tuples.
 
 The whole pipeline is exact.  A matrix holds the exact values of its
 entries; one built on a float backend holds the values of its rounded
@@ -89,7 +90,7 @@ class Disk(NamedTuple):
     row: int
     center: object
     radius: object
-    verdict: str | None = None
+    verdict: str
 
 
 class CertifiedInterval(NamedTuple):
@@ -136,9 +137,10 @@ class CertificationContext:
 
     The memo holds one entry (V, sign of f) per point, keyed by the
     reduced integer pair (num, den) of y = num/den, the integers Horner
-    evaluates on.  The methods on such keys are the implementation; key
-    maps a point x of A to its key, and interval maps keys back.  An entry
-    is evaluated (integer Horner on every chain member), inferred by
+    evaluates on.  The methods on such keys are the implementation; key,
+    the one map into keys, takes a point x of A to its key, and interval,
+    the one map back, makes the record of a tested pair.  An entry is
+    evaluated (integer Horner on every chain member), inferred by
     fill_keys from two points with the same V around it, or sign-read by
     fill_keys: one Horner call on the first member, with V placed by
     that sign in a run holding one root or taken from V(-inf) or V(+inf)
@@ -203,8 +205,8 @@ class CertificationContext:
 
     def key(self, x) -> tuple:
         """The reduced (numerator, denominator) of y = D*x, x read exactly."""
-        # EXACT.convert's first case, inlined: certify_interval passes the
-        # Fractions it has just read
+        # EXACT.convert's first case, inlined: refine_interval passes a
+        # record's Fraction ends
         if not isinstance(x, Fraction):
             x = EXACT.convert(x)
         den = x.denominator
@@ -321,10 +323,12 @@ class CertificationContext:
         return self.base_signature - 2 * inside - (s_lo == 0) - at_hi, inside
 
     def interval(self, lo, hi, sigma, inside, sources) -> CertifiedInterval:
-        """The contains-real interval with ends x = num/(den*D) of the pairs lo <= hi."""
+        """The record of keys lo <= hi, with ends x = num/(den*D); it contains a
+        real root where sigma != sigma(H_1), so always for a refined point's None."""
         x_lo = Fraction(lo[0], lo[1] * self.scale)
         x_hi = x_lo if lo is hi else Fraction(hi[0], hi[1] * self.scale)
-        return CertifiedInterval(x_lo, x_hi, True, sigma, inside, sources)
+        return CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma, inside,
+                                 sources)
 
 
 def gershgorin_disks(rows) -> list:
@@ -341,18 +345,16 @@ def gershgorin_disks(rows) -> list:
     return disks
 
 
-def certify_disk(ctx: CertificationContext, disk: Disk) -> Disk:
-    """Attach a verdict: point eigenvalue, contains real, or empty."""
-    c, r = disk.center, disk.radius
-    if r == 0:
-        return Disk(disk.row, c, r, POINT_EIGENVALUE)
-    # q = (x-c)^2 - r^2 = (x - (c-r))(x - (c+r)); the ends as keys, whose
-    # denominators are 1 when c and r are over the context's D
-    (a, b), (s, t) = ctx.key(c), ctx.key(r)
-    lo, hi = reduced_key(a * t - s * b, b * t), reduced_key(a * t + s * b, b * t)
-    if ctx.sigma_inside(lo, hi)[0] != ctx.base_signature:
-        return Disk(disk.row, c, r, CONTAINS_REAL)
-    return Disk(disk.row, c, r, EMPTY_REAL)
+def certify_disk(ctx: CertificationContext, row: int, disk) -> Disk:
+    """The record of row's disk (c - r, c, c + r) of gershgorin_disks, with its verdict:
+    point eigenvalue, or the test of q = (y - c + r)(y - c - r) at keys (c -/+ r, 1)."""
+    lo, c, hi = disk
+    center, radius = Fraction(c, ctx.scale), Fraction(hi - c, ctx.scale)
+    if lo == hi:
+        return Disk(row, center, radius, POINT_EIGENVALUE)
+    if ctx.sigma_inside((lo, 1), (hi, 1))[0] != ctx.base_signature:
+        return Disk(row, center, radius, CONTAINS_REAL)
+    return Disk(row, center, radius, EMPTY_REAL)
 
 
 def reduced_key(num: int, den: int) -> tuple:
@@ -362,20 +364,16 @@ def reduced_key(num: int, den: int) -> tuple:
 
 
 def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> CertifiedInterval:
-    """Signature test for [lo, hi] with q = (x - lo)(x - hi).
+    """Signature test for [lo, hi] with q = (y - lo)(y - hi), lo < hi as memo keys.
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside.  p is square-free, so the count is
-    exact.  The record holds lo and hi; the test is sigma_inside on their
-    keys in the context's coordinates.
+    exact.  ctx.key maps a point x to its key; the record's ends are in x.
     """
-    lo = EXACT.convert(lo)
-    hi = EXACT.convert(hi)
-    lo_key, hi_key = ctx.key(lo), ctx.key(hi)
-    if not lo_key[0] * hi_key[1] < hi_key[0] * lo_key[1]:
+    if not lo[0] * hi[1] < hi[0] * lo[1]:
         raise ValueError("need lo < hi")
-    sigma, inside = ctx.sigma_inside(lo_key, hi_key)
-    return CertifiedInterval(lo, hi, sigma != ctx.base_signature, sigma, inside, tuple(sources))
+    sigma, inside = ctx.sigma_inside(lo, hi)
+    return ctx.interval(lo, hi, sigma, inside, tuple(sources))
 
 
 def _merge_segments(segments):
@@ -463,11 +461,11 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     The memo is filled once, before the disk tests, at the end and centre
     of every row disk and, with column_disks, at the column disks' ends
     in the row disks' hull [L, R]: a superset of the points the tests
-    read, whose first and last points are L and R.  Each radius and
-    breakpoint becomes a Fraction once, R/D or y/D, for the records.
+    read, whose first and last points are L and R.  Only the records
+    are Fractions.
     """
     ctx = CertificationContext.from_matrix(m)
-    rows, denom = m.cleared
+    rows = m.cleared[0]
     disks = gershgorin_disks(rows)
     # every eigenvalue lies in the hull of the row disks, radius zero included
     fill = {y for disk in disks for y in disk}
@@ -477,19 +475,15 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
         left, right = min(fill), max(fill)
         fill.update(y for seg in col_segments for y in seg if left <= y <= right)
     ctx.fill_keys([(y, 1) for y in sorted(fill)])
-    certified = [
-        certify_disk(ctx, Disk(i, m.rows[i][i], Fraction(hi - c, denom)))
-        for i, (_, c, hi) in enumerate(disks)
-    ]
+    certified = [certify_disk(ctx, i, disk) for i, disk in enumerate(disks)]
     points = tuple(sorted({d.center for d in certified if d.verdict == POINT_EIGENVALUE}))
     # a candidate's sources are the contains-real disks its interior meets
     yes = [(disk, d.row) for disk, d in zip(disks, certified) if d.verdict == CONTAINS_REAL]
     tested: list = []
     if yes:
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        values = [Fraction(y, denom) for y in breakpoints]
         tested = [
-            certify_interval(ctx, values[k], values[k + 1], sources)
+            certify_interval(ctx, (breakpoints[k], 1), (breakpoints[k + 1], 1), sources)
             for k, sources in enumerate(candidate_sources(breakpoints, yes))
         ]
     intervals = tuple(t for t in tested if t.contains_real)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from eigencert.charpoly import SquareMatrix
-from eigencert.localize import CertificationContext
+from eigencert.localize import CertificationContext, certify_interval
 from eigencert.numerics import EXACT, float_backend
 from eigencert.oracle import companion
 from eigencert.poly import Poly
@@ -71,6 +71,11 @@ def poly_context(p: Poly) -> CertificationContext:
     D is the lcm of p's denominators.
     """
     return CertificationContext.from_matrix(companion(p.monic()))
+
+
+def certify_x(ctx: CertificationContext, a, b, sources=()):
+    """certify_interval on the interval [a, b] of x, its ends mapped to keys by ctx.key."""
+    return certify_interval(ctx, ctx.key(a), ctx.key(b), sources)
 
 
 def mpf_value(value) -> Fraction:

@@ -19,7 +19,6 @@ from eigencert.localize import (
     EMPTY_REAL,
     CertificationContext,
     _merge_segments,
-    certify_interval,
     locate,
 )
 from eigencert.numerics import EXACT
@@ -27,7 +26,13 @@ from eigencert.oracle import companion, dense_hermite, sturm_count_closed
 from eigencert.poly import Poly, square_free_part, sturm_chain, sturm_count_all
 from eigencert.refine import refine_all
 from eigencert.report import text_scalar
-from tests.conftest import WORKED_CHARPOLY, WORKED_ROWS, mpf_value, random_rational_matrix
+from tests.conftest import (
+    WORKED_CHARPOLY,
+    WORKED_ROWS,
+    certify_x,
+    mpf_value,
+    random_rational_matrix,
+)
 
 # real eigenvalues of the worked matrix, frozen from an mpmath QR eigensolve
 REAL_EIGENVALUES = (
@@ -116,7 +121,7 @@ def test_criterion_4_interval_verdicts(worked_exact):
     with criterion(4, "all 12 candidate intervals: sigma(H_q) and verdict exact"):
         ctx = CertificationContext.from_matrix(worked_exact)
         for lo, hi, sigma, contains in INTERVAL_FIXTURES:
-            iv = certify_interval(ctx, lo, hi)
+            iv = certify_x(ctx, lo, hi)
             assert iv.sigma == sigma, (lo, hi)
             assert iv.contains_real == contains, (lo, hi)
 
@@ -191,7 +196,7 @@ def test_criterion_7_oracle_equivalence(corpus):
                         a, b = b, a
                     if a != b and square_free.eval(a) != 0 and square_free.eval(b) != 0:
                         break
-                iv = certify_interval(ctx, a, b)
+                iv = certify_x(ctx, a, b)
                 inside = sturm_count_closed(square_free, a, b)
                 assert ctx.base_signature - iv.sigma == 2 * inside
         assert time.perf_counter() - started < 600.0

@@ -19,7 +19,6 @@ from eigencert.hermite import hermite_base, hermite_weighted, signature
 from eigencert.localize import (
     CONTAINS_REAL,
     CertificationContext,
-    certify_interval,
     gershgorin_disks,
     locate,
     remainder_sequence,
@@ -33,7 +32,13 @@ from eigencert.poly import (
     sturm_count,
     sturm_count_all,
 )
-from tests.conftest import poly_context, random_rational_matrix, rational_rows, repeated_block
+from tests.conftest import (
+    certify_x,
+    poly_context,
+    random_rational_matrix,
+    rational_rows,
+    repeated_block,
+)
 
 TINY = F(1, 10**9)
 
@@ -62,7 +67,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
         if d.radius:
             c, r = d.center, d.radius
             q = Poly.from_coeffs([c * c - r * r, -2 * c, 1])
-            sigma = certify_interval(ctx, c - r, c + r).sigma
+            sigma = certify_x(ctx, c - r, c + r).sigma
             assert sigma == signature(hermite_weighted(base, q)), d
     for iv in res.tested:
         assert iv.sigma == hermite_sigma(base, iv.lo, iv.hi), (iv.lo, iv.hi)
@@ -71,7 +76,7 @@ def check_pipeline_tests(m, roots=(), offsets=()):
     points = sorted(set(roots) | {r + s for r in roots for s in offsets})
     pairs += [(a, b) for i, a in enumerate(points) for b in points[i + 1:i + 4]]
     for a, b in pairs:
-        assert certify_interval(ctx, a, b).sigma == hermite_sigma(base, a, b), (a, b)
+        assert certify_x(ctx, a, b).sigma == hermite_sigma(base, a, b), (a, b)
     assert ctx.base_signature == signature(base)
 
 
@@ -506,7 +511,7 @@ def test_scaled_chain_matches_fraction_chain(m, column_disks):
         if d.radius:
             c, r = d.center, d.radius
             sigma = textbook_sigma(chain, base, c - r, c + r)
-            assert certify_interval(ctx, c - r, c + r).sigma == sigma, d
+            assert certify_x(ctx, c - r, c + r).sigma == sigma, d
             assert (d.verdict == CONTAINS_REAL) == (sigma != base), d
     for iv in res.tested:
         assert iv.sigma == textbook_sigma(chain, base, iv.lo, iv.hi), (iv.lo, iv.hi)

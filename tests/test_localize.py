@@ -11,7 +11,6 @@ from eigencert.localize import (
     EMPTY_REAL,
     POINT_EIGENVALUE,
     CertificationContext,
-    Disk,
     _merge_segments,
     candidate_points,
     candidate_sources,
@@ -23,7 +22,7 @@ from eigencert.localize import (
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
 from eigencert.refine import refine_all
-from tests.conftest import poly_context, rational_rows
+from tests.conftest import WORKED_ROWS, poly_context, rational_rows
 
 
 def ctx_for(*coeffs):
@@ -57,7 +56,10 @@ def test_gershgorin_disks_columns():
 
 def test_certify_disk_verdicts_worked(worked_exact):
     ctx = CertificationContext.from_matrix(worked_exact)
-    verdicts = [certify_disk(ctx, Disk(*d)).verdict for d in WORKED_DISKS]
+    rows = worked_exact.cleared[0]
+    disks = [certify_disk(ctx, i, d) for i, d in enumerate(gershgorin_disks(rows))]
+    assert [(d.row, d.center, d.radius) for d in disks] == WORKED_DISKS
+    verdicts = [d.verdict for d in disks]
     assert verdicts == [
         CONTAINS_REAL,
         EMPTY_REAL,
@@ -71,30 +73,35 @@ def test_certify_disk_verdicts_worked(worked_exact):
 def test_certify_disk_point():
     m = SquareMatrix.from_rows([[2, 0], [1, 3]], EXACT)
     ctx = CertificationContext.from_matrix(m)
-    assert certify_disk(ctx, Disk(0, F(2), F(0))).verdict == POINT_EIGENVALUE
+    assert certify_disk(ctx, 0, (2, 2, 2)) == (0, 2, 0, POINT_EIGENVALUE)
     assert [d.verdict for d in locate(m).disks] == [POINT_EIGENVALUE, CONTAINS_REAL]
 
 
 def test_certify_interval_counts():
-    ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3
-    iv = certify_interval(ctx, 0, 4)
+    ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3; D = 1, so a key is x as (num, den)
+    iv = certify_interval(ctx, (0, 1), (4, 1))
     assert (iv.contains_real, iv.sigma, iv.min_root_count) == (True, -3, 3)
-    iv = certify_interval(ctx, 5, 6)
-    assert (iv.contains_real, iv.sigma, iv.min_root_count) == (False, 3, 0)
-    iv = certify_interval(ctx, 0, F(5, 2))
-    assert (iv.contains_real, iv.sigma, iv.min_root_count) == (True, -1, 2)
-    with pytest.raises(ValueError):
-        certify_interval(ctx, 2, 2)
+    iv = certify_interval(ctx, (5, 1), (6, 1))
+    assert (iv.lo, iv.hi, iv.contains_real, iv.sigma, iv.min_root_count) == (5, 6, False, 3, 0)
+    iv = certify_interval(ctx, (0, 1), (5, 2))
+    assert (iv.hi, iv.contains_real, iv.sigma, iv.min_root_count) == (F(5, 2), True, -1, 2)
+    # the order is that of num/den: 5/2 < 4 although 5 > 4
+    iv = certify_interval(ctx, (5, 2), (4, 1))
+    assert (iv.contains_real, iv.sigma, iv.min_root_count) == (True, 1, 1)
+    # 1/2 > 1/3, and an empty interval
+    for lo, hi in (((1, 2), (1, 3)), ((2, 1), (2, 1))):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            certify_interval(ctx, lo, hi)
 
 
 def test_certify_interval_endpoint_root():
     ctx = ctx_for(5, -6, 1)  # (x-1)(x-5)
-    iv = certify_interval(ctx, 1, 2)
+    iv = certify_interval(ctx, (1, 1), (2, 1))
     # root at the left endpoint: certified to contain one, but no interior
     # count can be claimed
     assert iv.contains_real
     assert iv.min_root_count == 0
-    both = certify_interval(ctx, 1, 5)
+    both = certify_interval(ctx, (1, 1), (5, 1))
     assert both.contains_real and both.min_root_count == 0
 
 
@@ -104,7 +111,7 @@ def test_certify_interval_rejects_impossible_drop(monkeypatch):
     # counts come in pairs, so an odd drop cannot be forced in exact mode.
     monkeypatch.setattr(ctx, "entry", lambda key: (int(key == (4, 1)), 1))
     with pytest.raises(InternalConsistencyError, match="drop"):
-        certify_interval(ctx, 0, 4)
+        certify_interval(ctx, (0, 1), (4, 1))
 
 
 def test_segment_helpers():
@@ -229,6 +236,44 @@ def test_locate_worked(worked_exact):
     # the gap between the two certified segments is still tested
     assert any((iv.lo, iv.hi) == (4, F(9, 2)) for iv in res.tested)
     assert [iv.sources for iv in res.intervals] == [(0, 2), (0, 3), (4,)]
+
+
+# (lo, hi, sigma, min_root_count, sources) of every candidate; sigma(H_1) = 3
+WORKED_TESTED = [
+    (-2, F(-5, 4), 3, 0, (2,)), (F(-5, 4), -1, 3, 0, (0, 2)), (-1, 0, 3, 0, (0, 2)),
+    (0, 1, 3, 0, (0, 2)), (1, F(5, 4), 3, 0, (0, 2)), (F(5, 4), 2, 1, 1, (0, 2)),
+    (2, 3, 1, 1, (0, 3)), (3, F(15, 4), 3, 0, (0, 3)), (F(15, 4), 4, 3, 0, (3,)),
+]
+LOCATE_CASES = [
+    (WORKED_ROWS, False, [*WORKED_TESTED, (4, F(9, 2), 3, 0, ()), (F(9, 2), 5, 1, 1, (4,)),
+                          (5, F(11, 2), 3, 0, (4,))]),
+    (WORKED_ROWS, True, [*WORKED_TESTED, (4, F(19, 4), 3, 0, (4,)),
+                         (F(19, 4), 5, 1, 1, (4,)), (5, F(21, 4), 3, 0, (4,))]),
+    ([[2, 0], [1, 3]], False, [(2, 3, 0, 0, (1,)), (3, 4, 1, 0, (1,))]),  # sigma(H_1) = 2
+    ([[2, 0], [1, 3]], True, [(2, 3, 0, 0, (1,))]),
+]
+
+
+@pytest.mark.parametrize("rows, column_disks, tested", LOCATE_CASES)
+def test_locate_maps_no_point_to_a_key(monkeypatch, rows, column_disks, tested):
+    """locate tests on B's integers: no x goes through ctx.key on its way to a test."""
+    def refuse(self, x):
+        raise AssertionError(f"locate mapped x = {x} to a key")
+
+    monkeypatch.setattr(CertificationContext, "key", refuse)
+    res = locate(SquareMatrix.from_rows(rows, EXACT), column_disks=column_disks)
+    base = res.context.base_signature
+    if rows is WORKED_ROWS:
+        assert [(d.row, d.center, d.radius) for d in res.disks] == WORKED_DISKS
+        assert [d.verdict for d in res.disks] == [
+            CONTAINS_REAL, EMPTY_REAL, CONTAINS_REAL, CONTAINS_REAL, CONTAINS_REAL]
+        assert res.points == ()
+    else:
+        assert res.disks == ((0, 2, 0, POINT_EIGENVALUE), (1, 3, 1, CONTAINS_REAL))
+        assert res.points == (2,)
+    assert [(t.lo, t.hi, t.sigma, t.min_root_count, t.sources) for t in res.tested] == tested
+    assert [t.contains_real for t in res.tested] == [t.sigma != base for t in res.tested]
+    assert res.intervals == tuple(t for t in res.tested if t.contains_real)
 
 
 def test_locate_mixed_points_and_intervals():

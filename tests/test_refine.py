@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from eigencert import kernels
 from eigencert import refine as refine_mod
 from eigencert.charpoly import SquareMatrix
-from eigencert.localize import CertifiedInterval, certify_interval, locate
+from eigencert.localize import CertifiedInterval, locate
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
 from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
-from tests.conftest import poly_context
+from tests.conftest import certify_x, poly_context
 from tests.test_chain import triangular_similar
 
 
@@ -63,7 +63,7 @@ def test_refine_requires_positive_eps(worked_exact):
 
 def test_refine_skips_empty_interval():
     ctx = ctx_for(-6, 11, -6, 1)
-    empty = certify_interval(ctx, 5, 6)
+    empty = certify_x(ctx, 5, 6)
     assert refine_interval(ctx, empty, F(1, 4)) == []
 
 
@@ -84,14 +84,14 @@ def test_refine_worked(worked_exact):
 
 def test_refine_midpoint_hits_root():
     ctx = ctx_for(12, -8, 1)  # (x-2)(x-6)
-    iv = certify_interval(ctx, 0, 4)
+    iv = certify_x(ctx, 0, 4)
     pieces = refine_interval(ctx, iv, F(1, 4))
     assert pieces == [CertifiedInterval(2, 2, True, None, 1, ())]
 
 
 def test_refine_midpoint_root_with_flanking_roots():
     ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3
-    iv = certify_interval(ctx, 0, 4)
+    iv = certify_x(ctx, 0, 4)
     pieces = refine_interval(ctx, iv, F(1, 2))
     assert CertifiedInterval(2, 2, True, None, 1, ()) in pieces
     assert sum(p.min_root_count for p in pieces) == 3
@@ -108,7 +108,7 @@ def test_refine_midpoint_root_with_flanking_roots():
 def test_refine_keeps_split_roots_apart():
     ctx = ctx_for(F(15, 64), -1, 1)  # (x - 3/8)(x - 5/8); p(1/2) != 0
     assert ctx.scale == 64
-    iv = certify_interval(ctx, 0, 1)
+    iv = certify_x(ctx, 0, 1)
     eps = F(1, 2)
     pieces = refine_interval(ctx, iv, eps)
     # the halves meet at a non-root midpoint; merged they would span 2 eps
@@ -118,7 +118,7 @@ def test_refine_keeps_split_roots_apart():
 
 def test_refine_budget_exhaustion(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # roots in both halves of [0, 4]
-    iv = certify_interval(ctx, 0, 4)
+    iv = certify_x(ctx, 0, 4)
     monkeypatch.setattr(refine_mod, "_depth_budget", lambda w, e: 0)
     with pytest.raises(InternalConsistencyError, match="converge"):
         refine_interval(ctx, iv, F(1, 64))
@@ -126,8 +126,8 @@ def test_refine_budget_exhaustion(monkeypatch):
 
 def test_refine_all_never_merges_across_initial_intervals():
     ctx = ctx_for(3, -4, 1)  # roots 1, 3; p(2) != 0
-    left = certify_interval(ctx, 0, 2)
-    right = certify_interval(ctx, 2, 4)
+    left = certify_x(ctx, 0, 2)
+    right = certify_x(ctx, 2, 4)
     pieces = refine_all(ctx, [right, left], 2)
     assert [(p.lo, p.hi) for p in pieces] == [(0, 2), (2, 4)]
 
@@ -147,8 +147,8 @@ def _no_hermite_test(*args, **kwargs):
 
 def test_refine_isolated_root_by_sign(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
-    at_mid = certify_interval(ctx, 0, 2)  # 1 is the first midpoint
-    off_grid = certify_interval(ctx, 0, F(5, 2))  # 1 is no midpoint of it
+    at_mid = certify_x(ctx, 0, 2)  # 1 is the first midpoint
+    off_grid = certify_x(ctx, 0, F(5, 2))  # 1 is no midpoint of it
     monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
     eps = F(1, 2**40)
     assert refine_interval(ctx, at_mid, eps) == [CertifiedInterval(1, 1, True, None, 1, ())]
@@ -181,7 +181,7 @@ def test_refine_converts_int_endpoints():
 
 def test_refine_isolated_budget_exhaustion(monkeypatch):
     ctx = ctx_for(3, -4, 1)
-    iv = certify_interval(ctx, 0, F(5, 2))
+    iv = certify_x(ctx, 0, F(5, 2))
     monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
     monkeypatch.setattr(refine_mod, "_depth_budget", lambda w, e: 0)
     with pytest.raises(InternalConsistencyError, match="converge"):
@@ -190,7 +190,7 @@ def test_refine_isolated_budget_exhaustion(monkeypatch):
 
 def test_refine_more_pieces_than_roots_raises(monkeypatch):
     ctx = ctx_for(3, -4, 1)  # two real roots, both in [0, 4]
-    iv = certify_interval(ctx, 0, 8)
+    iv = certify_x(ctx, 0, 8)
 
     def every_half_holds_two(lo, hi):
         # a count of 0 would send the half to the endpoint step, which
@@ -226,11 +226,11 @@ def _bisection_cell(lo, hi, root, eps):
 ], ids=["root-at-lo", "root-at-hi", "roots-at-both-ends"])
 def test_refine_endpoint_only_piece_without_test(monkeypatch, lo, hi, roots):
     ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
-    iv = certify_interval(ctx, lo, hi, (0, 2))
+    iv = certify_x(ctx, lo, hi, (0, 2))
     assert iv.contains_real and iv.min_root_count == 0
     for eps in (F(1, 2), F(1, 1000), F(1, 2**40)):
         expected = [
-            certify_interval(ctx, *_bisection_cell(lo, hi, root, eps), (0, 2)) for root in roots
+            certify_x(ctx, *_bisection_cell(lo, hi, root, eps), (0, 2)) for root in roots
         ]
         with monkeypatch.context() as patch:
             patch.setattr(ctx, "sigma_inside", _no_hermite_test)
@@ -280,7 +280,7 @@ def isolated_cases(draw, on_midpoint):
     outside = draw(st.lists(st.integers(1, 50), max_size=3, unique=True))
     others = [lo - d if d % 2 else hi + d for d in outside]
     ctx = _ctx_with_roots([root, *others], draw(st.sampled_from((1, 7))))
-    iv = certify_interval(ctx, lo, hi, (0,))
+    iv = certify_x(ctx, lo, hi, (0,))
     assert iv.contains_real and iv.min_root_count == 1 and hi - lo > eps
     return ctx, iv, root, eps
 
@@ -323,7 +323,7 @@ def test_hermite_step_evaluates_its_midpoint_once():
     """The midpoint is read for its sign and then shared by both halves'
     tests: one chain evaluation, len(chain) Horner calls, all at it."""
     ctx = ctx_for(3, -4, 1)  # (x-1)(x-3): both roots in [0, 8], none at 4
-    iv = certify_interval(ctx, 0, 8)
+    iv = certify_x(ctx, 0, 8)
     with horner_calls() as calls:
         pieces = refine_interval(ctx, iv, 4)
     assert calls == [(4, 1)] * len(ctx.chain)
@@ -354,8 +354,8 @@ def test_refine_maps_only_the_input_ends_to_keys(monkeypatch):
     """Every step runs on keys in y: ctx.key is called on each input
     interval's two ends and never per step."""
     ctx = ctx_for(-6, 11, -6, 1)  # roots 1, 2, 3
-    hermite = certify_interval(ctx, 0, 4)  # 2 is its midpoint: a nudge, then two sign loops
-    endpoint = certify_interval(ctx, 3, F(7, 2))  # 3 at an end, no root inside
+    hermite = certify_x(ctx, 0, 4)  # 2 is its midpoint: a nudge, then two sign loops
+    endpoint = certify_x(ctx, 3, F(7, 2))  # 3 at an end, no root inside
     assert hermite.min_root_count == 3 and endpoint.min_root_count == 0
     key = ctx.key
     calls = []
@@ -422,7 +422,7 @@ def hard_isolated_cases(draw):
     if kind == "flat":
         p = Poly.from_coeffs([-F(1, 2**40)] + [0] * 14 + [1])
         ctx = poly_context(p)
-        return ctx, certify_interval(ctx, 0, 4, (0,)), p, eps, False
+        return ctx, certify_x(ctx, 0, 4, (0,)), p, eps, False
     if kind == "near-end":
         lo, hi = F(0), F(1000)
         offset = F(draw(st.integers(1, 10**6)), 10**12)
@@ -443,7 +443,7 @@ def hard_isolated_cases(draw):
             root = lo + (hi - lo) * F(j, 2**level)
             others = []
     ctx = _ctx_with_roots([root, *others], draw(st.sampled_from((1, 7))))
-    iv = certify_interval(ctx, lo, hi, (0,))
+    iv = certify_x(ctx, lo, hi, (0,))
     assert iv.contains_real and iv.min_root_count == 1
     return ctx, iv, root, eps, kind == "level-steps"
 

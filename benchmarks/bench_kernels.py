@@ -1,7 +1,9 @@
-"""Time each arithmetic kernel of eigencert.kernels on seeded operands.
+"""Time what a run of eigencert executes, on seeded operands.
 
-Also times the Sturm chain of a seeded polynomial and the refinement of
-one of its isolated roots to 2^-300, which is integer Horner in the sign
+Times the integer kernels a run calls: sign variations, homogeneous
+Horner at a dyadic point and the Berkowitz charpoly of a seeded integer
+matrix; the Sturm chain of a seeded polynomial and the refinement of one
+of its isolated roots to 2^-300, which is integer Horner in the sign
 loop and quadratic steps of eigencert.refine; locate, and refine_all to
 1e-7, on ten seeded matrices of order 3-7, integer and one-place decimal; 50
 refinements of [0, 4] for the roots 1 and 2, whose midpoint root takes
@@ -67,28 +69,12 @@ def build_cases(size: int):
 
     signs = [rng.choice((-3, -1, 0, 1, 2)) for _ in range(20000)]
 
-    horner_coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(120)]
-    horner_x = Fraction(3, 7)
-
-    monic = [Fraction(rng.randint(-5, 5)) for _ in range(n)] + [Fraction(1)]
+    int_monic = [rng.randint(-5, 5) for _ in range(n)] + [1]
 
     int_rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
 
-    sums = kernels.power_sums(monic, 2 * n)
-    q = [Fraction(3), Fraction(-4), Fraction(1)]
-
-    sym = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = rng.randint(-10**20, 10**20)
-            sym[i][j] = sym[j][i] = v
-
-    frows = [[Fraction(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
-    fsym = [[(frows[i][j] + frows[j][i]) for j in range(n)] for i in range(n)]
-
     # a midpoint deep in exact bisection: dyadic, with denominator 2^90
     dyadic_x = Fraction(rng.getrandbits(90) | 1, 2**90)
-    int_monic = [int(c) for c in monic]
 
     # a random monic integer polynomial of degree n, square-free like almost all
     chain_coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
@@ -137,10 +123,6 @@ def build_cases(size: int):
     locate_inputs = [SquareMatrix.from_rows(rows, EXACT)
                      for rows in (int_rows, decimals, repeated, one_double)]
 
-    # the two charpoly kernels are timed on one matrix; they must agree on it
-    if kernels.berkowitz_charpoly_int(int_rows) != kernels.fl_charpoly_int(int_rows):
-        raise AssertionError("berkowitz_charpoly_int and fl_charpoly_int disagree")
-
     # the memo fill of locate on the integer matrix, as locate made it,
     # run from an emptied memo
     fills = []
@@ -160,20 +142,12 @@ def build_cases(size: int):
     cases = [
         ("reference", reference),
         ("sign_variations", lambda: kernels.sign_variations(signs)),
-        ("horner_eval", lambda: [kernels.horner_eval(horner_coeffs, horner_x) for _ in range(50)]),
-        ("horner_dyadic", lambda: [kernels.horner_eval(monic, dyadic_x) for _ in range(50)]),
         ("horner_homogeneous", lambda: [
             kernels.horner_homogeneous(int_monic, dyadic_x.numerator, dyadic_x.denominator)
             for _ in range(50)
         ]),
         ("sturm_chain", lambda: remainder_sequence(chain_coeffs)),
-        ("power_sums", lambda: kernels.power_sums(monic, 4 * n)),
-        ("fl_charpoly_int", lambda: kernels.fl_charpoly_int(int_rows)),
         ("berkowitz_charpoly_int", lambda: kernels.berkowitz_charpoly_int(int_rows)),
-        ("hermite_product", lambda: kernels.hermite_product(sums, q, n)),
-        ("bareiss_inertia", lambda: kernels.bareiss_inertia(sym)),
-        ("ldl_inertia", lambda: kernels.ldl_inertia(fsym)),
-        ("mat_mul", lambda: kernels.mat_mul(int_rows, int_rows)),
         ("candidate_points", lambda: [candidate_points(disks, yes) for _ in range(50)]),
         ("candidate_points_columns", lambda: [
             candidate_points(disks, yes, columns) for _ in range(50)

@@ -1,13 +1,14 @@
 """Pure-Python arithmetic kernels.
 
-These are the inner loops of the package: polynomial evaluation (over a
-field, and integer Horner at rational points: homogeneous, or plain at
-integer points) and division, Newton power sums, characteristic
-polynomials (division-free Berkowitz on integers, the pipeline's;
-Faddeev-Leverrier on integers, its cross-check; and La Budde on
-Hessenberg forms), the Hankel build of Hermite forms, symmetric inertia
-(rational LDL and fraction-free Bareiss), primitive integer
-pseudo-remainders and exact integer polynomial division.
+A run calls six: berkowitz_charpoly_int for the characteristic
+polynomial; int_content_strip, int_prem_primitive and int_divmod_exact
+for the integer Sturm chain; horner_homogeneous and sign_variations for
+every signature read off it.  The rest (evaluation and division over a
+field, matrix product, power sums, the Faddeev-Leverrier and La Budde
+charpolys, the Hankel build of Hermite forms, LDL and Bareiss inertia)
+serve hermite.py, poly.py, oracle.py, charpoly.py's cross-checks and the
+tests; they are kept while certbench/tracing.py patches them (ROADMAP
+items 16 and 5).
 
 Conventions shared by every kernel:
 

@@ -205,10 +205,7 @@ class CertificationContext:
 
     def key(self, x) -> tuple:
         """The reduced (numerator, denominator) of y = D*x, x read exactly."""
-        # EXACT.convert's first case, inlined: refine_interval passes a
-        # record's Fraction ends
-        if not isinstance(x, Fraction):
-            x = EXACT.convert(x)
+        x = EXACT.convert(x)
         den = x.denominator
         g = gcd(self.scale, den)
         return x.numerator * (self.scale // g), den // g

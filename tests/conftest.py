@@ -1,12 +1,15 @@
-"""Shared fixtures: the worked 5x5 example, random-matrix helpers, and the
+"""Shared fixtures: the worked 5x5 example, random-matrix helpers,
+polynomial and context builders, an integer-Horner call counter, and the
 exact value of an mpmath float."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import CertificationContext, certify_interval
 from eigencert.numerics import EXACT, float_backend
@@ -64,6 +67,11 @@ def random_rational_matrix(rng: random.Random, n: int, bound: int = 5, max_den: 
     return SquareMatrix.from_rows(rows, EXACT)
 
 
+def P(*coeffs):
+    """The polynomial with these coefficients, constant term first."""
+    return Poly.from_coeffs(coeffs)
+
+
 def poly_context(p: Poly) -> CertificationContext:
     """The context of p, built as the pipeline builds one: from a matrix.
 
@@ -71,6 +79,28 @@ def poly_context(p: Poly) -> CertificationContext:
     D is the lcm of p's denominators.
     """
     return CertificationContext.from_matrix(companion(p.monic()))
+
+
+def ctx_for(*coeffs):
+    """The context of P(*coeffs)."""
+    return poly_context(P(*coeffs))
+
+
+@contextmanager
+def horner_calls():
+    """The (num, den) of every integer Horner call made inside the block."""
+    horner = kernels.horner_homogeneous
+    calls = []
+
+    def counted(coeffs, num, den):
+        calls.append((num, den))
+        return horner(coeffs, num, den)
+
+    kernels.horner_homogeneous = counted
+    try:
+        yield calls
+    finally:
+        kernels.horner_homogeneous = horner
 
 
 def certify_x(ctx: CertificationContext, a, b, sources=()):

@@ -18,7 +18,8 @@ def test_bench_kernels_runs():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    for case in ("reference", "refine_isolated", "report_json", "parse_matrix_csv",
+    for case in ("reference", "sign_variations", "horner_homogeneous", "sturm_chain",
+                 "berkowitz_charpoly_int", "refine_isolated", "report_json", "parse_matrix_csv",
                  "parse_matrix_json", "candidate_points", "candidate_points_columns", "locate_int",
                  "locate_decimal", "locate_repeated", "locate_one_double", "locate_fills",
                  "locate_batch",

@@ -71,6 +71,11 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactors():
         for _ in range(4):
             m = random_rational_matrix(rng, n)
             assert charpoly(m) == faddeev_leverrier(m) == naive_charpoly(m)
+    # at larger n the cofactor expansion is too slow; integer entries in [-5, 5]
+    for n in (12, 20):
+        m = SquareMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], EXACT)
+        assert charpoly(m) == faddeev_leverrier(m)
 
 
 def test_hessenberg_zero_pattern():

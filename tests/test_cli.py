@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eigencert
-from eigencert import cli, kernels
+from eigencert import cli
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.numerics import EXACT, InternalConsistencyError, ParseError
 from eigencert.oracle import sturm_count_closed, sturm_isolate_roots
 from eigencert.poly import square_free_part
-from tests.conftest import WORKED_ROWS
+from tests.conftest import WORKED_ROWS, horner_calls
 
 
 def write_worked_csv(tmp_path):
@@ -342,21 +342,14 @@ def test_main_epsilon_past_digit_limit_exit_2(tmp_path, capsys, csv, epsilon, ca
     assert captured.err.count("\n") == 1
 
 
-def test_main_epsilon_refusal_after_few_horner_calls(tmp_path, capsys, monkeypatch):
+def test_main_epsilon_refusal_after_few_horner_calls(tmp_path, capsys):
     """Both roots of [[1, 2], [3, 4]] take about 14,280 halvings to 1e-4299,
     whose cells need more digits than the report may print; the refusal
     comes after fewer than 200 integer Horner calls, locate's included."""
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
-    horner = kernels.horner_homogeneous
-    calls = []
-
-    def counted(coeffs, num, den):
-        calls.append((num, den))
-        return horner(coeffs, num, den)
-
-    monkeypatch.setattr(kernels, "horner_homogeneous", counted)
-    assert cli.main([str(path), "--epsilon", "1e-4299"]) == 2
+    with horner_calls() as calls:
+        assert cli.main([str(path), "--epsilon", "1e-4299"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("eigencert: input error: --epsilon 1e-4299 is too small")

@@ -17,10 +17,7 @@ from eigencert.hermite import (
 from eigencert.numerics import EXACT
 from eigencert.oracle import companion, dense_hermite
 from eigencert.poly import Poly
-
-
-def P(*coeffs):
-    return Poly.from_coeffs(coeffs)
+from tests.conftest import P
 
 
 def interval_weight(a, b):

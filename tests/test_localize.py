@@ -20,13 +20,8 @@ from eigencert.localize import (
     locate,
 )
 from eigencert.numerics import EXACT, InternalConsistencyError
-from eigencert.poly import Poly
 from eigencert.refine import refine_all
-from tests.conftest import WORKED_ROWS, poly_context, rational_rows
-
-
-def ctx_for(*coeffs):
-    return poly_context(Poly.from_coeffs(coeffs))
+from tests.conftest import WORKED_ROWS, ctx_for, rational_rows
 
 
 WORKED_DISKS = [

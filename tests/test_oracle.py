@@ -10,12 +10,7 @@ from eigencert.oracle import (
     sturm_count_closed,
     sturm_isolate_roots,
 )
-from eigencert.poly import Poly
-from tests.conftest import WORKED_CHARPOLY
-
-
-def P(*coeffs):
-    return Poly.from_coeffs(coeffs)
+from tests.conftest import WORKED_CHARPOLY, P
 
 
 def test_naive_charpoly_golden(worked_exact):

@@ -15,10 +15,7 @@ from eigencert.poly import (
     sturm_count,
     sturm_count_all,
 )
-
-
-def P(*coeffs):
-    return Poly.from_coeffs(coeffs)
+from tests.conftest import P
 
 
 def test_construction_strips_trailing_zeros():

@@ -1,11 +1,9 @@
-from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eigencert import kernels
 from eigencert import refine as refine_mod
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import CertifiedInterval, locate
@@ -13,12 +11,8 @@ from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import sturm_count_closed
 from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
-from tests.conftest import certify_x, poly_context
+from tests.conftest import certify_x, ctx_for, horner_calls, poly_context
 from tests.test_chain import triangular_similar
-
-
-def ctx_for(*coeffs):
-    return poly_context(Poly.from_coeffs(coeffs))
 
 
 TINY_STEP = F(1, 10**40)
@@ -300,23 +294,6 @@ def test_sign_loop_matches_fraction_bisection(case):
 def test_sign_loop_root_on_midpoint_is_point(case):
     ctx, iv, root, eps = case
     assert refine_interval(ctx, iv, eps) == [CertifiedInterval(root, root, True, None, 1, (0,))]
-
-
-@contextmanager
-def horner_calls():
-    """The (num, den) of every integer Horner call made inside the block."""
-    horner = kernels.horner_homogeneous
-    calls = []
-
-    def counted(coeffs, num, den):
-        calls.append((num, den))
-        return horner(coeffs, num, den)
-
-    kernels.horner_homogeneous = counted
-    try:
-        yield calls
-    finally:
-        kernels.horner_homogeneous = horner
 
 
 def test_hermite_step_evaluates_its_midpoint_once():

@@ -48,8 +48,8 @@ from eigencert.localize import (
     locate,
     remainder_sequence,
 )
-from eigencert.oracle import companion, sturm_isolate_roots
-from eigencert.poly import Poly, square_free_part
+from eigencert.oracle import companion, square_free_part, sturm_isolate_roots
+from eigencert.poly import Poly
 from eigencert.refine import refine_all, refine_interval
 from eigencert.report import build_report, to_json
 

@@ -95,13 +95,8 @@ MUTANTS = (
            "        return x.numerator * (self.scale // g), den // g\n",
            "        return x.numerator, den\n"),
     Mutant("chain-of-chi-a-not-chi-b", LOCALIZE,
-           "        power = 1\n        coeffs = []\n"
-           "        for c in reversed(original.coeffs):\n"
-           "            coeffs.append(c.numerator * (power // c.denominator))\n"
-           "            power *= scale\n",
-           "        power = scale ** len(original.coeffs)\n        coeffs = []\n"
-           "        for c in reversed(original.coeffs):\n"
-           "            coeffs.append(c.numerator * (power // c.denominator))\n"),
+           "coeffs = list(m.cleared_charpoly)",
+           "coeffs = [int(c * m.cleared[1] ** m.n) for c in original.coeffs]"),
     Mutant("gcd-division-remainder-ignored", LOCALIZE,
            "if rem or len(sequence[-1]) > 1:",
            "if len(sequence[-1]) > 1:"),

@@ -5,10 +5,11 @@ backend: EXACT reads ints, Fractions and decimal text exactly, and a
 float backend rounds each entry once to its precision, so a float
 backend only says how the input is rounded.
 
-charpoly() runs Berkowitz's division-free algorithm after clearing
-denominators, so the whole computation runs in big integers and the
-result is exact.  Faddeev-Leverrier, on the same cleared integer matrix,
-is the tests' independent cross-check.
+charpoly() runs Berkowitz's division-free algorithm on B = D*A, A with
+its denominators cleared, so the whole computation runs in big integers
+and is exact; the matrix caches chi_B's integers, which the context's
+chain is built on.  Faddeev-Leverrier, on the same cleared integer
+matrix, is the tests' independent cross-check.
 
 The tests' fixed-precision reference runs in mpmath, which it imports
 when called: Householder reduction to upper Hessenberg form followed by
@@ -52,16 +53,6 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
-        prod = kernels.mat_mul([list(r) for r in self.rows], [list(r) for r in other.rows])
-        return SquareMatrix(tuple(tuple(r) for r in prod))
-
     def is_symmetric(self) -> bool:
         n = self.n
         return all(
@@ -81,6 +72,12 @@ class SquareMatrix:
         )
         return rows, denom
 
+    @cached_property
+    def cleared_charpoly(self) -> tuple:
+        """chi_B(y) = det(yI - B), B = D*A, as ascending ints; computed once
+        per matrix, for charpoly and the context's chain."""
+        return tuple(kernels.berkowitz_charpoly_int(self.cleared[0]))
+
 
 @dataclass(frozen=True)
 class HessenbergForm:
@@ -89,15 +86,13 @@ class HessenbergForm:
     betas: tuple  # subdiagonal, betas[j] = H[j+1][j]
 
 
-def _cleared_charpoly(m: SquareMatrix, kernel) -> Poly:
-    """Exact charpoly of m from an integer charpoly kernel run on D*A.
+def _divided_charpoly(raw, denom) -> Poly:
+    """chi_A from the integer coefficients raw of chi_B, B = D*A, D = denom.
 
-    The roots of D*A are D times those of A, so coefficient k of its
-    charpoly is D^(n-k) times that of A's.
+    The roots of B are D times those of A, so coefficient k of chi_B is
+    D^(n-k) times that of chi_A.
     """
-    rows, denom = m.cleared
-    raw = kernel(rows)
-    n = m.n
+    n = len(raw) - 1
     return Poly.from_coeffs([Fraction(raw[k], denom ** (n - k)) for k in range(n + 1)])
 
 
@@ -107,7 +102,8 @@ def faddeev_leverrier(m: SquareMatrix) -> Poly:
     The matrix is scaled to integers first, keeping every step in integer
     arithmetic; this is the tests' cross-check of charpoly().
     """
-    return _cleared_charpoly(m, kernels.fl_charpoly_int)
+    rows, denom = m.cleared
+    return _divided_charpoly(kernels.fl_charpoly_int(rows), denom)
 
 
 def mp_rows(rows, bits: int):
@@ -193,5 +189,5 @@ def labudde(hf: HessenbergForm) -> tuple:
 
 
 def charpoly(m: SquareMatrix) -> Poly:
-    """det(xI - A), monic ascending, by Berkowitz on the cleared matrix."""
-    return _cleared_charpoly(m, kernels.berkowitz_charpoly_int)
+    """det(xI - A), monic ascending, from Berkowitz on the cleared matrix."""
+    return _divided_charpoly(m.cleared_charpoly, m.cleared[1])

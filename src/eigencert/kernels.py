@@ -1,13 +1,13 @@
 """Pure-Python arithmetic kernels.
 
-A run calls six: berkowitz_charpoly_int for the characteristic
-polynomial; int_content_strip, int_prem_primitive and int_divmod_exact
-for the integer Sturm chain; horner_homogeneous and sign_variations for
-every signature read off it.  The rest (evaluation and division over a
-field, matrix product, power sums, the Faddeev-Leverrier and La Budde
-charpolys, the Hankel build of Hermite forms, LDL and Bareiss inertia)
-serve hermite.py, poly.py, oracle.py, charpoly.py's cross-checks and the
-tests; they are kept while certbench/tracing.py patches them (ROADMAP
+A run calls six: berkowitz_charpoly_int once per matrix for chi_B;
+int_content_strip, int_prem_primitive and int_divmod_exact for the
+integer Sturm chain; horner_homogeneous and sign_variations for every
+signature read off it.  The rest serve the tests: horner_eval is
+Poly.eval, poly_divmod and mat_mul serve oracle.py's Fraction routes,
+and the others (power sums, Faddeev-Leverrier and La Budde, the Hankel
+build, LDL and Bareiss inertia) serve hermite.py and charpoly.py's
+cross-checks, kept while certbench/tracing.py patches them (ROADMAP
 items 16 and 5).
 
 Conventions shared by every kernel:

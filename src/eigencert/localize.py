@@ -79,7 +79,7 @@ from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.poly import Poly
 # unused here; certbench/tracing.py patches these names on this module
 from eigencert.hermite import hermite_base, hermite_weighted, signature
-from eigencert.poly import square_free_part
+from eigencert.oracle import square_free_part
 
 CONTAINS_REAL = "contains-real-eigenvalue"
 EMPTY_REAL = "empty-of-real-eigenvalues"
@@ -162,21 +162,16 @@ class CertificationContext:
     def from_matrix(cls, m: SquareMatrix) -> "CertificationContext":
         """Context of m's characteristic polynomial, with the chain of chi_B, B = D*A.
 
-        Coefficient k of chi_B is c_k D^(n-k), an integer, for coefficient
-        c_k of chi_A.  If the remainder sequence of chi_B ends in a constant
-        it is the chain.  Otherwise its last member g is gcd(chi_B, chi_B')
-        and primitive, so chi_B / g has integer coefficients (Gauss's
-        lemma) and is divided out exactly; the chain is built on the
-        quotient, which must then be square-free.
+        charpoly(m) gives chi_A, the report's polynomial, and leaves the
+        integer coefficients of chi_B cached on m, where the chain is read
+        from.  If the remainder sequence of chi_B ends in a constant it is
+        the chain.  Otherwise its last member g is gcd(chi_B, chi_B') and
+        primitive, so chi_B / g has integer coefficients (Gauss's lemma)
+        and is divided out exactly; the chain is built on the quotient,
+        which must then be square-free.
         """
         original = charpoly(m)
-        scale = m.cleared[1]
-        power = 1
-        coeffs = []
-        for c in reversed(original.coeffs):
-            coeffs.append(c.numerator * (power // c.denominator))
-            power *= scale
-        coeffs.reverse()
+        coeffs = list(m.cleared_charpoly)
         sequence = remainder_sequence(coeffs)
         gcd_part = sequence[-1]
         if len(gcd_part) > 1:
@@ -188,7 +183,7 @@ class CertificationContext:
                 raise InternalConsistencyError(
                     "gcd(p, p') does not divide p to a square-free part"
                 )
-        return cls(original, sequence, scale)
+        return cls(original, sequence, m.cleared[1])
 
     @cached_property
     def variations_at_infinity(self) -> tuple:

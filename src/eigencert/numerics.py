@@ -97,13 +97,15 @@ class ExactBackend:
     """Reads input as arbitrary-precision rationals."""
 
     def convert(self, value) -> Fraction:
-        """Coerce value (int, Fraction, decimal string) to an exact scalar.
+        """Coerce value (int but not bool, Fraction, decimal string) to an exact scalar.
 
         Binary floats are refused: the caller has already rounded and we
         cannot know to what; feed decimal strings instead.
         """
         if isinstance(value, Fraction):
             return value
+        if isinstance(value, bool):
+            raise ParseError(f"refusing boolean {value!r}; pass the number instead")
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):

@@ -6,7 +6,8 @@ companion matrix instead of Newton power sums laid out as Hankel
 matrices, root counting and isolation from the textbook Sturm chain over
 Fraction (field remainders) instead of the primitive integer chain that
 every signature is read from.  Tests hold the two sides against each
-other.
+other.  This is the one home of the Fraction routes over Poly and
+SquareMatrix, and the program runs none of them.
 """
 
 from __future__ import annotations
@@ -15,14 +16,108 @@ from fractions import Fraction
 
 from eigencert import kernels
 from eigencert.charpoly import SquareMatrix
-from eigencert.numerics import EXACT
-from eigencert.poly import (
-    Poly,
-    cauchy_root_bound,
-    square_free_part,
-    sturm_chain,
-    sturm_count,
-)
+from eigencert.numerics import EXACT, InternalConsistencyError
+from eigencert.poly import Poly
+
+
+class SquareFreeRequiredError(ValueError):
+    """Repeated roots detected where a square-free polynomial is required."""
+
+
+def trace(m: SquareMatrix):
+    return sum(row[i] for i, row in enumerate(m.rows))
+
+
+def matmul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    prod = kernels.mat_mul([list(r) for r in a.rows], [list(r) for r in b.rows])
+    return SquareMatrix(tuple(tuple(r) for r in prod))
+
+
+def divmod_poly(num: Poly, den: Poly):
+    """Quotient and remainder over the coefficient field."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    quot, rem = kernels.poly_divmod(list(num.coeffs), list(den.coeffs))
+    return Poly.from_coeffs(quot), Poly.from_coeffs(rem)
+
+
+def cauchy_root_bound(p: Poly):
+    """B with every (complex) root of p inside |z| <= B."""
+    if p.degree() < 1:
+        raise ValueError("root bound needs degree >= 1")
+    lead = abs(p.coeffs[-1])
+    top = max(abs(c) for c in p.coeffs[:-1])
+    return 1 + top / lead
+
+
+def gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd of two polynomials, by Euclid's algorithm over Fraction."""
+    while not q.is_zero():
+        p, q = q, divmod_poly(p, q)[1]
+    return p.monic()
+
+
+def square_free_part(p: Poly) -> Poly:
+    """Monic polynomial with the same roots as p, all simple."""
+    if p.degree() < 1:
+        return p.monic()
+    g = gcd(p, p.derivative())
+    if g.degree() < 1:
+        return p.monic()
+    quot, rem = divmod_poly(p, g)
+    if not rem.is_zero():
+        raise InternalConsistencyError("gcd does not divide its input")
+    return quot.monic()
+
+
+def sturm_chain(p: Poly) -> tuple:
+    """Textbook Sturm chain p, p', -rem(...), ... for square-free p, as Polys."""
+    if p.is_zero():
+        raise ValueError("Sturm chain of the zero polynomial")
+    chain = [p]
+    if p.degree() >= 1:
+        chain.append(p.derivative())
+        while chain[-1].degree() >= 1:
+            _, rem = divmod_poly(chain[-2], chain[-1])
+            if rem.is_zero():
+                raise SquareFreeRequiredError(
+                    "polynomial has repeated roots; deflate with "
+                    "square_free_part before building a Sturm chain"
+                )
+            chain.append(-rem)
+    return tuple(chain)
+
+
+def sturm_count(chain: tuple, a, b) -> int:
+    """Number of real roots in (a, b]; endpoints must not be roots.
+
+    With non-root endpoints the half-open and open counts coincide, which
+    is how this is used everywhere in the tests.
+    """
+    p = chain[0]
+    a = EXACT.convert(a)
+    b = EXACT.convert(b)
+    if not a < b:
+        raise ValueError("need a < b")
+    if p.eval(a) == 0 or p.eval(b) == 0:
+        raise ValueError("Sturm count endpoint is a root")
+    va = kernels.sign_variations([q.eval(a) for q in chain])
+    vb = kernels.sign_variations([q.eval(b) for q in chain])
+    return va - vb
+
+
+def sturm_count_all(chain: tuple) -> int:
+    """Total number of distinct real roots (count over (-inf, +inf))."""
+    neg_signs = []
+    pos_signs = []
+    for q in chain:
+        lead = q.coeffs[-1]
+        deg = q.degree()
+        if deg < 0:
+            continue
+        pos_signs.append(lead)
+        neg_signs.append(lead if deg % 2 == 0 else -lead)
+    return kernels.sign_variations(neg_signs) - kernels.sign_variations(pos_signs)
 
 
 def naive_charpoly(m: SquareMatrix) -> Poly:
@@ -105,17 +200,17 @@ def dense_hermite(p: Poly, q: Poly) -> SquareMatrix:
     traces = [Fraction(n)]
     power = c
     for _ in range(2 * n - 2):
-        traces.append(power.trace())
-        power = power.matmul(c)
+        traces.append(trace(power))
+        power = matmul(power, c)
     h1 = SquareMatrix(tuple(tuple(traces[i + j] for j in range(n)) for i in range(n)))
-    return h1.matmul(apply_poly(q, c))
+    return matmul(h1, apply_poly(q, c))
 
 
 def sturm_isolate_roots(p: Poly, eps) -> list:
     """Disjoint intervals of width <= eps, one per real root of p.
 
     Square-free p.  Plain Sturm bisection inside the Cauchy bound, on the
-    textbook Fraction chain of poly.sturm_chain rather than the pipeline's
+    textbook Fraction chain of sturm_chain rather than the pipeline's
     primitive integer chain; a midpoint that is a root becomes the
     zero-width interval [m, m] and the remaining roots are isolated on the
     deflated quotient.

@@ -3,6 +3,9 @@
 Coefficients are Fractions stored ascending ([c0, c1, ..., cn] is c0 +
 c1 x + ... + cn x^n) with trailing zeros stripped; the zero polynomial
 keeps a single zero coefficient and reports degree -1.
+
+Poly is only a value type; the Fraction algorithms on it (division,
+gcd, the textbook Sturm chain) are the tests' and live in oracle.py.
 """
 
 from __future__ import annotations
@@ -11,11 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eigencert import kernels
-from eigencert.numerics import EXACT, InternalConsistencyError
-
-
-class SquareFreeRequiredError(ValueError):
-    """Repeated roots detected where a square-free polynomial is required."""
+from eigencert.numerics import EXACT
 
 
 @dataclass(frozen=True)
@@ -103,95 +102,3 @@ def _strip(vals: list) -> Poly:
     if not vals:
         vals = [Fraction(0)]
     return Poly(tuple(vals))
-
-
-def divmod_poly(num: Poly, den: Poly):
-    """Quotient and remainder over the coefficient field."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    quot, rem = kernels.poly_divmod(list(num.coeffs), list(den.coeffs))
-    return _strip(quot), _strip(rem)
-
-
-def cauchy_root_bound(p: Poly):
-    """B with every (complex) root of p inside |z| <= B."""
-    if p.degree() < 1:
-        raise ValueError("root bound needs degree >= 1")
-    lead = abs(p.coeffs[-1])
-    top = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + top / lead
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of two polynomials, by Euclid's algorithm over Fraction."""
-    while not q.is_zero():
-        p, q = q, divmod_poly(p, q)[1]
-    return p.monic()
-
-
-def square_free_part(p: Poly) -> Poly:
-    """Monic polynomial with the same roots as p, all simple."""
-    if p.degree() < 1:
-        return p.monic()
-    g = gcd(p, p.derivative())
-    if g.degree() < 1:
-        return p.monic()
-    quot, rem = divmod_poly(p, g)
-    if not rem.is_zero():
-        raise InternalConsistencyError("gcd does not divide its input")
-    return quot.monic()
-
-
-@dataclass(frozen=True)
-class SturmChain:
-    polys: tuple
-
-
-def sturm_chain(p: Poly) -> SturmChain:
-    """Textbook Sturm chain p, p', -rem(...), ... for square-free p."""
-    if p.is_zero():
-        raise ValueError("Sturm chain of the zero polynomial")
-    polys = [p]
-    if p.degree() >= 1:
-        polys.append(p.derivative())
-        while polys[-1].degree() >= 1:
-            _, rem = divmod_poly(polys[-2], polys[-1])
-            if rem.is_zero():
-                raise SquareFreeRequiredError(
-                    "polynomial has repeated roots; deflate with "
-                    "square_free_part before building a Sturm chain"
-                )
-            polys.append(-rem)
-    return SturmChain(tuple(polys))
-
-
-def sturm_count(chain: SturmChain, a, b) -> int:
-    """Number of real roots in (a, b]; endpoints must not be roots.
-
-    With non-root endpoints the half-open and open counts coincide, which
-    is how this is used everywhere in the package.
-    """
-    p = chain.polys[0]
-    a = EXACT.convert(a)
-    b = EXACT.convert(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    if p.eval(a) == 0 or p.eval(b) == 0:
-        raise ValueError("Sturm count endpoint is a root")
-    va = kernels.sign_variations([q.eval(a) for q in chain.polys])
-    vb = kernels.sign_variations([q.eval(b) for q in chain.polys])
-    return va - vb
-
-
-def sturm_count_all(chain: SturmChain) -> int:
-    """Total number of distinct real roots (count over (-inf, +inf))."""
-    neg_signs = []
-    pos_signs = []
-    for q in chain.polys:
-        lead = q.coeffs[-1]
-        deg = q.degree()
-        if deg < 0:
-            continue
-        pos_signs.append(lead)
-        neg_signs.append(lead if deg % 2 == 0 else -lead)
-    return kernels.sign_variations(neg_signs) - kernels.sign_variations(pos_signs)

@@ -47,10 +47,8 @@ def render_svg(report: dict) -> str:
     ]
     refined = [(_float(t["lo"]), _float(t["hi"])) for t in report["final_intervals"]]
     xs = [c - r for c, r, _ in disks] + [c + r for c, r, _ in disks] + points
-    if not xs:
-        xs = [0.0, 1.0]
     lo, hi = min(xs), max(xs)
-    if hi <= lo:
+    if hi <= lo:  # every disk is the one point lo
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo -= pad

@@ -27,12 +27,25 @@ def test_bench_kernels_runs():
         assert case in done.stdout
 
 
-def test_mutants_are_named_once():
-    """Every mutant has its own name and changes its text."""
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "benchmarks" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    names = [m.name for m in mutants.MUTANTS]
+    return mutants.MUTANTS
+
+
+def test_mutants_are_named_once():
+    """Every mutant has its own name and changes its text."""
+    mutants = load_mutants()
+    names = [m.name for m in mutants]
     assert len(names) == len(set(names))
-    for m in mutants.MUTANTS:
+    for m in mutants:
         assert m.old != m.new, m.name
+
+
+def test_mutants_are_not_stale():
+    """Every mutant's old text is in its file exactly once, as the mutation
+    run requires: code that moved shows here, not only in that run."""
+    for m in load_mutants():
+        text = (ROOT / m.path).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1, f"stale mutant {m.name}"

@@ -24,14 +24,14 @@ from eigencert.localize import (
     remainder_sequence,
 )
 from eigencert.numerics import EXACT, InternalConsistencyError
-from eigencert.oracle import sturm_count_closed
-from eigencert.poly import (
-    Poly,
+from eigencert.oracle import (
     square_free_part,
     sturm_chain,
     sturm_count,
     sturm_count_all,
+    sturm_count_closed,
 )
+from eigencert.poly import Poly
 from tests.conftest import (
     certify_x,
     poly_context,
@@ -236,7 +236,7 @@ def factored_polys(draw):
 @given(factored_polys())
 def test_one_remainder_sequence_gives_square_free_part_and_chain(p):
     """The context's one sequence equals the two-route result: the
-    square-free part by poly.gcd, and the Sturm chain built on it."""
+    square-free part by oracle.gcd, and the Sturm chain built on it."""
     square_free = square_free_part(p)
     calls = []
     prem = kernels.int_prem_primitive
@@ -475,7 +475,7 @@ def test_memo_matches_direct_evaluation_on_repeated_roots(m, column_disks):
 
 def textbook_v_and_sign(chain, x):
     """V of the Fraction Sturm chain at x, and the sign of its first member."""
-    values = [q.eval(x) for q in chain.polys]
+    values = [q.eval(x) for q in chain]
     return kernels.sign_variations(values), (values[0] > 0) - (values[0] < 0)
 
 

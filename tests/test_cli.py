@@ -15,8 +15,7 @@ import eigencert
 from eigencert import cli
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.numerics import EXACT, InternalConsistencyError, ParseError
-from eigencert.oracle import sturm_count_closed, sturm_isolate_roots
-from eigencert.poly import square_free_part
+from eigencert.oracle import square_free_part, sturm_count_closed, sturm_isolate_roots
 from tests.conftest import WORKED_ROWS, horner_calls
 
 
@@ -226,6 +225,8 @@ MALFORMED = [
     ("object-entry", "m.json", '{"matrix": [[1, 2], [{"v": 3}, 4]]}', [], "row 2, column 1"),
     ("flat-matrix", "m.json", '{"matrix": [1, 2, 3, 4]}', [], "row 1 is not a list"),
     ("top-level-array", "m.json", "[[1, 2], [3, 4]]", [], 'an object with a "matrix" key'),
+    ("empty-matrix", "m.json", '{"matrix": []}', [], "matrix must be a non-empty list of rows"),
+    ("scalar-matrix", "m.json", '{"matrix": 3}', [], "matrix must be a non-empty list of rows"),
     ("semicolon-rows", "m.csv", "1;2\n3;4\n", [], "not a decimal literal: '1;2'"),
     ("non-square", "m.csv", "1, 2\n3\n", [], "square"),
     ("bare-float-exact", "m.json", '{"matrix": [[0.1, 1], [1, 0.3]]}', [],

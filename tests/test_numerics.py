@@ -13,6 +13,7 @@ from eigencert.numerics import (
     float_backend,
     parse_decimal,
 )
+from eigencert.poly import Poly
 
 
 def test_parse_decimal_integers():
@@ -119,6 +120,19 @@ def test_exact_backend_convert():
 def test_exact_backend_refuses_binary_floats():
     with pytest.raises(ParseError):
         EXACT.convert(0.1)
+
+
+def test_backends_refuse_booleans():
+    # bool is an int subclass; True must not read as 1
+    for backend in (EXACT, float_backend(64)):
+        for value in (True, False):
+            with pytest.raises(ParseError, match="boolean"):
+                backend.convert(value)
+        with pytest.raises(ParseError, match="boolean"):
+            SquareMatrix.from_rows([[True, 0], [0, False]], backend)
+        assert backend.convert(1) == 1
+    with pytest.raises(ParseError, match="boolean"):
+        Poly.from_coeffs([True, True])
 
 
 def test_float_backend_interned():

@@ -440,3 +440,15 @@ def test_quadratic_steps_match_fraction_bisection(case):
         lo, hi = _bisection_cell(iv.lo, iv.hi, root, eps)
         assert pieces == [CertifiedInterval(lo, hi, True, None, 1, (0,))]
     assert len(calls) <= 2 * steps + 2 * len(ctx.chain)
+
+
+def test_quadratic_steps_midpoint_after_a_miss_is_point():
+    """p = (4096x - 13)(1000x + 1)(x^2 + 1) on [0, 1]: the secant guesses
+    miss, and the root 13/4096 is the middle grid point of the side the
+    signs point to, which the loop returns as the point interval."""
+    root = F(13, 4096)
+    ctx = _ctx_with_roots([root, F(-1, 1000)], 1)
+    iv = certify_x(ctx, 0, 1, (0,))
+    assert iv.contains_real and iv.min_root_count == 1
+    pieces = refine_interval(ctx, iv, F(1, 2**20))
+    assert pieces == [CertifiedInterval(root, root, True, None, 1, (0,))]

@@ -183,3 +183,27 @@ def test_svg_point_eigenvalues():
     assert svg.count('class="disk point"') == 2
     assert svg.count('class="eigenpoint"') == 2
     assert svg.count('class="interval"') == 0
+
+
+# a 1x1 matrix: one radius-zero disk, so the drawing's span is one point
+ONE_POINT_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="120.00" '
+    'viewBox="0 0 900 120.00">\n'
+    '<line class="axis" x1="40" y1="60.00" x2="860" y2="60.00" stroke="#2c3e50" '
+    'stroke-width="1"/>\n'
+    '<circle class="disk point" cx="77.27" cy="60.00" r="2.00" stroke="#1a5276" '
+    'fill="#d6eaf8" fill-opacity="0.55"/>\n'
+    '<circle class="eigenpoint" cx="77.27" cy="60.00" r="4" fill="#1a5276"/>\n'
+    '</svg>\n'
+)
+
+
+def test_svg_of_one_by_one_matrix(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("5\n")
+    out = tmp_path / "one.svg"
+    assert cli.main([str(path), "--svg", str(out)]) == 0
+    capsys.readouterr()
+    svg = out.read_bytes()
+    assert svg == ONE_POINT_SVG.encode("ascii")
+    assert svg.count(b'class="disk point"') == svg.count(b'class="eigenpoint"') == 1

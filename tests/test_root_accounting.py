@@ -30,8 +30,7 @@ from eigencert import cli
 from eigencert.charpoly import SquareMatrix, charpoly
 from eigencert.localize import locate
 from eigencert.numerics import EXACT
-from eigencert.oracle import sturm_count_closed, sturm_isolate_roots
-from eigencert.poly import square_free_part
+from eigencert.oracle import square_free_part, sturm_count_closed, sturm_isolate_roots
 from eigencert.refine import refine_all
 from eigencert.report import text_scalar
 

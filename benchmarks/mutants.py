@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 TESTS = ("tests/test_localize.py", "tests/test_refine.py", "tests/test_chain.py",
          "tests/test_charpoly.py", "tests/test_kernels.py", "tests/test_root_accounting.py",
-         "tests/test_tracing.py")
+         "tests/test_tracing.py", "tests/test_metamorphic.py")
 TRACING = "certbench/tracing.py"  # what tests/test_tracing.py installs
 
 
@@ -97,6 +97,25 @@ MUTANTS = (
     Mutant("chain-of-chi-a-not-chi-b", LOCALIZE,
            "coeffs = list(m.cleared_charpoly)",
            "coeffs = [int(c * m.cleared[1] ** m.n) for c in original.coeffs]"),
+    # the subresultant sequence: the Sturm sign, psi and beta
+    Mutant("sign-rule-flipped", LOCALIZE,
+           "if g[-1] > 0 or gap % 2:",
+           "if g[-1] < 0 or gap % 2:"),
+    Mutant("sign-rule-ignores-leading-sign", LOCALIZE,
+           "if g[-1] > 0 or gap % 2:",
+           "if True:"),
+    Mutant("psi-update-assumes-normal-step", LOCALIZE,
+           "psi = lead**gap // psi**(gap - 1)",
+           "psi = lead"),
+    Mutant("beta-keeps-sign-of-leading-coefficient", LOCALIZE,
+           "lead = abs(g[-1])",
+           "lead = g[-1]"),
+    Mutant("beta-division-unchecked", LOCALIZE,
+           "if any(r for _, r in quotients):",
+           "if False:"),
+    Mutant("gcd-not-made-primitive", LOCALIZE,
+           "            gcd_part = kernels.int_content_strip(gcd_part)\n",
+           ""),
     Mutant("gcd-division-remainder-ignored", LOCALIZE,
            "if rem or len(sequence[-1]) > 1:",
            "if len(sequence[-1]) > 1:"),
@@ -140,9 +159,10 @@ MUTANTS = (
     Mutant("horner-integer-point-off-past-1e30", KERNELS,
            "            acc = acc * num + c\n        return acc\n",
            "            acc = acc * num + c\n        return acc + (abs(acc) > 10**30)\n"),
-    Mutant("prem-ignores-negative-leading-coefficient", KERNELS,
-           "neg_lead = lg < 0",
-           "neg_lead = False"),
+    Mutant("prem-skips-a-zero-top-coefficient", KERNELS,
+           "            top = num[k + dg]\n",
+           "            top = num[k + dg]\n"
+           "            if not top:\n                continue\n"),
     Mutant("divmod-exact-past-an-inexact-step", KERNELS,
            "        q, r = divmod(rest[shift + dn], lead)\n        if r:\n            break\n",
            "        q, r = divmod(rest[shift + dn], lead)\n"),

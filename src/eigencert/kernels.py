@@ -1,14 +1,14 @@
 """Pure-Python arithmetic kernels.
 
 A run calls six: berkowitz_charpoly_int once per matrix for chi_B;
-int_content_strip, int_prem_primitive and int_divmod_exact for the
-integer Sturm chain; horner_homogeneous and sign_variations for every
-signature read off it.  The rest serve the tests: horner_eval is
-Poly.eval, poly_divmod and mat_mul serve oracle.py's Fraction routes,
-and the others (power sums, Faddeev-Leverrier and La Budde, the Hankel
-build, LDL and Bareiss inertia) serve hermite.py and charpoly.py's
-cross-checks, kept while certbench/tracing.py patches them (ROADMAP
-items 16 and 5).
+int_prem, int_content_strip (for the derivative and a gcd) and
+int_divmod_exact for the integer Sturm chain; horner_homogeneous and
+sign_variations for every signature read off it.  The rest serve the
+tests: horner_eval is Poly.eval, poly_divmod and mat_mul serve
+oracle.py's Fraction routes, and the others (power sums,
+Faddeev-Leverrier and La Budde, the Hankel build, LDL and Bareiss
+inertia) serve hermite.py and charpoly.py's cross-checks, kept while
+certbench/tracing.py patches them (ROADMAP items 16 and 5).
 
 Conventions shared by every kernel:
 
@@ -404,37 +404,33 @@ def int_content_strip(coeffs):
     return [c // g for c in coeffs]
 
 
-def int_prem_primitive(f, g):
-    """Primitive positively-scaled pseudo-remainder of integer polynomials.
+def int_prem(f, g):
+    """Pseudo-remainder of integer polynomials with nonzero leading coefficients.
 
-    Repeatedly replaces f by |lc(g)|*f - sign(lc(g))*lc(f)*x^d*g until
-    deg(f) < deg(g), so the result is a positive multiple of the true
-    remainder, then strips content.  Returns [] for a zero remainder.
+    r with lc(g)^(d+1) * f = q*g + r and deg(r) < deg(g), for d = deg(f) -
+    deg(g) >= 0: d + 1 steps each multiply by lc(g) and cancel the top
+    coefficient, a zero one included, so the factor is exactly that power.
+    A normal step (d = 1) takes one pass: with c = lc(g)*f_n - lc(f)*g_(n-1)
+    for n = deg(g), r_k = lc(g)^2*f_k - lc(g)*lc(f)*g_(k-1) - c*g_k.
+    Returns [] for a zero remainder.
     """
-    num = list(f)
+    dg = len(g) - 1
+    lg = g[dg]
+    shift = len(f) - 1 - dg
+    if shift == 1 and dg:
+        lf = f[-1]
+        c = lg * f[dg] - lf * g[dg - 1]
+        a, b = lg * lg, lg * lf
+        num = [a * x - b * y - c * z for x, y, z in zip(f, [0, *g], g[:-1])]
+    else:
+        num = list(f)
+        for k in range(shift, -1, -1):  # cancel the coefficient of x^(k + dg)
+            top = num[k + dg]
+            num = [lg * x for x in num[:k]] + [lg * x - top * y
+                                               for x, y in zip(num[k:k + dg], g)]
     while num and num[-1] == 0:
         num.pop()
-    dg = len(g) - 1
-    while dg >= 0 and g[dg] == 0:
-        dg -= 1
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    lg = g[dg]
-    neg_lead = lg < 0
-    mag_lg = -lg if neg_lead else lg
-    while len(num) - 1 >= dg:
-        ln = num[-1]
-        shift = len(num) - 1 - dg
-        if neg_lead:
-            ln = -ln
-        num = [mag_lg * c for c in num]
-        for t in range(dg + 1):
-            num[shift + t] = num[shift + t] - ln * g[t]
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
-            return []
-    return int_content_strip(num)
+    return num
 
 
 def int_divmod_exact(num, den):

@@ -14,16 +14,18 @@ are, with proof at every step:
 Every test has q = (x-a)(x-b).  For square-free p, Hermite-Sylvester
 gives sigma(H_q) = TaQ(q, p) = sigma(H_1) - 2 #{roots in (a, b)} -
 #{roots in {a, b}} (Basu-Pollack-Roy, ch. 4 and 9).  Those counts come
-from one primitive integer Sturm chain of p, built with the context,
-whose sign variations V(x) give #{roots in (a, b]} = V(a) - V(b).  The
-context builds the negated primitive remainder sequence of the
-characteristic polynomial and its derivative once.  When it ends in a
-constant the polynomial is square-free and the sequence is its Sturm
-chain; otherwise it ends in gcd(p, p'), the polynomial is divided by it
-exactly in integers, and only then is a second chain built, on the
-square-free quotient.  The memo holds one entry per point, V and the
-sign of p together, keyed by the point's (numerator, denominator) pair,
-the integers that Horner evaluates on.  An evaluation computes both, so
+from one integer Sturm chain of p, built with the context, whose sign
+variations V(x) give #{roots in (a, b]} = V(a) - V(b).  The context
+builds the subresultant remainder sequence of the characteristic
+polynomial and its derivative once, in Sturm signs: each pseudo-remainder
+is divided exactly by a factor known in advance, so no member takes a
+content gcd.  When it ends in a constant the polynomial is square-free
+and the sequence is its Sturm chain; otherwise it ends in a multiple of
+gcd(p, p'), whose primitive part divides the polynomial exactly in
+integers, and only then is a second chain built, on the square-free
+quotient.  The memo holds one entry per point, V and the sign of p
+together, keyed by the point's (numerator, denominator) pair, the
+integers that Horner evaluates on.  An evaluation computes both, so
 a point shared by two tests, or read for its sign and then tested, is
 evaluated once.
 
@@ -103,23 +105,48 @@ class CertifiedInterval(NamedTuple):
 
 
 def remainder_sequence(f: list) -> tuple:
-    """Negated primitive remainder sequence of the integer polynomial f and f'.
+    """Subresultant remainder sequence of the integer polynomial f and f', in Sturm signs.
 
-    f_0 is f, f_1 is f' without its content and f_{k+1} = -prem(f_{k-1},
-    f_k) made primitive, down to the last nonzero member.  That member is
-    a constant exactly when f is square-free, and the sequence is then f's
-    Sturm chain: each member is a positive multiple of the textbook
-    chain's, so every sign agrees.  Otherwise the last member is gcd(f, f')
-    up to a constant factor.
+    f_0 is f and f_1 is f' without its content.  With d = deg f_k - deg
+    f_{k+1}, each later member is f_{k+2} = -sign(lc f_{k+1})^(d+1)
+    prem(f_k, f_{k+1}) / |beta_k|, down to the last nonzero one:
+    - prem(f_k, f_{k+1}) is lc(f_{k+1})^(d+1) rem(f_k, f_{k+1}), so f_{k+2}
+      is a positive multiple of -rem(f_k, f_{k+1}), the textbook chain's
+      next member, and every sign agrees with that chain's;
+    - beta_k is the Brown-Traub (Collins) divisor (Basu-Pollack-Roy, ch. 8):
+      |beta_0| = 1 and |beta_k| = |lc f_k| psi_k^d, where psi_k = |lc
+      f_k|^d' / psi_{k-1}^(d' - 1) for the previous gap d' = deg f_{k-1} -
+      deg f_k, which is |lc f_k| after a normal step (d' = 1).
+    So f_{k+2} = s_{k+2} S_{k+2} for the subresultant member S_{k+2} =
+    prem(S_k, S_{k+1}) / beta_k and the sign s_{k+2} = -s_k sign(lc(S_{k+1})^(d+1)
+    beta_k): the signs of beta_k and of the S_k cancel, and only magnitudes
+    are carried.  Every division is exact; a remainder raises
+    InternalConsistencyError.  The last member is a constant exactly when
+    f is square-free, and the sequence is then f's Sturm chain.  Otherwise
+    it is gcd(f, f') times a constant, not in general primitive.
     """
     chain = [f]
     if len(f) > 1:
         chain.append(kernels.int_content_strip([k * c for k, c in enumerate(f)][1:]))
+    lead = psi = 1  # so |beta| = lead * psi**gap is 1 at the first step
     while len(chain[-1]) > 1:
-        rem = kernels.int_prem_primitive(chain[-2], chain[-1])
+        f, g = chain[-2], chain[-1]
+        rem = kernels.int_prem(f, g)
         if not rem:
             break
-        chain.append([-c for c in rem])
+        gap = len(f) - len(g)
+        beta = lead * psi**gap
+        if g[-1] > 0 or gap % 2:  # the Sturm sign: -sign(lc g)^(gap + 1)
+            beta = -beta
+        quotients = [divmod(c, beta) for c in rem]
+        if any(r for _, r in quotients):
+            raise InternalConsistencyError(
+                f"a pseudo-remainder of degree {len(rem) - 1} is not divisible by "
+                f"beta = {beta}: the subresultant sequence is faulty"
+            )
+        chain.append([q for q, _ in quotients])
+        lead = abs(g[-1])
+        psi = lead**gap // psi**(gap - 1)
     return tuple(chain)
 
 
@@ -127,12 +154,13 @@ def remainder_sequence(f: list) -> tuple:
 class CertificationContext:
     """The Sturm chain of the square-free p in y = D*x, with V and the sign memoised.
 
-    The chain is the primitive integer Sturm chain of the square-free part
-    of f(y) = D^n p(y / D).  For a context of a matrix A, D is the lcm of
-    its denominators and f is chi_B(y) = det(yI - B) with B = D*A, so f is
-    monic with integer coefficients and the disk ends and breakpoints of B
-    are integer points y.  Scaling by D > 0 keeps the order of points and
-    maps the roots of p onto those of f, so the chain's V(y) is V_A(y / D).
+    The chain is the integer Sturm chain of the square-free part of f(y) =
+    D^n p(y / D), its subresultant remainder sequence in Sturm signs.  For
+    a context of a matrix A, D is the lcm of its denominators and f is
+    chi_B(y) = det(yI - B) with B = D*A, so f is monic with integer
+    coefficients and the disk ends and breakpoints of B are integer points
+    y.  Scaling by D > 0 keeps the order of points and maps the roots of p
+    onto those of f, so the chain's V(y) is V_A(y / D).
     A polynomial's context is that of its companion matrix.
 
     The memo holds one entry (V, sign of f) per point, keyed by the
@@ -151,7 +179,7 @@ class CertificationContext:
     """
 
     original: Poly  # monic characteristic polynomial, in x
-    chain: tuple  # primitive integer Sturm chain of the square-free part, in y
+    chain: tuple  # integer Sturm chain of the square-free part, in y
     scale: int  # D: a point x is y = D*x in the chain's coordinates
     # keyed by a point's reduced (numerator, denominator) in y: (sign
     # variations of the chain, sign of its first member)
@@ -165,16 +193,17 @@ class CertificationContext:
         charpoly(m) gives chi_A, the report's polynomial, and leaves the
         integer coefficients of chi_B cached on m, where the chain is read
         from.  If the remainder sequence of chi_B ends in a constant it is
-        the chain.  Otherwise its last member g is gcd(chi_B, chi_B') and
-        primitive, so chi_B / g has integer coefficients (Gauss's lemma)
-        and is divided out exactly; the chain is built on the quotient,
-        which must then be square-free.
+        the chain.  Otherwise its last member is gcd(chi_B, chi_B') times a
+        constant; its primitive part g divides chi_B with integer
+        coefficients (Gauss's lemma) and is divided out exactly, and the
+        chain is built on the quotient, which must then be square-free.
         """
         original = charpoly(m)
         coeffs = list(m.cleared_charpoly)
         sequence = remainder_sequence(coeffs)
         gcd_part = sequence[-1]
         if len(gcd_part) > 1:
+            gcd_part = kernels.int_content_strip(gcd_part)
             if gcd_part[-1] < 0:  # so the quotient keeps the sign of chi_B
                 gcd_part = [-c for c in gcd_part]
             quot, rem = kernels.int_divmod_exact(coeffs, gcd_part)

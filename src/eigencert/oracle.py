@@ -4,8 +4,8 @@ The characteristic polynomial comes from cofactor expansion instead of
 division-free Berkowitz, the Hermite forms from dense products with the
 companion matrix instead of Newton power sums laid out as Hankel
 matrices, root counting and isolation from the textbook Sturm chain over
-Fraction (field remainders) instead of the primitive integer chain that
-every signature is read from.  Tests hold the two sides against each
+Fraction (field remainders) instead of the subresultant integer chain
+that every signature is read from.  Tests hold the two sides against each
 other.  This is the one home of the Fraction routes over Poly and
 SquareMatrix, and the program runs none of them.
 """
@@ -211,7 +211,7 @@ def sturm_isolate_roots(p: Poly, eps) -> list:
 
     Square-free p.  Plain Sturm bisection inside the Cauchy bound, on the
     textbook Fraction chain of sturm_chain rather than the pipeline's
-    primitive integer chain; a midpoint that is a root becomes the
+    subresultant integer chain; a midpoint that is a root becomes the
     zero-width interval [m, m] and the remaining roots are isolated on the
     deflated quotient.
     """

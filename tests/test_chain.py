@@ -25,6 +25,7 @@ from eigencert.localize import (
 )
 from eigencert.numerics import EXACT, InternalConsistencyError
 from eigencert.oracle import (
+    companion,
     square_free_part,
     sturm_chain,
     sturm_count,
@@ -239,9 +240,9 @@ def test_one_remainder_sequence_gives_square_free_part_and_chain(p):
     square-free part by oracle.gcd, and the Sturm chain built on it."""
     square_free = square_free_part(p)
     calls = []
-    prem = kernels.int_prem_primitive
+    prem = kernels.int_prem
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "int_prem_primitive", lambda f, g: calls.append(1) or prem(f, g))
+        mp.setattr(kernels, "int_prem", lambda f, g: calls.append(1) or prem(f, g))
         ctx = poly_context(p)
     assert chain_poly(ctx) == square_free
     assert ctx.original == p.monic()
@@ -281,16 +282,108 @@ def test_repeated_block_matrix_takes_the_division_path(monkeypatch):
     check_pipeline_tests(m, [F(1), F(2)], (-TINY, TINY))
 
 
-def test_int_sturm_chain_is_primitive_and_integer():
+def test_int_sturm_chain_is_integer_and_subresultant():
     # (x - 1/2)(x - 1)(x - 3/2)/4; made monic, its denominators clear to D = 4
     p = Poly.from_coeffs([F(-3, 16), F(11, 16), F(-3, 4), F(1, 4)])
     ctx = poly_context(p)
     assert ctx.scale == 4
     chain = ctx.chain
     assert chain[0] == [-48, 44, -12, 1]  # (y-2)(y-4)(y-6)
-    assert chain[1] == [44, -24, 3]
-    assert [len(f) for f in chain] == [4, 3, 2, 1]
+    assert chain[1] == [44, -24, 3]  # f' is made primitive
+    # f_2 = -prem(f_0, f_1), f_3 = -prem(f_1, f_2) / lc(f_1)^2: not primitive
+    assert chain[2:] == ([-96, 24], [256])
     assert all(isinstance(c, int) for f in chain for c in f)
+    assert_positive_multiples(chain, sturm_chain(Poly.from_coeffs(chain[0])))
+
+
+def assert_positive_multiples(chain, textbook):
+    """Each integer member is a positive rational multiple of the textbook
+    member, and there are as many."""
+    assert len(chain) == len(textbook)
+    for member, q in zip(chain, textbook):
+        assert len(member) == len(q.coeffs), (member, q)
+        ratio = member[-1] / q.coeffs[-1]
+        assert ratio > 0, (member, q)
+        assert [F(c) for c in member] == [ratio * c for c in q.coeffs], (member, q)
+
+
+# Chains with degree gaps (non-normal steps), each with its real roots and
+# its members from f_2 on, which are the subresultant PRS of f and f' made
+# primitive, up to sign.  x^4 + 1 ends x^3, -1; x^5 - x drops from degree 4
+# to 1; x^4 + x steps from 4x^3 + 1 to -12x, whose negative leading
+# coefficient then meets a gap of 2; x^6 - 2x^3 + 2 has two gaps of 2, and
+# x^7 - x^2 + 1 one of 4, after which psi is 7^4 where a normal step would
+# leave 7.
+GAPPED = [
+    ([1, 0, 0, 0, 1], (), ([-1],)),
+    ([0, -1, 0, 0, 0, 1], (-1, 0, 1), ([0, 20], [256])),
+    ([0, 1, 0, 0, 1], (-1, 0), ([0, -12], [-27])),
+    ([2, 0, 0, -2, 0, 0, 1], (), ([-2, 0, 0, 1], [0, 0, -1], [2])),
+    ([1, 0, -1, 0, 0, 0, 0, 1], (), ([-49, 0, 35], [-60025, 6250], [-811043])),
+]
+
+
+@pytest.mark.parametrize("coeffs, roots, members", GAPPED)
+def test_gapped_chain_is_the_textbook_chain(coeffs, roots, members):
+    chain = remainder_sequence(coeffs)
+    gaps = [len(f) - len(g) for f, g in zip(chain, chain[1:])]
+    assert max(gaps) > 1, gaps
+    assert chain[2:] == members
+    p = Poly.from_coeffs(coeffs)
+    assert_positive_multiples(chain, sturm_chain(p))
+    m = companion(p)
+    assert CertificationContext.from_matrix(m).chain == chain
+    check_pipeline_tests(m, [F(r) for r in roots], (-TINY, TINY, F(1, 2)))
+
+
+def test_gapped_chain_on_repeated_roots():
+    """x^5 + x^2 = x^2 (x + 1)(x^2 - x + 1): its sequence ends in -54x, which
+    is made primitive before it divides out the double root 0."""
+    chain = remainder_sequence([0, 0, 1, 0, 0, 1])
+    assert chain[-1] == [0, -54]
+    ctx = poly_context(Poly.from_coeffs([0, 0, 1, 0, 0, 1]))
+    assert ctx.chain[0] == [0, 1, 0, 0, 1]
+    assert ctx.chain == remainder_sequence([0, 1, 0, 0, 1])
+    assert ctx.base_signature == 2
+
+
+def test_remainder_sequence_refuses_an_inexact_division(monkeypatch):
+    """A pseudo-remainder that beta does not divide raises: x^3 - 2x has
+    f_1 = 3x^2 - 2, so the second step divides by beta = 9."""
+    prem = kernels.int_prem
+
+    def forged(f, g):
+        rem = prem(f, g)
+        return [rem[0] + 1, *rem[1:]]
+
+    monkeypatch.setattr(kernels, "int_prem", forged)
+    with pytest.raises(InternalConsistencyError, match="not divisible"):
+        remainder_sequence([0, -2, 0, 1])
+
+
+@st.composite
+def sparse_polys(draw):
+    """A square-free integer polynomial of degree 2-10 with 2-4 terms, its
+    leading coefficient of either sign: degree gaps are common."""
+    degree = draw(st.integers(2, 10))
+    coeffs = [0] * (degree + 1)
+    for e in draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=3, unique=True)):
+        coeffs[e] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    coeffs[degree] = draw(st.sampled_from((-2, -1, 1, 3)))
+    p = Poly.from_coeffs(coeffs)
+    assume(square_free_part(p) == p.monic())
+    return coeffs
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sparse_polys())
+def test_sparse_chain_is_the_textbook_chain(coeffs):
+    chain = remainder_sequence(coeffs)
+    textbook = sturm_chain(Poly.from_coeffs(coeffs))
+    assert all(isinstance(c, int) for f in chain for c in f)
+    assert_positive_multiples(chain, textbook)
+    ctx = CertificationContext(Poly.from_coeffs(coeffs), chain, 1)
+    assert ctx.base_signature == sturm_count_all(textbook)
 
 
 @st.composite

@@ -220,34 +220,29 @@ def test_int_content_strip(K):
     assert K.int_content_strip([-4]) == [-1]
 
 
-def test_int_prem_primitive_sign(K):
-    # remainder of x^2 - 1 by x: the true remainder is -1; the kernel
-    # returns a positive multiple of it, content-stripped
-    assert K.int_prem_primitive([-1, 0, 1], [0, 1]) == [-1]
-    # negative leading coefficient in g must not flip the sign
-    assert K.int_prem_primitive([-1, 0, 1], [0, -1]) == [-1]
-    assert K.int_prem_primitive([0, 1], [1]) == []  # exact division
+def test_int_prem_sign(K):
+    # x^2 - 1 by x: the true remainder is -1, times lc(g)^2 = 1 either way
+    assert K.int_prem([-1, 0, 1], [0, 1]) == [-1]
+    assert K.int_prem([-1, 0, 1], [0, -1]) == [-1]
+    # by -2x, and x^3 - 1 by -2x: lc(g)^(d + 1) keeps its sign
+    assert K.int_prem([-1, 0, 1], [0, -2]) == [-4]
+    assert K.int_prem([-1, 0, 0, 1], [0, -2]) == [8]
+    assert K.int_prem([0, 1], [1]) == []  # exact division
 
 
-def test_int_prem_primitive_matches_field_remainder(K):
+def test_int_prem_matches_field_remainder(K):
+    """lc(g)^(d+1) f = q g + r, d = deg f - deg g: r is lc(g)^(d+1) times the
+    field remainder of poly_divmod, for gaps d = 0-4 and zero coefficients."""
     rng = random.Random(61)
-    for _ in range(30):
-        f = [rng.randint(-8, 8) for _ in range(rng.randint(2, 7))]
-        g = [rng.randint(-8, 8) for _ in range(rng.randint(1, 4))]
-        if not any(g):
-            g[-1] = 1
-        if not any(f):
-            f[-1] = 1
-        got = K.int_prem_primitive(f, g)
+    for _ in range(200):
+        g = [rng.randint(-8, 8) for _ in range(rng.randint(0, 4))] + [rng.choice((-3, -1, 1, 2))]
+        gap = rng.randint(0, 4)
+        f = [rng.choice((0, 0, rng.randint(-8, 8))) for _ in range(len(g) - 1 + gap)]
+        f.append(rng.choice((-2, 1, 3)))
+        got = K.int_prem(f, g)
+        assert all(isinstance(c, int) for c in got)
         _, want = K.poly_divmod([Fraction(c) for c in f], [Fraction(c) for c in g])
-        if not want:
-            assert got == []
-            continue
-        # same degree, and proportional by a positive rational factor
-        assert len(got) == len(want)
-        ratio = Fraction(got[-1]) / want[-1]
-        assert ratio > 0
-        assert [Fraction(c) for c in got] == [ratio * c for c in want]
+        assert got == [c * g[-1] ** (gap + 1) for c in want]
 
 
 def test_int_divmod_exact(K):

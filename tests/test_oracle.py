@@ -63,10 +63,10 @@ def test_sturm_count_closed():
 
 def test_sturm_count_closed_shares_no_chain_kernel(monkeypatch):
     # the oracle's gcd runs Euclid over Fraction, not the pipeline's
-    # primitive pseudo-remainder kernel
+    # pseudo-remainder kernel
     def unused(*args):
-        raise AssertionError("oracle ran kernels.int_prem_primitive")
+        raise AssertionError("oracle ran kernels.int_prem")
 
-    monkeypatch.setattr(kernels, "int_prem_primitive", unused)
+    monkeypatch.setattr(kernels, "int_prem", unused)
     sq = P(4, -4, 1)  # (x-2)^2
     assert sturm_count_closed(sq * P(-1, 1), 0, 3) == 2

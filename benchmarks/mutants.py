@@ -19,9 +19,10 @@ and 2 when the unmutated tree fails.
 
     python3 benchmarks/mutants.py
 
-The list covers src/eigencert/localize.py, and the integer arithmetic of
+The list covers src/eigencert/localize.py, the integer arithmetic of
 src/eigencert/kernels.py and src/eigencert/charpoly.py that the chain is
-built from; the mutants of src/eigencert/refine.py are still to come.
+built from, and the end-root rule of src/eigencert/refine.py: roots at
+piece ends become points, and the sign loop around them.
 """
 
 import os
@@ -56,6 +57,7 @@ TIMEOUT_S = 90  # wall time of each test run
 LOCALIZE = "src/eigencert/localize.py"
 KERNELS = "src/eigencert/kernels.py"
 CHARPOLY = "src/eigencert/charpoly.py"
+REFINE = "src/eigencert/refine.py"
 
 MUTANTS = (
     # the one fill of locate, and the one-root and end reads of
@@ -172,6 +174,19 @@ MUTANTS = (
     Mutant("cleared-charpoly-one-power-of-d-more", CHARPOLY,
            "denom ** (n - k)",
            "denom ** (n - k + 1)"),
+    # refinement: roots at piece ends are points, kept once
+    Mutant("sign-loop-quadratic-from-a-zero-end", REFINE,
+           "halvings = steps if steps < 16 or not quadratic else 7",
+           "halvings = steps if steps < 16 else 7"),
+    Mutant("end-root-at-hi-not-a-point", REFINE,
+           "out.append((hi, hi, None, 1))",
+           "pass"),
+    Mutant("breakpoint-point-kept-twice", REFINE,
+           "if pieces and cells and pieces[-1].lo == cells[0].hi:",
+           "if False:"),
+    Mutant("sign-right-of-a-root-lo-flipped", REFINE,
+           "right_of_lo = at_lo or -at_hi or",
+           "right_of_lo = at_lo or at_hi or"),
 )
 
 

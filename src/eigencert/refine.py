@@ -4,51 +4,52 @@ The ends of an input interval and epsilon are mapped once to the chain's
 coordinates y, as (num, den) keys of the context's memo, and every width
 test, halving count, midpoint and nudge after that is integer
 arithmetic.  Only the emitted cells become Fractions, x = num/(den*D).
-Each contains-real piece ends as the cells that halving it at midpoints
-down to width epsilon keeps, reached by one of three steps:
+A piece carries the exact count of distinct roots strictly inside it,
+and a root at its end is never its job: where the memo's sign of p is 0
+at an end, that end is emitted once as the point interval [r, r].  A
+piece with no root inside is then dropped, and every other one halves at
+midpoints down to width epsilon, by one of two steps:
 
-- Sign loop.  Once a piece holds exactly one root (p is square-free, so
-  that root is simple) and neither end is a root, p(lo) and p(hi) have
-  opposite signs, and a sign of p at a point inside tells which side
-  holds the root, by the intermediate value theorem.  The number of
-  halvings down to epsilon is known up front, and with it the cell that
-  halving ends on: both ends are put over one denominator q as left/q
-  and (left + width)/q, and each halving doubles left and q and takes
-  the sign of p at (left + width)/q by integer Horner.  A run of fewer
-  than 16 halvings does exactly that.  A longer run halves 7 times and
-  then takes quadratic interval refinement steps on the same dyadic
-  grid: the secant root of the cell's end values, rounded to a grid
+- Sign loop.  Once a piece holds one root inside (p is square-free, so
+  that root is simple), a sign of p at a point inside tells which side
+  holds it.  Just right of lo, p has the sign of -p(hi); where hi is a
+  root, that of p(lo); where both ends are, that of chain[1] at lo,
+  which is p' over a positive content.  The number of halvings down to
+  epsilon is known up front, and with it the cell that halving ends on:
+  both ends are put over one denominator q as left/q and (left +
+  width)/q, and each halving doubles left and q and takes the sign of p
+  at (left + width)/q by integer Horner.  A run of fewer than 16
+  halvings, or one with a root at an end, does exactly that.  A longer
+  run halves 7 times and then takes quadratic interval refinement steps
+  on the same dyadic grid: the secant root of the cell's end values
+  (which a zero end value would pin to that end), rounded to a grid
   point, and its neighbour toward the root, with 2^t sub-cells and t
   doubling on every hit, so once the secant is close the Horner calls
-  grow with log log(w/eps).
-  Every kept cell holds the root strictly inside, so both routes end on
-  the same cell.  A grid point that is a root becomes the point
-  interval [m, m] and ends the loop.
-- Endpoint step.  A piece with no root inside (its count is exact) holds
-  roots only at the ends where p is 0.  Bisection would keep the half at
-  each such end until the width is at most epsilon, so the final cells
-  [lo, lo + w] and [hi - w, hi], with w the width halved that many times,
-  are emitted at once, with no test.
-- Hermite step.  Every other piece (several roots inside, or one root
-  inside and a root at an end) re-certifies both halves and drops the
-  empty ones.  That test reads two counts off the context's Sturm chain,
-  and the midpoint the halves share is evaluated once.  A midpoint that
-  is exactly a root becomes a zero-width point interval and the
-  recursion continues on [lo, m - eps/4] and [m + eps/4, hi], so neither
-  side inherits the root as an endpoint.
+  grow with log log(w/eps).  Every kept cell holds the root strictly
+  inside, so both routes end on the same cell.  A grid point that is a
+  root becomes the point interval [m, m] and ends the loop.
+- Hermite step.  A piece with two or more roots inside re-certifies both
+  halves, reading two counts off the context's Sturm chain; the midpoint
+  they share is evaluated once.  A midpoint that is exactly a root
+  becomes a point interval and the recursion continues on [lo, m -
+  eps/4] and [m + eps/4, hi], so a root within eps/4 of m is lost.  The
+  halves [lo, m] and [m, hi] would do under the end-root rule; the nudge
+  stays while certbench/test_checker.py pins the answer it gives on its
+  lost-root matrix (ROADMAP item 2(a)).
 
 The ends of every piece and the Hermite step's midpoints are memoised by
 key in the context; the sign loop's points are evaluated once each.
-
-The pieces kept at any time are disjoint and each holds a root, so there
-are never more of them than sigma(H_1); more means the signatures are
-wrong.  Every emitted interval carries a real certificate - nothing is
-ever emitted on numeric evidence alone.
+The pieces kept at any time are disjoint and each holds a root, inside
+or at an end, that no other holds, so there are never more of them than
+sigma(H_1); more means the signatures are wrong.  Every emitted interval
+carries a real certificate - nothing is ever emitted on numeric evidence
+alone.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import attrgetter
 
 from eigencert import kernels
 from eigencert.localize import CertificationContext, CertifiedInterval, reduced_key
@@ -68,39 +69,17 @@ def _depth_budget(num: int, den: int) -> int:
     return _halvings(num, den) + 2
 
 
-def _endpoint_cells(ctx: CertificationContext, lo, hi, width: int, den: int, steps: int) -> list:
-    """Final cells of a contains-real piece with no root inside.
+def _sign_bisect(ctx: CertificationContext, lo, hi, right_of_lo: int, steps: int,
+                 quadratic: bool) -> tuple:
+    """The cell of (lo, hi) around its one simple root after `steps` halvings.
 
-    Its roots are the ends where p is 0.  Each is the end of the cell that
-    bisection keeps beside it, of width (width/den) / 2^steps, and
-    sigma(H_q) of that cell is sigma(H_1) - 1 by TaQ: one endpoint root,
-    none inside.
-    """
-    den <<= steps
-    sigma = ctx.base_signature - 1
-    cells = []
-    if ctx.entry(lo)[1] == 0:
-        cells.append((lo, (lo[0] * (den // lo[1]) + width, den), sigma, 0))
-    if ctx.entry(hi)[1] == 0:
-        cells.append(((hi[0] * (den // hi[1]) - width, den), hi, sigma, 0))
-    if not cells:
-        raise InternalConsistencyError(
-            f"[y = {lo[0]}/{lo[1]}, y = {hi[0]}/{hi[1]}] contains a root "
-            "but has none inside or at an end"
-        )
-    return cells
-
-
-def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> tuple:
-    """The cell of [lo, hi] around its one simple root after `steps` halvings.
-
-    at_lo is the sign of p at lo, and p(hi) has the other sign.  A grid
-    point of level <= steps where p is 0 is returned as the point interval.
-    A run of fewer than 16 halvings halves at every midpoint; a longer one
-    halves 7 times and then takes quadratic steps on the same grid, which
-    end on the same cell.  The quadratic steps start from the values p
-    took at the cell's ends during the halvings; only an end that is
-    still an input end is evaluated again.
+    right_of_lo has the sign of p just right of lo, and p has the other
+    sign just left of hi.  A grid point of level <= steps where p is 0 is
+    returned as the point interval.  A run of fewer than 16 halvings, or
+    one not quadratic (an end is a root), halves at every midpoint; a
+    longer one halves 7 times and then takes quadratic steps on the same
+    grid, which end on the same cell, starting from the values p took at
+    the cell's ends; only an end still an input end is evaluated again.
     """
     (a, b), (c, d) = lo, hi
     q = lcm(b, d)
@@ -108,8 +87,8 @@ def _sign_bisect(ctx: CertificationContext, lo, hi, at_lo: int, steps: int) -> t
     width = c * (q // d) - left
     f = ctx.chain[0]
     horner = kernels.horner_homogeneous
-    positive_at_lo = at_lo > 0
-    halvings = steps if steps < 16 else 7
+    positive_at_lo = right_of_lo > 0
+    halvings = steps if steps < 16 or not quadratic else 7
     # the last midpoint value on each side, and the halving that took it
     at_left = at_right = None
     for k in range(halvings):
@@ -211,7 +190,9 @@ def _quadratic_steps(f, left, width, q, ends, positive_at_lo: bool, rest: int) -
 
 
 def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps) -> list:
-    """Refine one certified interval to pieces of width <= eps."""
+    """Refine one certified interval to cells of width <= eps, sorted: a
+    point for each root at a piece's end, the input's ends included, and
+    cells that each hold their exact count of roots inside, at least 1."""
     e_num, e_den = ctx.width_key(eps)
     if not interval.contains_real:
         return []
@@ -226,29 +207,38 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         (a, b), (c, d) = lo, hi
         # the width is width/den, and width/eps is width * e_den / (den * e_num)
         width, den = c * b - a * d, b * d
-        if width * e_den <= den * e_num:
-            out.append((lo, hi, sigma, inside))
-            continue
-        if depth > budget:
-            raise InternalConsistencyError("bisection failed to converge")
-        if inside == 0:
-            steps = _halvings(width * e_den, den * e_num)
-            out.extend(_endpoint_cells(ctx, lo, hi, width, den, steps))
-            _check_piece_count(ctx, len(stack) + len(out))
-            continue
-        if inside == 1:
+        narrow = width * e_den <= den * e_num
+        if inside < 2 or narrow:
+            # a piece that is not halved again is the one piece with its ends,
+            # so a root at one is emitted here, once, as a point
             at_lo, at_hi = ctx.entry(lo)[1], ctx.entry(hi)[1]
-            if at_lo and at_hi:
-                if at_lo == at_hi:
+            if not at_lo:
+                out.append((lo, lo, None, 1))
+            if not at_hi and width:  # the ends of a zero-width piece are one point
+                out.append((hi, hi, None, 1))
+            if not inside or not width:
+                if at_lo and at_hi:
                     raise InternalConsistencyError(
-                        f"p has no sign change on [y = {a}/{b}, y = {c}/{d}], "
-                        "which holds one simple root"
+                        f"[y = {a}/{b}, y = {c}/{d}] contains a root "
+                        "but has none inside or at an end"
                     )
+            elif narrow:
+                out.append((lo, hi, sigma, inside))
+            elif at_lo and at_lo == at_hi:
+                raise InternalConsistencyError(
+                    f"p has no sign change on [y = {a}/{b}, y = {c}/{d}], "
+                    "which holds one simple root"
+                )
+            else:
                 steps = _halvings(width * e_den, den * e_num)
                 if depth + steps > budget:
                     raise InternalConsistencyError("bisection failed to converge")
-                out.append(_sign_bisect(ctx, lo, hi, at_lo, steps))
-                continue
+                # p's sign just right of lo; at a root lo, chain[1] = p' / content has it
+                right_of_lo = at_lo or -at_hi or kernels.horner_homogeneous(ctx.chain[1], *lo)
+                out.append(_sign_bisect(ctx, lo, hi, right_of_lo, steps, at_lo and at_hi))
+            continue
+        if depth > budget:
+            raise InternalConsistencyError("bisection failed to converge")
         mid = reduced_key(a * d + c * b, 2 * den)
         if ctx.entry(mid)[1] == 0:
             out.append((mid, mid, None, 1))
@@ -259,15 +249,13 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
         else:
             halves = ((lo, mid), (mid, hi))
         for lo, hi in halves:
-            if not lo[0] * hi[1] < hi[0] * lo[1]:
-                continue
             sigma, inside = ctx.sigma_inside(lo, hi)
             if sigma != base:
                 stack.append((lo, hi, sigma, inside, depth + 1))
         _check_piece_count(ctx, len(stack) + len(out))
     cells = [ctx.interval(lo, hi, sigma, inside, interval.sources)
              for lo, hi, sigma, inside in out]
-    cells.sort(key=lambda v: (v.lo, v.hi))
+    cells.sort(key=attrgetter("lo", "hi"))
     return cells
 
 
@@ -281,12 +269,18 @@ def _check_piece_count(ctx: CertificationContext, pieces: int) -> None:
 
 
 def refine_all(ctx: CertificationContext, intervals, eps) -> tuple:
-    """Refine every interval; results sorted by position.
-
-    Pieces are never merged: each carries its own exact root count, and
-    two pieces that meet at a bisection point would in general span more
-    than epsilon.
+    """Refine intervals whose interiors are disjoint, as locate's are;
+    results sorted by position.  Pieces are never merged: each carries its
+    own exact root count, and two that meet at a bisection point would in
+    general span more than epsilon.  A root at a breakpoint is a point of
+    both candidates that meet there, kept once with the sources of both.
     """
-    pieces = [piece for iv in intervals for piece in refine_interval(ctx, iv, eps)]
-    pieces.sort(key=lambda v: (v.lo, v.hi))
+    pieces = []
+    for iv in sorted(intervals, key=attrgetter("lo")):
+        cells = refine_interval(ctx, iv, eps)
+        # only a point at the breakpoint ends one candidate and starts the next
+        if pieces and cells and pieces[-1].lo == cells[0].hi:
+            cells[0] = cells[0]._replace(
+                sources=tuple(sorted({*pieces.pop().sources, *cells[0].sources})))
+        pieces += cells
     return tuple(pieces)

@@ -13,6 +13,7 @@ from eigencert.poly import Poly
 from eigencert.refine import _depth_budget, _halvings, refine_all, refine_interval
 from tests.conftest import certify_x, ctx_for, horner_calls, poly_context
 from tests.test_chain import triangular_similar
+from tests.test_root_accounting import check_every_root_accounted
 
 
 TINY_STEP = F(1, 10**40)
@@ -81,6 +82,8 @@ def test_refine_midpoint_hits_root():
     iv = certify_x(ctx, 0, 4)
     pieces = refine_interval(ctx, iv, F(1, 4))
     assert pieces == [CertifiedInterval(2, 2, True, None, 1, ())]
+    # the point fed back in is its own end root, once
+    assert refine_interval(ctx, pieces[0], F(1, 4)) == pieces
 
 
 def test_refine_midpoint_root_with_flanking_roots():
@@ -187,8 +190,8 @@ def test_refine_more_pieces_than_roots_raises(monkeypatch):
     iv = certify_x(ctx, 0, 8)
 
     def every_half_holds_two(lo, hi):
-        # a count of 0 would send the half to the endpoint step, which
-        # refuses a piece with no root at an end before the count check
+        # a half with count 0 and no root at an end would be refused as
+        # such before the count check
         return ctx.base_signature - 4, 2
 
     monkeypatch.setattr(ctx, "sigma_inside", every_half_holds_two)
@@ -219,13 +222,12 @@ def _bisection_cell(lo, hi, root, eps):
     (F(1), F(3), [1, 3]),  # roots at both ends
 ], ids=["root-at-lo", "root-at-hi", "roots-at-both-ends"])
 def test_refine_endpoint_only_piece_without_test(monkeypatch, lo, hi, roots):
+    """A piece with no root inside is only its end roots, as points."""
     ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
     iv = certify_x(ctx, lo, hi, (0, 2))
     assert iv.contains_real and iv.min_root_count == 0
     for eps in (F(1, 2), F(1, 1000), F(1, 2**40)):
-        expected = [
-            certify_x(ctx, *_bisection_cell(lo, hi, root, eps), (0, 2)) for root in roots
-        ]
+        expected = [CertifiedInterval(r, r, True, None, 1, (0, 2)) for r in roots]
         with monkeypatch.context() as patch:
             patch.setattr(ctx, "sigma_inside", _no_hermite_test)
             assert refine_interval(ctx, iv, eps) == expected
@@ -247,6 +249,81 @@ def _ctx_with_roots(roots, quadratic):
     for r in roots:
         p = p * Poly.from_coeffs([-r.numerator, r.denominator])
     return poly_context(p)
+
+
+@pytest.mark.parametrize("eps", [F("1e-12"), F("1e-30")])
+def test_sign_loop_with_a_root_at_an_end_only_halves(monkeypatch, eps):
+    """p = x(x - 1/1000)(x - 5) on [0, 1]: 0 is a point, and the sign loop
+    finds 1/1000.  Quadratic steps from the zero value at 0 would put the
+    secant root on 0 and return [0, 0] again."""
+    ctx = _ctx_with_roots([F(0), F(1, 1000), F(5)], 1)
+    iv = certify_x(ctx, 0, 1, (0,))
+    assert iv.min_root_count == 1 and _halvings(*_ratio(F(1), eps)) >= 16
+    monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
+    lo, hi = _bisection_cell(F(0), F(1), F(1, 1000), eps)
+    assert refine_interval(ctx, iv, eps) == [
+        CertifiedInterval(F(0), F(0), True, None, 1, (0,)),
+        CertifiedInterval(lo, hi, True, None, 1, (0,)),
+    ]
+
+
+@pytest.mark.parametrize("beyond", [[], [F(4)]], ids=["rising-at-lo", "falling-at-lo"])
+def test_sign_loop_with_roots_at_both_ends(monkeypatch, beyond):
+    """One root inside [1, 3] and a root at each end: the sign just right of
+    1 is that of chain[1] at 1, positive with roots 1, 7/3, 3 alone and
+    negative with 4 beside them."""
+    ctx = _ctx_with_roots([F(1), F(7, 3), F(3), *beyond], 1)
+    iv = certify_x(ctx, 1, 3)
+    assert iv.min_root_count == 1
+    monkeypatch.setattr(ctx, "sigma_inside", _no_hermite_test)
+    for eps in (F(1, 1000), F("1e-30")):
+        lo, hi = _bisection_cell(F(1), F(3), F(7, 3), eps)
+        assert refine_interval(ctx, iv, eps) == [
+            CertifiedInterval(F(1), F(1), True, None, 1, ()),
+            CertifiedInterval(lo, hi, True, None, 1, ()),
+            CertifiedInterval(F(3), F(3), True, None, 1, ()),
+        ]
+
+
+def test_refine_all_keeps_a_breakpoint_root_once():
+    """1 is the shared end of two candidates, and a point of each: refine_all
+    keeps it once, with the sources of both."""
+    ctx = ctx_for(3, -4, 1)  # (x-1)(x-3)
+    left, right = certify_x(ctx, 0, 1, (0,)), certify_x(ctx, 1, 2, (1,))
+    assert refine_all(ctx, [left, right], F(1, 64)) == (
+        CertifiedInterval(F(1), F(1), True, None, 1, (0, 1)),
+    )
+
+
+def test_roots_at_breakpoints_are_points():
+    """1,0 / 5,2: the roots 1 and 2 are breakpoints, 1 is also a radius-zero
+    centre; both are final points, and no cell has count 0."""
+    located = locate(SquareMatrix.from_rows([[1, 0], [5, 2]], EXACT))
+    final = refine_all(located.context, located.intervals, F("1e-3"))
+    assert [(iv.lo, iv.hi, iv.min_root_count) for iv in final] == [(1, 1, 1), (2, 2, 1)]
+    assert located.points == (1,)
+
+
+# distinct values at least 1/8 apart: no root is within eps/4 of another,
+# and integers and halves fall on disk ends, breakpoints and midpoints
+SPREAD_DIAGONAL = st.sampled_from(
+    [F(k) for k in range(-2, 4)] + [F(1, 2), F(3, 2), F(1, 4), F(5, 4), F(9, 8)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(triangular_similar(diagonal=SPREAD_DIAGONAL, max_n=5),
+       st.sampled_from((F("1e-3"), F("1e-7"), F("1e-30"))))
+def test_every_root_accounted_on_similar_triangles(case, eps):
+    m, _ = case
+    located = locate(m)
+    final = refine_all(located.context, located.intervals, eps)
+    check_every_root_accounted(
+        m.rows,
+        located.context.base_signature,
+        located.points,
+        [(iv.lo, iv.hi, iv.min_root_count) for iv in final],
+    )
 
 
 @st.composite
@@ -346,9 +423,9 @@ def test_refine_maps_only_the_input_ends_to_keys(monkeypatch):
     pieces = refine_all(ctx, [hermite, endpoint], eps)
     assert calls == [0, 4, 3, F(7, 2)]
     # [0, 4] is cut at its root 2 into [0, 2 - eps/4] and [2 + eps/4, 4]
-    cells = [_bisection_cell(0, 2 - eps / 4, 1, eps), _bisection_cell(2 + eps / 4, 4, 3, eps),
-             _bisection_cell(3, F(7, 2), 3, eps)]
-    assert [(p.lo, p.hi) for p in pieces] == sorted([*cells, (2, 2)])
+    # [3, 7/2] has its root 3 at an end and none inside: it is the point 3
+    cells = [_bisection_cell(0, 2 - eps / 4, 1, eps), _bisection_cell(2 + eps / 4, 4, 3, eps)]
+    assert [(p.lo, p.hi) for p in pieces] == sorted([*cells, (2, 2), (3, 3)])
 
 
 @st.composite

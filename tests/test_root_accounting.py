@@ -9,16 +9,19 @@ hold every real eigenvalue.  Two checks hold it to that claim:
 * coverage: every root that oracle.sturm_isolate_roots finds lies in a
   final interval or is a point.
 
-Both reproducers fail today, so each test is a strict xfail: a fix of
-refinement at roots that are breakpoints or bisection midpoints must
-unmark them.
+* 1,0 / 5,2 at epsilon 1e-3: the roots 1 and 2 are breakpoints, each the
+  shared end of two candidates.  A root at a piece's end is a point, so
+  the run reports [1, 1] and [2, 2] and accounts for both roots.
+* The lost-root matrix, the first reproducer, has eigenvalues 0, 1e-9
+  and 3.  At epsilon 1e-7 the midpoint 0 is a root, the Hermite step
+  skips eps/4 on either side of it, and 1e-9 is lost; the run accounts
+  for 2 of 3 roots.  Its tests stay strict xfails until the nudge goes
+  (ROADMAP item 2(a)), which waits for the checker test that pins this
+  answer to be mended (item 1(a)).
 
-* The first matrix has eigenvalues 0, 1e-9 and 3.  At epsilon 1e-7 the
-  midpoint 0 is a root, the stretch around it is skipped, and 1e-9 is
-  lost; the run accounts for 1 of 3 roots.
-* 1,0 / 5,2 at epsilon 1e-3: the roots 1 and 2 are breakpoints, and each
-  is reported as two cells that meet at it with count 0; the run accounts
-  for 1 of 2 roots.
+tests/test_refine.py runs the same check under Hypothesis on triangular
+matrices under unimodular similarity, with eigenvalues on disk ends and
+dyadic midpoints.
 """
 
 import json
@@ -34,6 +37,13 @@ from eigencert.oracle import square_free_part, sturm_count_closed, sturm_isolate
 from eigencert.refine import refine_all
 from eigencert.report import text_scalar
 
+lost_roots = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the eps/4 nudge at a midpoint root skips a root beside it (ROADMAP item 2(a), "
+           "after item 1(a))",
+)
+
 REPRODUCERS = [
     pytest.param(
         [["-3", "-12", "-6"],
@@ -41,15 +51,10 @@ REPRODUCERS = [
          ["-3", "-11.999999998", "-5.999999998"]],
         "1e-7",
         id="root-beside-a-midpoint-root",
+        marks=lost_roots,
     ),
     pytest.param([["1", "0"], ["5", "2"]], "1e-3", id="roots-at-breakpoints"),
 ]
-
-lost_roots = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="refinement loses roots at breakpoints and midpoints",
-)
 
 
 def check_every_root_accounted(rows, sigma, points, finals):
@@ -67,7 +72,6 @@ def check_every_root_accounted(rows, sigma, points, finals):
         ), f"no final interval or point holds the root in [{lo}, {hi}]"
 
 
-@lost_roots
 @pytest.mark.parametrize("rows, epsilon", REPRODUCERS)
 def test_library_accounts_for_every_root(rows, epsilon):
     located = locate(SquareMatrix.from_rows(rows, EXACT))
@@ -80,7 +84,6 @@ def test_library_accounts_for_every_root(rows, epsilon):
     )
 
 
-@lost_roots
 @pytest.mark.parametrize("rows, epsilon", REPRODUCERS)
 def test_cli_accounts_for_every_root(rows, epsilon, tmp_path, capsys):
     path = tmp_path / "matrix.csv"

@@ -11,10 +11,13 @@ the Hermite step and an eps/4 nudge; refine_all to 1e-1000 on the
 located 2x2 [[1, 2], [3, 4]], whose two roots are each about 3,330
 halvings deep; the breakpoints of locate on the Gershgorin
 disks of a seeded integer matrix, without and with its column disks, 50
-calls each; one whole locate on a seeded matrix of integers, of one-place
-decimals, of one-place decimals in a repeated block diag(B, B), whose
-every root is double, and of integers with one entry the double 0.1,
-whose denominators clear to D = 2^55; the memo fill of the locate on
+calls each; the candidates of the locate on integers: their sources, 50
+calls, and their tests, one certify_interval per candidate from the memo
+that locate filled and an emptied point cache, 50 times; one whole
+locate on a seeded matrix of integers, of one-place decimals, of
+one-place decimals in a repeated block diag(B, B), whose every root is
+double, and of integers with one entry the double 0.1, whose
+denominators clear to D = 2^55; the memo fill of the locate on
 integers, from an emptied memo; and the CLI's two text layers:
 the JSON text of the worked 5x5 example's report, and the parse of a
 seeded matrix of one-place decimals as CSV and as JSON text.  Runs every
@@ -41,8 +44,10 @@ from eigencert.charpoly import SquareMatrix
 from eigencert.cli import parse_matrix_text
 from eigencert.numerics import EXACT
 from eigencert.localize import (
+    CONTAINS_REAL,
     CertificationContext,
     candidate_points,
+    candidate_sources,
     certify_interval,
     gershgorin_disks,
     locate,
@@ -139,6 +144,21 @@ def build_cases(size: int):
         fill_ctx._memo = {}
         fill_ctx.fill_keys(fill_keys)
 
+    # the candidates of that locate, cut and tested from its memo as locate
+    # does; D = 1, so the disks of B are those of int_rows
+    located = locate(locate_inputs[0])
+    certified = [(disk, d.row) for disk, d in zip(disks, located.disks)
+                 if d.verdict == CONTAINS_REAL]
+    cut = candidate_points(disks, [disk for disk, _ in certified])
+    cut_sources = candidate_sources(cut, certified)
+
+    def locate_candidates():
+        for _ in range(50):
+            located.context._points = {}
+            keys = [(y, 1) for y in cut]
+            [certify_interval(located.context, lo, hi, sources)
+             for lo, hi, sources in zip(keys, keys[1:], cut_sources)]
+
     cases = [
         ("reference", reference),
         ("sign_variations", lambda: kernels.sign_variations(signs)),
@@ -152,6 +172,10 @@ def build_cases(size: int):
         ("candidate_points_columns", lambda: [
             candidate_points(disks, yes, columns) for _ in range(50)
         ]),
+        ("candidate_sources", lambda: [
+            candidate_sources(cut, certified) for _ in range(50)
+        ]),
+        ("locate_candidates", locate_candidates),
         ("locate_int", lambda: locate(locate_inputs[0])),
         ("locate_decimal", lambda: locate(locate_inputs[1])),
         ("locate_repeated", lambda: locate(locate_inputs[2])),

@@ -79,8 +79,7 @@ MUTANTS = (
            "memo[keys[last]] = (at_neg, sign)"),
     Mutant("fill-column-ends-outside-hull", LOCALIZE,
            "fill.update(y for seg in col_segments for y in seg if left <= y <= right)",
-           "fill.update(y for seg in col_segments for y in seg)",
-           equivalent=True),  # column disks bound the roots too; only the memo grows
+           "fill.update(y for seg in col_segments for y in seg)"),
     Mutant("fill-drop-2-run-read-by-sign", LOCALIZE,
            "            if v_i - v_j > 1:\n",
            "            if v_i - v_j > 2:\n"),
@@ -135,6 +134,18 @@ MUTANTS = (
     Mutant("interval-verdict-always-contains", LOCALIZE,
            "CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma,",
            "CertifiedInterval(x_lo, x_hi, True, sigma,"),
+    # one Fraction per integer point, kept by its whole key
+    Mutant("point-cache-keyed-without-denominator", LOCALIZE,
+           "        x = self._points.get(key)\n"
+           "        if x is None:\n"
+           "            x = Fraction(key[0], key[1] * self.scale)\n"
+           "            if key[1] == 1:\n"
+           "                self._points[key] = x\n",
+           "        x = self._points.get(key[0])\n"
+           "        if x is None:\n"
+           "            x = Fraction(key[0], key[1] * self.scale)\n"
+           "            if key[1] == 1:\n"
+           "                self._points[key[0]] = x\n"),
     # breakpoints and sources
     Mutant("column-union-ends-not-breakpoints", LOCALIZE,
            "            points.update(seg)\n",
@@ -142,15 +153,18 @@ MUTANTS = (
     Mutant("column-cover-not-checked", LOCALIZE,
            "    for region in regions:\n",
            "    for region in regions[:1]:\n"),
+    Mutant("clip-drops-segment-upper-end", LOCALIZE,
+           "kept[bisect_left(kept, lo):bisect_right(kept, hi)]",
+           "kept[bisect_left(kept, lo):bisect_left(kept, hi)]"),
     Mutant("breakpoints-from-contains-real-ends-only", LOCALIZE,
            "    for lo, _, hi in disks:\n        points.add(lo)\n",
            "    for lo, _, hi in yes:\n        points.add(lo)\n"),
     Mutant("sources-bisect-left", LOCALIZE,
-           "k = max(bisect_right(points, lo) - 1, 0)",
-           "k = max(__import__('bisect').bisect_left(points, lo) - 1, 0)"),
+           "range(max(bisect_right(points, lo) - 1, 0),",
+           "range(max(bisect_left(points, lo) - 1, 0),"),
     Mutant("sources-through-upper-end", LOCALIZE,
-           "while k < last and points[k] < hi:",
-           "while k < last and points[k] <= hi:"),
+           "min(bisect_left(points, hi), last)",
+           "min(bisect_right(points, hi), last)"),
     # the spine that certbench's tracer wraps: a default binds the
     # unwrapped certify_disk, so the disk tests go round the tracer
     Mutant("locate-bypasses-certify-disk", LOCALIZE,

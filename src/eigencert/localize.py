@@ -47,15 +47,20 @@ middle.
 Disks and candidates are found in the integers of B = D*A, A with its
 denominators cleared (D is their lcm): the radii, the disk ends, their
 union, the breakpoints and each candidate's sources are int sums and
-compares; the sources take one pass over the contains-real disks, each
-placed among the sorted breakpoints by bisection.  The tests run in B's
+compares.  The breakpoints are sorted once; each merged segment of the
+union, and of the column disks' union, keeps the run of them it covers,
+found by bisection at its two ends, and each contains-real disk reaches
+the candidates it meets as one range of indices.  The tests run in B's
 coordinates too: the context's chain is that of chi_B(y) = det(yI - B),
 whose roots are D times A's, so a disk end or breakpoint y of B is the
 integer point (y, 1) of the memo, which Horner evaluates without powers
 of a denominator.  The tests take those keys, and only the records, in
 A's coordinates, hold Fractions: a disk's c/D and R/D, and an interval's
-ends, made by CertificationContext.interval.  Disk and CertifiedInterval
-are immutable named tuples.
+ends.  CertificationContext.point makes x = y/D once per integer point,
+so two neighbouring candidates share their common end, and a
+contains-real disk's centre is the candidate end at that breakpoint, as
+one object; CertificationContext.interval makes every interval record.
+Disk and CertifiedInterval are immutable named tuples.
 
 The whole pipeline is exact.  A matrix holds the exact values of its
 entries; one built on a float backend holds the values of its rounded
@@ -68,11 +73,11 @@ an eigenvalue exactly) and bypass the interval machinery.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf
+from math import gcd
 from typing import NamedTuple
 
 from eigencert import kernels
@@ -166,8 +171,9 @@ class CertificationContext:
     The memo holds one entry (V, sign of f) per point, keyed by the
     reduced integer pair (num, den) of y = num/den, the integers Horner
     evaluates on.  The methods on such keys are the implementation; key,
-    the one map into keys, takes a point x of A to its key, and interval,
-    the one map back, makes the record of a tested pair.  An entry is
+    the one map into keys, takes a point x of A to its key; point, the one
+    map back, gives a key's x, one Fraction per integer point; and
+    interval makes the record of a tested pair.  An entry is
     evaluated (integer Horner on every chain member), inferred by
     fill_keys from two points with the same V around it, or sign-read by
     fill_keys: one Horner call on the first member, with V placed by
@@ -184,6 +190,8 @@ class CertificationContext:
     # keyed by a point's reduced (numerator, denominator) in y: (sign
     # variations of the chain, sign of its first member)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    # keyed by an integer point (y, 1): its x = y/D, one Fraction per point
+    _points: dict = field(default_factory=dict, repr=False, compare=False)
     backend = EXACT  # not a field: every context is exact
 
     @classmethod
@@ -332,7 +340,9 @@ class CertificationContext:
         exact count of the distinct roots strictly inside, and by TaQ
         sigma(H_q) = sigma(H_1) - 2 #{roots in (lo, hi)} - #{roots in {lo, hi}}.
         """
-        (v_lo, s_lo), (v_hi, s_hi) = self.entry(lo), self.entry(hi)
+        memo = self._memo
+        v_lo, s_lo = memo.get(lo) or self.entry(lo)
+        v_hi, s_hi = memo.get(hi) or self.entry(hi)
         at_hi = s_hi == 0
         inside = v_lo - v_hi - at_hi
         # a Sturm chain's variations never rise from lo to hi
@@ -343,11 +353,24 @@ class CertificationContext:
             )
         return self.base_signature - 2 * inside - (s_lo == 0) - at_hi, inside
 
+    def point(self, key) -> Fraction:
+        """x = num/(den*D) at key.  An integer point (y, 1), as every point of
+        locate is, has one Fraction per context, made on first use and
+        returned at every later read; any other key, such as a cell end of
+        refinement, gets a new one, so the points kept are locate's."""
+        x = self._points.get(key)
+        if x is None:
+            x = Fraction(key[0], key[1] * self.scale)
+            if key[1] == 1:
+                self._points[key] = x
+        return x
+
     def interval(self, lo, hi, sigma, inside, sources) -> CertifiedInterval:
-        """The record of keys lo <= hi, with ends x = num/(den*D); it contains a
-        real root where sigma != sigma(H_1), so always for a refined point's None."""
-        x_lo = Fraction(lo[0], lo[1] * self.scale)
-        x_hi = x_lo if lo is hi else Fraction(hi[0], hi[1] * self.scale)
+        """The record of keys lo <= hi, with the ends that point gives them; it
+        contains a real root where sigma != sigma(H_1), so always for a
+        refined point's None."""
+        x_lo = self.point(lo)
+        x_hi = x_lo if lo is hi else self.point(hi)
         return CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma, inside,
                                  sources)
 
@@ -370,7 +393,7 @@ def certify_disk(ctx: CertificationContext, row: int, disk) -> Disk:
     """The record of row's disk (c - r, c, c + r) of gershgorin_disks, with its verdict:
     point eigenvalue, or the test of q = (y - c + r)(y - c - r) at keys (c -/+ r, 1)."""
     lo, c, hi = disk
-    center, radius = Fraction(c, ctx.scale), Fraction(hi - c, ctx.scale)
+    center, radius = ctx.point((c, 1)), Fraction(hi - c, ctx.scale)
     if lo == hi:
         return Disk(row, center, radius, POINT_EIGENVALUE)
     if ctx.sigma_inside((lo, 1), (hi, 1))[0] != ctx.base_signature:
@@ -389,7 +412,9 @@ def certify_interval(ctx: CertificationContext, lo, hi, sources=()) -> Certified
 
     The verdict covers the closed interval; min_root_count counts the
     distinct roots strictly inside.  p is square-free, so the count is
-    exact.  ctx.key maps a point x to its key; the record's ends are in x.
+    exact.  ctx.key maps a point x to its key; the record's ends are in x,
+    as ctx.point gives them, so records that meet at an integer point
+    share its Fraction.
     """
     if not lo[0] * hi[1] < hi[0] * lo[1]:
         raise ValueError("need lo < hi")
@@ -410,12 +435,6 @@ def _merge_segments(segments):
     return out
 
 
-def _covered(point, segments) -> bool:
-    """Whether point lies in a segment of the merged list segments."""
-    i = bisect_right(segments, (point, inf))  # the first segment past point
-    return i > 0 and point <= segments[i - 1][1]
-
-
 def candidate_points(disks, yes, column_segments=None) -> list:
     """Sorted breakpoints cutting the certified region into candidates.
 
@@ -428,6 +447,9 @@ def candidate_points(disks, yes, column_segments=None) -> list:
     spectrum), the ends of their union join the breakpoints and points
     outside it are dropped too.  The ends of the union of yes are disk
     ends already, so every end of the clipped region is a breakpoint.
+    The points are sorted once, and each union, merged into disjoint
+    segments, keeps only the runs of points its segments cover, each run
+    one slice between two bisections.
     """
     if not yes:
         raise ValueError("no contains-real disk; nothing to localize")
@@ -440,9 +462,11 @@ def candidate_points(disks, yes, column_segments=None) -> list:
         regions.append(_merge_segments(column_segments))
         for seg in regions[-1]:
             points.update(seg)
+    kept = sorted(points)
     for region in regions:
-        points = [p for p in points if _covered(p, region)]
-    return sorted(points)
+        kept = [p for lo, hi in region
+                for p in kept[bisect_left(kept, lo):bisect_right(kept, hi)]]
+    return kept
 
 
 def candidate_sources(points, yes) -> list:
@@ -450,17 +474,16 @@ def candidate_sources(points, yes) -> list:
 
     points are the sorted breakpoints of candidate_points, and candidate k
     is [points[k], points[k + 1]].  yes holds ((c - r, c, c + r), row) per
-    contains-real disk, in row order.  A disk (lo, hi) meets the candidates
-    from the one whose upper end passes lo, found by bisection, up to the
-    last that starts below hi; each candidate gets its rows in yes order.
+    contains-real disk, in row order.  A disk (lo, hi) meets the range of
+    candidates from the one whose upper end passes lo up to the last that
+    starts below hi, from bisect_right(points, lo) - 1 to bisect_left(points,
+    hi); each candidate gets its rows in yes order.
     """
     last = len(points) - 1
     sources = [[] for _ in range(last)]
     for (lo, _, hi), row in yes:
-        k = max(bisect_right(points, lo) - 1, 0)
-        while k < last and points[k] < hi:
+        for k in range(max(bisect_right(points, lo) - 1, 0), min(bisect_left(points, hi), last)):
             sources[k].append(row)
-            k += 1
     return [tuple(rows) for rows in sources]
 
 
@@ -483,7 +506,7 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     of every row disk and, with column_disks, at the column disks' ends
     in the row disks' hull [L, R]: a superset of the points the tests
     read, whose first and last points are L and R.  Only the records
-    are Fractions.
+    are Fractions, one per point, which neighbouring records share.
     """
     ctx = CertificationContext.from_matrix(m)
     rows = m.cleared[0]
@@ -503,9 +526,8 @@ def locate(m: SquareMatrix, *, column_disks: bool = False) -> LocateResult:
     tested: list = []
     if yes:
         breakpoints = candidate_points(disks, [disk for disk, _ in yes], col_segments)
-        tested = [
-            certify_interval(ctx, (breakpoints[k], 1), (breakpoints[k + 1], 1), sources)
-            for k, sources in enumerate(candidate_sources(breakpoints, yes))
-        ]
+        keys = [(y, 1) for y in breakpoints]
+        tested = [certify_interval(ctx, lo, hi, sources) for lo, hi, sources
+                  in zip(keys, keys[1:], candidate_sources(breakpoints, yes))]
     intervals = tuple(t for t in tested if t.contains_real)
     return LocateResult(ctx, tuple(certified), points, tuple(tested), intervals)

@@ -48,8 +48,8 @@ def render_svg(report: dict) -> str:
     refined = [(_float(t["lo"]), _float(t["hi"])) for t in report["final_intervals"]]
     xs = [c - r for c, r, _ in disks] + [c + r for c, r, _ in disks] + points
     lo, hi = min(xs), max(xs)
-    if hi <= lo:  # every disk is the one point lo
-        hi = lo + 1.0
+    if hi <= lo:  # every disk is the one point lo: centre it in a unit span
+        lo, hi = lo - 0.5, lo + 0.5
     pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad

@@ -26,8 +26,9 @@ def test_bench_kernels_runs():
     out = run_benchmark("bench_kernels.py", "--repeat", "1", "--size", "4")
     for case in ("reference", "sign_variations", "horner_homogeneous", "sturm_chain",
                  "berkowitz_charpoly_int", "refine_isolated", "report_json", "parse_matrix_csv",
-                 "parse_matrix_json", "candidate_points", "candidate_points_columns", "locate_int",
-                 "locate_decimal", "locate_repeated", "locate_one_double", "locate_fills",
+                 "parse_matrix_json", "candidate_points", "candidate_points_columns",
+                 "candidate_sources", "locate_candidates", "locate_int", "locate_decimal",
+                 "locate_repeated", "locate_one_double", "locate_fills",
                  "locate_batch",
                  "refine_batch", "refine_hermite", "refine_tiny_eps"):
         assert case in out

@@ -301,6 +301,40 @@ def test_locate_column_disks_clip():
     assert sum(iv.min_root_count for iv in clipped.intervals) == 2
 
 
+DECIMAL_ROWS = [["1.5", "0.2", "-0.7", "0"], ["0.3", "-2.1", "0.4", "0.1"],
+                ["-0.6", "0.5", "0.8", "0.9"], ["0", "0.2", "-0.3", "3.4"]]
+
+
+@pytest.mark.parametrize("column_disks", [False, True])
+@pytest.mark.parametrize("rows, scale", [(WORKED_ROWS, 4), (DECIMAL_ROWS, 10)],
+                         ids=["worked", "decimal"])
+def test_records_share_one_fraction_per_point(rows, scale, column_disks):
+    """Adjacent candidates share their common end as one Fraction, and a
+    contains-real disk's centre is that object too; refinement keeps
+    none of its midpoints."""
+    res = locate(SquareMatrix.from_rows(rows, EXACT), column_disks=column_disks)
+    assert res.context.scale == scale and len(res.tested) > 10
+    for left, right in zip(res.tested, res.tested[1:]):
+        assert left.hi is right.lo
+    ends = {t.lo: t.lo for t in res.tested}
+    centres = [d.center for d in res.disks if d.verdict == CONTAINS_REAL]
+    assert len(centres) == 4
+    for centre in centres:
+        assert ends[centre] is centre
+    refine_all(res.context, res.intervals, F(1, 10**30))
+    assert all(den == 1 for _, den in res.context._points)
+
+
+def test_point_keys_carry_their_denominator(worked_exact):
+    """An integer point (y, 1) has one Fraction per context; a key with
+    the same numerator over another denominator is another point."""
+    ctx = CertificationContext.from_matrix(worked_exact)  # D = 4
+    x = ctx.point((3, 1))
+    assert x == F(3, 4) and ctx.point((3, 1)) is x
+    assert ctx.point((3, 2)) == F(3, 8)
+    assert ctx.point((6, 2)) == F(3, 4)
+    assert certify_interval(ctx, (3, 2), (3, 1)).lo == F(3, 8)
+
 def test_exact_pipeline_builds_no_hermite_form(worked_exact, worked_float, monkeypatch):
     def refuse(*args):
         raise AssertionError("the pipeline built a Hermite form")

@@ -191,9 +191,9 @@ ONE_POINT_SVG = (
     'viewBox="0 0 900 120.00">\n'
     '<line class="axis" x1="40" y1="60.00" x2="860" y2="60.00" stroke="#2c3e50" '
     'stroke-width="1"/>\n'
-    '<circle class="disk point" cx="77.27" cy="60.00" r="2.00" stroke="#1a5276" '
+    '<circle class="disk point" cx="450.00" cy="60.00" r="2.00" stroke="#1a5276" '
     'fill="#d6eaf8" fill-opacity="0.55"/>\n'
-    '<circle class="eigenpoint" cx="77.27" cy="60.00" r="4" fill="#1a5276"/>\n'
+    '<circle class="eigenpoint" cx="450.00" cy="60.00" r="4" fill="#1a5276"/>\n'
     '</svg>\n'
 )
 

@@ -4,9 +4,10 @@ Times the integer kernels a run calls: sign variations, homogeneous
 Horner at a dyadic point and the Berkowitz charpoly of a seeded integer
 matrix; the Sturm chain of a seeded polynomial and the refinement of one
 of its isolated roots to 2^-300, which is integer Horner in the sign
-loop and quadratic steps of eigencert.refine; locate, and refine_all to
-1e-7, on ten seeded matrices of order 3-7, integer and one-place decimal; 50
-refinements of [0, 4] for the roots 1 and 2, whose midpoint root takes
+loop and quadratic steps of eigencert.refine; locate, on a SquareMatrix
+built in the timed call, and refine_all to 1e-7, on ten seeded matrices
+of order 3-7, integer and one-place decimal; 50 refinements of [0, 4]
+for the roots 1 and 2, whose midpoint root takes
 the Hermite step and an eps/4 nudge; refine_all to 1e-1000 on the
 located 2x2 [[1, 2], [3, 4]], whose two roots are each about 3,330
 halvings deep; the breakpoints of locate on the Gershgorin
@@ -17,9 +18,11 @@ that locate filled and an emptied point cache, 50 times; one whole
 locate on a seeded matrix of integers, of one-place decimals, of
 one-place decimals in a repeated block diag(B, B), whose every root is
 double, and of integers with one entry the double 0.1, whose
-denominators clear to D = 2^55; the memo fill of the locate on
-integers, from an emptied memo; and the CLI's two text layers:
-the JSON text of the worked 5x5 example's report, and the parse of a
+denominators clear to D = 2^55, each SquareMatrix built in the timed
+call, so the chi_B it caches is computed there as in a run; the memo
+fill of the locate on integers, from an emptied memo, 50 times; and the
+CLI's two text layers: the JSON text of the worked 5x5 example's report,
+and the parse of a
 seeded matrix of one-place decimals as CSV and as JSON text.  Runs every
 case once per round, --repeat rounds, and prints each case's best run, in
 milliseconds, and its ratio to the best run of the reference: fixed
@@ -125,8 +128,10 @@ def build_cases(size: int):
     # integers in [-9, 9] and one off-diagonal double 0.1, so D = 2^55
     one_double = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
     one_double[0][-1] = Fraction(0.1)
-    locate_inputs = [SquareMatrix.from_rows(rows, EXACT)
-                     for rows in (int_rows, decimals, repeated, one_double)]
+    # the exact rows; each locate case builds its SquareMatrix afresh, since a
+    # matrix caches chi_B
+    locate_rows = [SquareMatrix.from_rows(rows, EXACT).rows
+                   for rows in (int_rows, decimals, repeated, one_double)]
 
     # the memo fill of locate on the integer matrix, as locate made it,
     # run from an emptied memo
@@ -135,18 +140,19 @@ def build_cases(size: int):
     CertificationContext.fill_keys = lambda ctx, keys: (fills.append((ctx, keys)),
                                                         fill(ctx, keys))
     try:
-        locate(locate_inputs[0])
+        locate(SquareMatrix(locate_rows[0]))
     finally:
         CertificationContext.fill_keys = fill
     (fill_ctx, fill_keys), = fills
 
     def locate_fills():
-        fill_ctx._memo = {}
-        fill_ctx.fill_keys(fill_keys)
+        for _ in range(50):
+            fill_ctx._memo = {}
+            fill_ctx.fill_keys(fill_keys)
 
     # the candidates of that locate, cut and tested from its memo as locate
     # does; D = 1, so the disks of B are those of int_rows
-    located = locate(locate_inputs[0])
+    located = locate(SquareMatrix(locate_rows[0]))
     certified = [(disk, d.row) for disk, d in zip(disks, located.disks)
                  if d.verdict == CONTAINS_REAL]
     cut = candidate_points(disks, [disk for disk, _ in certified])
@@ -176,10 +182,10 @@ def build_cases(size: int):
             candidate_sources(cut, certified) for _ in range(50)
         ]),
         ("locate_candidates", locate_candidates),
-        ("locate_int", lambda: locate(locate_inputs[0])),
-        ("locate_decimal", lambda: locate(locate_inputs[1])),
-        ("locate_repeated", lambda: locate(locate_inputs[2])),
-        ("locate_one_double", lambda: locate(locate_inputs[3])),
+        ("locate_int", lambda: locate(SquareMatrix(locate_rows[0]))),
+        ("locate_decimal", lambda: locate(SquareMatrix(locate_rows[1]))),
+        ("locate_repeated", lambda: locate(SquareMatrix(locate_rows[2]))),
+        ("locate_one_double", lambda: locate(SquareMatrix(locate_rows[3]))),
         ("locate_fills", locate_fills),
         ("report_json", lambda: to_json(report)),
         ("parse_matrix_csv", lambda: parse_matrix_text(matrix_csv, "exact")),
@@ -209,7 +215,7 @@ def build_cases(size: int):
 
     def locate_batch():
         for m in batch_matrices:
-            locate(m)
+            locate(SquareMatrix(m.rows))
 
     def refine_batch():
         for located, memo in batch:

@@ -27,14 +27,13 @@ Prints one JSON object.
 """
 
 import argparse
-import importlib.util
 import json
 import random
 import time
 from fractions import Fraction
 from math import inf
-from pathlib import Path
 
+from bench_kernels import reference  # beside this file; a script's directory is on sys.path
 from eigencert import localize
 from eigencert.charpoly import SquareMatrix
 from eigencert.localize import locate
@@ -44,15 +43,6 @@ from eigencert.report import build_report, to_json
 
 STAGES = ("charpoly", "chain", "locate_rest", "refine_1e-7", "refine_1e-30", "report")
 EPSILONS = {"refine_1e-7": Fraction(1, 10**7), "refine_1e-30": Fraction(1, 10**30)}
-
-
-def load_reference():
-    """bench_kernels.py's reference case, loaded from beside this file."""
-    path = Path(__file__).with_name("bench_kernels.py")
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference
 
 
 def seeded_rows(n: int, kind: str) -> list:
@@ -115,7 +105,6 @@ def main() -> int:
                         help="comma-separated matrix orders")
     args = parser.parse_args()
 
-    reference = load_reference()
     cases = [(n, kind) for n in map(int, args.sizes.split(",")) for kind in ("int", "dec")]
     inputs = {case: seeded_rows(*case) for case in cases}
     best_reference = inf

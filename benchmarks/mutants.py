@@ -21,8 +21,9 @@ and 2 when the unmutated tree fails.
 
 The list covers src/eigencert/localize.py, the integer arithmetic of
 src/eigencert/kernels.py and src/eigencert/charpoly.py that the chain is
-built from, and the end-root rule of src/eigencert/refine.py: roots at
-piece ends become points, and the sign loop around them.
+built from, and two rules of src/eigencert/refine.py: roots at piece
+ends become points, with the sign loop around them, and refine_all
+refuses a bad epsilon whatever intervals it is given.
 """
 
 import os
@@ -201,6 +202,14 @@ MUTANTS = (
     Mutant("sign-right-of-a-root-lo-flipped", REFINE,
            "right_of_lo = at_lo or -at_hi or",
            "right_of_lo = at_lo or at_hi or"),
+    Mutant("refine-all-checks-eps-per-interval", REFINE,
+           "    e_num, e_den = ctx.width_key(eps)  # refused here even with no interval to refine\n"
+           "    pieces = []\n"
+           "    for iv in sorted(intervals, key=attrgetter(\"lo\")):\n"
+           "        cells = _refine(ctx, iv, e_num, e_den)",
+           "    pieces = []\n"
+           "    for iv in sorted(intervals, key=attrgetter(\"lo\")):\n"
+           "        cells = refine_interval(ctx, iv, eps)"),
 )
 
 

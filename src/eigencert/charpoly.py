@@ -12,9 +12,9 @@ chain is built on.  Faddeev-Leverrier, on the same cleared integer
 matrix, is the tests' independent cross-check.
 
 The tests' fixed-precision reference runs in mpmath, which it imports
-when called: Householder reduction to upper Hessenberg form followed by
-the La Budde recurrence, which is the numerically trustworthy way to get
-coefficients at fixed precision.
+when called: mpmath's Householder routine reduces the matrix to upper
+Hessenberg form, and the La Budde recurrence reads the coefficients off
+it, which is the numerically trustworthy way to get them at fixed precision.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class SquareMatrix:
                     f"matrix must be square; row of length {len(row)} "
                     f"in a matrix with {n} rows"
                 )
-            conv.append(tuple(backend.convert(v) for v in row))
+            conv.append(tuple(map(backend.convert, row)))
         return SquareMatrix(tuple(conv))
 
     @property
@@ -126,56 +126,18 @@ def mp_rows(rows, bits: int):
 
 
 def hessenberg_reduce(rows, bits: int) -> HessenbergForm:
-    """Orthogonal (Householder) reduction to upper Hessenberg form.
+    """Orthogonal reduction to upper Hessenberg form, by mpmath's
+    Householder routine (MPContext.hessenberg).
 
     Each entry of the square rows is rounded to bits bits, and every step
     runs at that precision in mpmath.
     """
     ctx, h = mp_rows(rows, bits)
-    n = len(rows)
-    for k in range(n - 2):
-        norm2 = ctx.zero
-        for i in range(k + 1, n):
-            norm2 = norm2 + h[i][k] * h[i][k]
-        if norm2 == 0:
-            continue
-        norm = ctx.sqrt(norm2)
-        alpha = -norm if h[k + 1][k] >= 0 else norm
-        v = [h[i][k] for i in range(k + 1, n)]
-        v[0] = v[0] - alpha
-        vnorm2 = ctx.zero
-        for t in range(len(v)):
-            vnorm2 = vnorm2 + v[t] * v[t]
-        if vnorm2 == 0:
-            continue
-        two = ctx.convert(2)
-        for j in range(k, n):
-            s = ctx.zero
-            for t in range(len(v)):
-                s = s + v[t] * h[k + 1 + t][j]
-            f = two * s / vnorm2
-            if f == 0:
-                continue
-            for t in range(len(v)):
-                h[k + 1 + t][j] = h[k + 1 + t][j] - f * v[t]
-        for i in range(n):
-            s = ctx.zero
-            for t in range(len(v)):
-                s = s + h[i][k + 1 + t] * v[t]
-            f = two * s / vnorm2
-            if f == 0:
-                continue
-            for t in range(len(v)):
-                h[i][k + 1 + t] = h[i][k + 1 + t] - f * v[t]
-        h[k + 1][k] = alpha
-        for i in range(k + 2, n):
-            h[i][k] = ctx.zero
-    for i in range(n):
-        for j in range(i - 1):
-            h[i][j] = ctx.zero
+    h = ctx.hessenberg(ctx.matrix(h))[1].tolist()
+    n = len(h)
     alphas = tuple(h[i][i] for i in range(n))
     betas = tuple(h[i + 1][i] for i in range(n - 1))
-    return HessenbergForm(tuple(tuple(r) for r in h), alphas, betas)
+    return HessenbergForm(tuple(map(tuple, h)), alphas, betas)
 
 
 def labudde(hf: HessenbergForm) -> tuple:

@@ -193,7 +193,11 @@ def refine_interval(ctx: CertificationContext, interval: CertifiedInterval, eps)
     """Refine one certified interval to cells of width <= eps, sorted: a
     point for each root at a piece's end, the input's ends included, and
     cells that each hold their exact count of roots inside, at least 1."""
-    e_num, e_den = ctx.width_key(eps)
+    return _refine(ctx, interval, *ctx.width_key(eps))
+
+
+def _refine(ctx: CertificationContext, interval: CertifiedInterval, e_num, e_den) -> list:
+    """refine_interval at the width key (e_num, e_den) of epsilon."""
     if not interval.contains_real:
         return []
     # a piece is (lo, hi, sigma, count inside, depth), its ends as keys
@@ -275,9 +279,10 @@ def refine_all(ctx: CertificationContext, intervals, eps) -> tuple:
     general span more than epsilon.  A root at a breakpoint is a point of
     both candidates that meet there, kept once with the sources of both.
     """
+    e_num, e_den = ctx.width_key(eps)  # refused here even with no interval to refine
     pieces = []
     for iv in sorted(intervals, key=attrgetter("lo")):
-        cells = refine_interval(ctx, iv, eps)
+        cells = _refine(ctx, iv, e_num, e_den)
         # only a point at the breakpoint ends one candidate and starts the next
         if pieces and cells and pieces[-1].lo == cells[0].hi:
             cells[0] = cells[0]._replace(

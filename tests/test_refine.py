@@ -56,6 +56,17 @@ def test_refine_requires_positive_eps(worked_exact):
         refine_interval(res.context, res.intervals[0], 0)
 
 
+@pytest.mark.parametrize("rows", [[[0, -1], [1, 0]], [[1, 0], [0, 2]], [[1, 2], [3, 4]]],
+                         ids=["no-real-root", "diagonal", "two-roots"])
+def test_refine_all_refuses_bad_eps(rows):
+    """refine_all refuses a non-positive epsilon whatever intervals it is given."""
+    res = locate(SquareMatrix.from_rows(rows, EXACT))
+    for intervals in (res.intervals, ()):
+        for eps in (0, F(-1, 8)):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                refine_all(res.context, intervals, eps)
+
+
 def test_refine_skips_empty_interval():
     ctx = ctx_for(-6, 11, -6, 1)
     empty = certify_x(ctx, 5, 6)

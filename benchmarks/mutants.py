@@ -113,8 +113,16 @@ MUTANTS = (
            "lead = abs(g[-1])",
            "lead = g[-1]"),
     Mutant("beta-division-unchecked", LOCALIZE,
-           "if any(r for _, r in quotients):",
-           "if False:"),
+           "            if r:\n                raise InternalConsistencyError(\n"
+           "                    f\"a pseudo-remainder",
+           "            if False:\n                raise InternalConsistencyError(\n"
+           "                    f\"a pseudo-remainder"),
+    Mutant("beta-division-unchecked-at-the-top", LOCALIZE,
+           "            if r:\n                raise InternalConsistencyError(\n"
+           "                    f\"a pseudo-remainder",
+           "            if r and len(member) < len(rem) - 1:\n"
+           "                raise InternalConsistencyError(\n"
+           "                    f\"a pseudo-remainder"),
     Mutant("gcd-not-made-primitive", LOCALIZE,
            "            gcd_part = kernels.int_content_strip(gcd_part)\n",
            ""),
@@ -133,20 +141,28 @@ MUTANTS = (
            "if not lo[0] * hi[1] < hi[0] * lo[1]:",
            "if not lo[0] < hi[0]:"),
     Mutant("interval-verdict-always-contains", LOCALIZE,
-           "CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma,",
-           "CertifiedInterval(x_lo, x_hi, True, sigma,"),
+           "(x_lo, x_hi, sigma != self.base_signature,",
+           "(x_lo, x_hi, True,"),
+    Mutant("disk-centre-and-radius-swapped", LOCALIZE,
+           "_new_record(Disk, (row, ctx.point((c, 1)), radius, verdict))",
+           "_new_record(Disk, (row, radius, ctx.point((c, 1)), verdict))"),
     # one Fraction per integer point, kept by its whole key
     Mutant("point-cache-keyed-without-denominator", LOCALIZE,
            "        x = self._points.get(key)\n"
            "        if x is None:\n"
-           "            x = Fraction(key[0], key[1] * self.scale)\n"
+           "            den = key[1] * self.scale\n"
+           "            x = Fraction(key[0]) if den == 1 else Fraction(key[0], den)\n"
            "            if key[1] == 1:\n"
            "                self._points[key] = x\n",
            "        x = self._points.get(key[0])\n"
            "        if x is None:\n"
-           "            x = Fraction(key[0], key[1] * self.scale)\n"
+           "            den = key[1] * self.scale\n"
+           "            x = Fraction(key[0]) if den == 1 else Fraction(key[0], den)\n"
            "            if key[1] == 1:\n"
            "                self._points[key[0]] = x\n"),
+    Mutant("point-integer-ignores-scale", LOCALIZE,
+           "x = Fraction(key[0]) if den == 1 else Fraction(key[0], den)",
+           "x = Fraction(key[0]) if key[1] == 1 else Fraction(key[0], den)"),
     # breakpoints and sources
     Mutant("column-union-ends-not-breakpoints", LOCALIZE,
            "            points.update(seg)\n",
@@ -187,8 +203,11 @@ MUTANTS = (
            "first = [1, -s[r]]",
            "first = [1, s[r]]"),
     Mutant("cleared-charpoly-one-power-of-d-more", CHARPOLY,
-           "denom ** (n - k)",
-           "denom ** (n - k + 1)"),
+           "    powers = [1]\n",
+           "    powers = [denom]\n"),
+    Mutant("chi-a-not-divided-by-d", CHARPOLY,
+           "    if denom == 1:\n        return Poly(tuple(map(Fraction, raw)))\n",
+           "    if True:\n        return Poly(tuple(map(Fraction, raw)))\n"),
     # refinement: roots at piece ends are points, kept once
     Mutant("sign-loop-quadratic-from-a-zero-end", REFINE,
            "halvings = steps if steps < 16 or not quadratic else 7",

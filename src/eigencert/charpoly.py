@@ -90,10 +90,17 @@ def _divided_charpoly(raw, denom) -> Poly:
     """chi_A from the integer coefficients raw of chi_B, B = D*A, D = denom.
 
     The roots of B are D times those of A, so coefficient k of chi_B is
-    D^(n-k) times that of chi_A.
+    D^(n-k) times that of chi_A.  chi_B is monic, so the Poly is built
+    directly: nothing to read or strip.  When D = 1 every coefficient is
+    Fraction(c); otherwise it is Fraction(c, D^(n-k)), the powers of D
+    made once.
     """
-    n = len(raw) - 1
-    return Poly.from_coeffs([Fraction(raw[k], denom ** (n - k)) for k in range(n + 1)])
+    if denom == 1:
+        return Poly(tuple(map(Fraction, raw)))
+    powers = [1]
+    for _ in raw[1:]:
+        powers.append(powers[-1] * denom)
+    return Poly(tuple(map(Fraction, raw, reversed(powers))))
 
 
 def faddeev_leverrier(m: SquareMatrix) -> Poly:

@@ -108,7 +108,8 @@ def parse_matrix_text(text: str, mode: str, *, source: str = "input") -> SquareM
 
 def load_matrix(path: str, mode: str) -> SquareMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -60,7 +60,13 @@ ends.  CertificationContext.point makes x = y/D once per integer point,
 so two neighbouring candidates share their common end, and a
 contains-real disk's centre is the candidate end at that breakpoint, as
 one object; CertificationContext.interval makes every interval record.
-Disk and CertifiedInterval are immutable named tuples.
+Where D = 1, an integer point and a radius are made as Fraction(y),
+Fraction's one-argument int path, which skips the gcd that Fraction(y, 1)
+takes.
+Disk and CertifiedInterval are immutable named tuples.  Both are made
+by tuple.__new__ from every field in order, which is what a named
+tuple's own __new__ runs, without its Python frame; _replace, _fields
+and equality are the named tuple's.
 
 The whole pipeline is exact.  A matrix holds the exact values of its
 entries; one built on a float backend holds the values of its rounded
@@ -109,6 +115,10 @@ class CertifiedInterval(NamedTuple):
     sources: tuple = ()
 
 
+# what a named tuple's own __new__ runs, without its Python frame
+_new_record = tuple.__new__
+
+
 def remainder_sequence(f: list) -> tuple:
     """Subresultant remainder sequence of the integer polynomial f and f', in Sturm signs.
 
@@ -125,8 +135,11 @@ def remainder_sequence(f: list) -> tuple:
     So f_{k+2} = s_{k+2} S_{k+2} for the subresultant member S_{k+2} =
     prem(S_k, S_{k+1}) / beta_k and the sign s_{k+2} = -s_k sign(lc(S_{k+1})^(d+1)
     beta_k): the signs of beta_k and of the S_k cancel, and only magnitudes
-    are carried.  Every division is exact; a remainder raises
-    InternalConsistencyError.  The last member is a constant exactly when
+    are carried.  Every division is exact: one loop over the
+    pseudo-remainder divides each coefficient by beta_k, raises
+    InternalConsistencyError at the first that leaves a remainder, and
+    appends the quotient, so every coefficient is checked as the member
+    is built.  The last member is a constant exactly when
     f is square-free, and the sequence is then f's Sturm chain.  Otherwise
     it is gcd(f, f') times a constant, not in general primitive.
     """
@@ -143,13 +156,16 @@ def remainder_sequence(f: list) -> tuple:
         beta = lead * psi**gap
         if g[-1] > 0 or gap % 2:  # the Sturm sign: -sign(lc g)^(gap + 1)
             beta = -beta
-        quotients = [divmod(c, beta) for c in rem]
-        if any(r for _, r in quotients):
-            raise InternalConsistencyError(
-                f"a pseudo-remainder of degree {len(rem) - 1} is not divisible by "
-                f"beta = {beta}: the subresultant sequence is faulty"
-            )
-        chain.append([q for q, _ in quotients])
+        member = []
+        for c in rem:
+            q, r = divmod(c, beta)
+            if r:
+                raise InternalConsistencyError(
+                    f"a pseudo-remainder of degree {len(rem) - 1} is not divisible by "
+                    f"beta = {beta}: the subresultant sequence is faulty"
+                )
+            member.append(q)
+        chain.append(member)
         lead = abs(g[-1])
         psi = lead**gap // psi**(gap - 1)
     return tuple(chain)
@@ -354,13 +370,15 @@ class CertificationContext:
         return self.base_signature - 2 * inside - (s_lo == 0) - at_hi, inside
 
     def point(self, key) -> Fraction:
-        """x = num/(den*D) at key.  An integer point (y, 1), as every point of
-        locate is, has one Fraction per context, made on first use and
-        returned at every later read; any other key, such as a cell end of
-        refinement, gets a new one, so the points kept are locate's."""
+        """x = num/(den*D) at key, Fraction(num) when den*D = 1.  An integer
+        point (y, 1), as every point of locate is, has one Fraction per
+        context, made on first use and returned at every later read; any
+        other key, such as a cell end of refinement, gets a new one, so the
+        points kept are locate's."""
         x = self._points.get(key)
         if x is None:
-            x = Fraction(key[0], key[1] * self.scale)
+            den = key[1] * self.scale
+            x = Fraction(key[0]) if den == 1 else Fraction(key[0], den)
             if key[1] == 1:
                 self._points[key] = x
         return x
@@ -371,8 +389,8 @@ class CertificationContext:
         refined point's None."""
         x_lo = self.point(lo)
         x_hi = x_lo if lo is hi else self.point(hi)
-        return CertifiedInterval(x_lo, x_hi, sigma != self.base_signature, sigma, inside,
-                                 sources)
+        return _new_record(CertifiedInterval, (x_lo, x_hi, sigma != self.base_signature,
+                                               sigma, inside, sources))
 
 
 def gershgorin_disks(rows) -> list:
@@ -393,12 +411,15 @@ def certify_disk(ctx: CertificationContext, row: int, disk) -> Disk:
     """The record of row's disk (c - r, c, c + r) of gershgorin_disks, with its verdict:
     point eigenvalue, or the test of q = (y - c + r)(y - c - r) at keys (c -/+ r, 1)."""
     lo, c, hi = disk
-    center, radius = ctx.point((c, 1)), Fraction(hi - c, ctx.scale)
+    scale = ctx.scale
+    radius = Fraction(hi - c) if scale == 1 else Fraction(hi - c, scale)
     if lo == hi:
-        return Disk(row, center, radius, POINT_EIGENVALUE)
-    if ctx.sigma_inside((lo, 1), (hi, 1))[0] != ctx.base_signature:
-        return Disk(row, center, radius, CONTAINS_REAL)
-    return Disk(row, center, radius, EMPTY_REAL)
+        verdict = POINT_EIGENVALUE
+    elif ctx.sigma_inside((lo, 1), (hi, 1))[0] != ctx.base_signature:
+        verdict = CONTAINS_REAL
+    else:
+        verdict = EMPTY_REAL
+    return _new_record(Disk, (row, ctx.point((c, 1)), radius, verdict))
 
 
 def reduced_key(num: int, den: int) -> tuple:

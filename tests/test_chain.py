@@ -347,18 +347,27 @@ def test_gapped_chain_on_repeated_roots():
     assert ctx.base_signature == 2
 
 
-def test_remainder_sequence_refuses_an_inexact_division(monkeypatch):
-    """A pseudo-remainder that beta does not divide raises: x^3 - 2x has
-    f_1 = 3x^2 - 2, so the second step divides by beta = 9."""
+@pytest.mark.parametrize("end", [0, -1], ids=["constant", "leading"])
+def test_remainder_sequence_refuses_an_inexact_division(monkeypatch, end):
+    """A pseudo-remainder that beta does not divide raises, whichever of its
+    coefficients is off: x^4 - 3x^2 + x + 1 has f_1 = 4x^3 - 6x + 1, so the
+    second step divides a pseudo-remainder of degree 1 by beta = 16, and
+    one end of it is forged."""
     prem = kernels.int_prem
+    calls = []
 
     def forged(f, g):
         rem = prem(f, g)
-        return [rem[0] + 1, *rem[1:]]
+        calls.append(rem)
+        if len(calls) == 2:
+            assert len(rem) == 2 and all(c % 16 == 0 for c in rem)
+            rem = list(rem)
+            rem[end] += 1
+        return rem
 
     monkeypatch.setattr(kernels, "int_prem", forged)
-    with pytest.raises(InternalConsistencyError, match="not divisible"):
-        remainder_sequence([0, -2, 0, 1])
+    with pytest.raises(InternalConsistencyError, match="not divisible by beta = -?16:"):
+        remainder_sequence([1, 1, -3, 0, 1])
 
 
 @st.composite

@@ -92,6 +92,23 @@ def test_load_matrix_not_utf8(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("write", [write_worked_csv, write_worked_json], ids=["csv", "json"])
+def test_load_matrix_skips_a_byte_order_mark(tmp_path, capsys, write):
+    """A UTF-8 file that starts with a byte-order mark, as Notepad and
+    Excel's "CSV UTF-8" save it, gives the report of the same file without it."""
+    path = Path(write(tmp_path))
+    marked = tmp_path / f"bom{path.suffix}"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.load_matrix(str(marked), "exact") == cli.load_matrix(str(path), "exact")
+    reports = []
+    for source in (path, marked):
+        assert cli.main([str(source), "--epsilon", "0.01", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["metrics"].pop("wall_time_seconds")
+        reports.append(data)
+    assert reports[0] == reports[1]
+
+
 def test_run_worked(tmp_path):
     report = cli.run(write_worked_csv(tmp_path), epsilon="0.01")
     assert report["mode"] == "exact" and report["bits"] is None

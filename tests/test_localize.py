@@ -325,6 +325,68 @@ def test_records_share_one_fraction_per_point(rows, scale, column_disks):
     assert all(den == 1 for _, den in res.context._points)
 
 
+def _pinned(value, expected):
+    """value is a Fraction, in lowest terms, equal to expected."""
+    assert type(value) is F
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+INTEGER_ROWS = [[4, 1, 0, -2], [1, -3, 2, 0], [0, 2, 1, 1], [-2, 0, 1, 6]]
+
+
+@pytest.mark.parametrize("column_disks", [False, True])
+@pytest.mark.parametrize("rows, scale", [(INTEGER_ROWS, 1), (WORKED_ROWS, 4), (DECIMAL_ROWS, 10)],
+                         ids=["integer", "worked", "decimal"])
+def test_locate_values_are_the_cleared_integers_over_d(rows, scale, column_disks):
+    """Every value locate returns is a Fraction in lowest terms, the integer
+    of B = D*A it was found on over a power of D: chi_A's coefficient k is
+    c_k / D^(n-k) for chi_B's c_k, a disk's centre and radius are B's over
+    D, and the candidates' ends are B's breakpoints over D."""
+    m = SquareMatrix.from_rows(rows, EXACT)
+    res = locate(m, column_disks=column_disks)
+    b_rows, d = m.cleared
+    assert d == scale and res.context.scale == scale
+    n = len(rows)
+    chi_b = m.cleared_charpoly
+    assert len(res.context.original.coeffs) == n + 1
+    for k, c in enumerate(res.context.original.coeffs):
+        _pinned(c, F(chi_b[k], d ** (n - k)))
+    disks = gershgorin_disks(b_rows)
+    for record, (lo, c, hi) in zip(res.disks, disks, strict=True):
+        _pinned(record.center, F(c, d))
+        _pinned(record.radius, F(hi - c, d))
+    assert all(type(x) is F for x in res.points)
+    yes = [disk for disk, record in zip(disks, res.disks) if record.verdict == CONTAINS_REAL]
+    columns = None
+    if column_disks:
+        columns = [(lo, hi) for lo, _, hi in gershgorin_disks(list(zip(*b_rows)))]
+    breakpoints = candidate_points(disks, yes, columns)
+    assert len(res.tested) == len(breakpoints) - 1 > 2
+    for t, lo, hi in zip(res.tested, breakpoints, breakpoints[1:]):
+        _pinned(t.lo, F(lo, d))
+        _pinned(t.hi, F(hi, d))
+    assert res.intervals == tuple(t for t in res.tested if t.contains_real)
+
+
+@pytest.mark.parametrize("column_disks", [False, True])
+@pytest.mark.parametrize("scale", [1, 4, 10])
+def test_refined_breakpoint_roots_keep_the_sources_of_both(scale, column_disks):
+    """An upper triangle with eigenvalues -1, 1 and 3, over D: row 0's disk
+    [-3, 1] and row 1's [1, 5] meet at the root 1, and row 2 is the point 1.
+    Every root is a breakpoint, so refinement keeps three points, and 1,
+    shared by a candidate of row 0 and one of row 1, has the sources of both."""
+    rows = [[F(v, scale) for v in row] for row in ([-1, 2, 0], [0, 3, 2], [0, 0, 1])]
+    res = locate(SquareMatrix.from_rows(rows, EXACT), column_disks=column_disks)
+    assert res.context.scale == scale
+    final = refine_all(res.context, res.intervals, F(1, 10**9))
+    expected = [(-1, (0,)), (1, (0, 1)), (3, (1,))]
+    assert len(final) == len(expected)
+    for cell, (root, sources) in zip(final, expected):
+        _pinned(cell.lo, F(root, scale))
+        assert cell.hi is cell.lo
+        assert cell[2:] == (True, None, 1, sources)
+
+
 def test_point_keys_carry_their_denominator(worked_exact):
     """An integer point (y, 1) has one Fraction per context; a key with
     the same numerator over another denominator is another point."""
